@@ -8,6 +8,7 @@ formula, with exact Fraction arithmetic throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,23 +89,17 @@ def _fixed_coset_count(G: FiniteGroup, K: Subgroup, H: Subgroup) -> int:
     return count
 
 
-_TABLE_CACHE = {}
-
-
 def mark_table(G: FiniteGroup) -> np.ndarray:
     """Rows indexed by the class K, columns by the class H: |(G/H)^K|."""
-    key = id(G)
-    tbl = _TABLE_CACHE.get(key)
-    if tbl is None:
-        L = G.lattice()
-        reps = L.class_reps
+    if G._mark_table is None:
+        reps = G.lattice().class_reps
         c = len(reps)
         tbl = np.zeros((c, c), dtype=np.int64)
         for i, K in enumerate(reps):
             for j, H in enumerate(reps):
                 tbl[i, j] = _fixed_coset_count(G, K, H)
-        _TABLE_CACHE[key] = tbl
-    return tbl
+        G._mark_table = tbl
+    return G._mark_table
 
 
 def marks(x: BurnsideElement):
@@ -165,15 +160,9 @@ def _rational_inverse(tbl: np.ndarray):
     den = 1
     for row in inv:
         for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = math.lcm(den, x.denominator)
     num = np.array([[int(x * den) for x in row] for row in inv], dtype=np.int64)
     return num, den
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def burnside_units(G: FiniteGroup) -> list:

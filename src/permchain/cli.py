@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -206,10 +207,7 @@ def cmd_burnside(args) -> dict:
     denoms = {}
     for H in L.class_reps:
         e = idempotent(G, H)
-        d = 1
-        for c in e.coeffs:
-            d = d * Fraction(c).denominator // _gcd(d, Fraction(c).denominator)
-        denoms[class_name(L, H)] = d
+        denoms[class_name(L, H)] = math.lcm(*(Fraction(c).denominator for c in e.coeffs))
     units = burnside_units(G)
     return {
         "group": G.describe(),
@@ -219,12 +217,6 @@ def cmd_burnside(args) -> dict:
         "unit_count": len(units),
         "units": [list(u.coeffs) for u in units],
     }
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cmd_catalog(args) -> dict:
@@ -249,9 +241,8 @@ def cmd_catalog(args) -> dict:
     # verify
     reports = []
     for e in entries:
-        rep = e.verify()
-        if rep["endotrivial"]:
-            inv = xi(e.complex)
+        rep, inv = e.verify()
+        if inv is not None:
             rep["xi"] = _xi_json(inv)
             b = beta_from_xi(inv)
             rep["beta"] = _beta_json(b)

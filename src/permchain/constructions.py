@@ -74,14 +74,15 @@ class CatalogEntry:
     expected_h: Optional[dict] = None  # class_id -> h-mark, where known
     note: str = ""
 
-    def verify(self) -> dict:
+    def verify(self):
         """Recompute endotriviality and the invariant; compare when an
-        expected table is present."""
+        expected table is present.  Returns the report and the invariant,
+        which is None when the complex is not endotrivial."""
         rep = endotrivial_report(self.complex)
         result = {"name": self.name, "endotrivial": rep.ok}
         if not rep.ok:
             result["violations"] = rep.violations
-            return result
+            return result, None
         inv = xi(self.complex)
         lat = self.group.lattice()
         result["h_marks"] = {
@@ -99,7 +100,7 @@ class CatalogEntry:
                     class_name(lat, lat.class_reps[cid]): v
                     for cid, v in mismatches.items()
                 }
-        return result
+        return result, inv
 
 
 # -- truncated periodic resolutions -----------------------------------------

@@ -2,8 +2,13 @@
 
 Scalars are stored as integer codes: the element sum(c_i * w^i) with
 coefficients c_i in F_p is encoded as sum(c_i * p^i), where w is the class of
-the modulus root.  All arithmetic goes through precomputed q x q lookup
-tables, which keeps matrix code fully vectorizable with numpy.
+the modulus root.  `GF` builds q x q addition and multiplication tables and
+the negation, inverse and Frobenius tables; scalar arithmetic and entrywise
+matrix operations look codes up in them.  The kernels in linalg mostly do
+not: row reduction works on packed bits over F2 and on integers mod p over
+prime fields, and uses the tables only over extension fields; products are
+float64 BLAS products, split into coefficient planes and reduced with the
+`power_basis` rows over extension fields.
 """
 
 from __future__ import annotations
@@ -48,16 +53,6 @@ def _poly_mod(poly, modulus, p):
     while len(poly) < n:
         poly.append(0)
     return [c % p for c in poly]
-
-
-def _poly_mul(a, b, modulus, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_mod(out, modulus, p)
 
 
 def _is_irreducible(modulus, p):

@@ -21,6 +21,7 @@ from .errors import (
     PermchainError,
     UnknownCatalogName,
 )
+from .ffield import _is_prime
 
 DEFAULT_MAX_ORDER = 500
 
@@ -161,6 +162,10 @@ class FiniteGroup:
         self.inv_table = inv
         self._lattice = None
         self._orders = None
+        # values other modules derive from this group alone
+        self._mark_table = None  # burnside.mark_table
+        self._quotient_cache = {}  # subgroup elems -> invariants.cached_quotient
+        self._brauer_ctx_cache = {}  # p-subgroup elems -> modules.brauer_context
 
     # -- arithmetic on element indices ---------------------------------
 
@@ -614,17 +619,6 @@ def quotient(G: FiniteGroup, N: Subgroup) -> Quotient:
     for c in range(k):
         lifts[coset_to_q[c]] = reps[c]
     return Quotient(G, N, Q, proj, lifts)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- catalog --------------------------------------------------------------

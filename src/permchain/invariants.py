@@ -35,15 +35,11 @@ from .modules import (
     twist,
 )
 
-_QUOT_CACHE = {}
-
 
 def cached_quotient(G: FiniteGroup, S: Subgroup) -> Quotient:
-    key = (id(G), S.elems)
-    q = _QUOT_CACHE.get(key)
+    q = G._quotient_cache.get(S.elems)
     if q is None:
-        q = quotient(G, S)
-        _QUOT_CACHE[key] = q
+        q = G._quotient_cache[S.elems] = quotient(G, S)
     return q
 
 

@@ -1,10 +1,26 @@
 """Dense exact matrices over F_{p^n}.
 
 Entries are stored as integer codes (see ffield) in a 2-D numpy int16 array.
-Row reduction uses deterministic pivoting: first nonzero column, first
-nonzero row, so every basis this module produces is bit-identical across
-runs.  Matrix products decompose codes into coefficient planes and go
-through integer matmul, which keeps everything vectorized.
+`rref` returns the reduced row echelon form with its rank and pivot columns.
+The RREF of a matrix is unique, so every basis this module builds from it is
+bit-identical across runs, whichever kernel computed it.  The kernel is
+chosen by the field:
+
+* F2: rows are packed into Python integers and reduced a strip of up to
+  eight columns at a time.  The pivot rows of a strip are combined into a
+  table of all their sums, and every other row is reduced with one lookup
+  and one XOR (the method of four Russians).
+* other fields: each pivot updates only the rows with a nonzero entry in
+  its column, and only the columns from the pivot on.  Prime fields use
+  integer arithmetic mod p; extension fields use the field's tables, and in
+  characteristic 2 adding two codes is XOR.
+
+A matrix product is one float64 BLAS product reduced mod p at the end.
+Over extension fields the codes are split into coefficient planes: one
+product gives every pair of planes, and the power basis of the modulus
+reduces their convolution.  Each entry is a sum of at most n * k products
+below p^2, which float64 holds exactly while it is below 2^53; a product
+past that bound raises instead of wrapping.
 """
 
 from __future__ import annotations
@@ -100,28 +116,24 @@ class FqMatrix:
         p, n = f.p, f.n
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        A = self.a.astype(np.int64)
-        B = other.a.astype(np.int64)
+        bound = _exact_bound(self.cols, f)
         if n == 1:
-            return FqMatrix(f, ((A @ B) % p).astype(np.int16))
-        pa = [(A // p ** i) % p for i in range(n)]
-        pb = [(B // p ** i) % p for i in range(n)]
-        conv = [None] * (2 * n - 1)
+            prod = self.a.astype(np.float64) @ other.a.astype(np.float64)
+            return FqMatrix(f, _mod_p(prod, p, bound).astype(np.int16))
+        r, c = self.rows, other.cols
+        digits = p ** np.arange(n, dtype=np.int16)
+        pa = self.a[None] // digits[:, None, None] % p  # n x r x k
+        pb = other.a[None] // digits[:, None, None] % p  # n x k x c
+        prod = pa.reshape(n * r, self.cols).astype(np.float64) @ np.hstack(pb).astype(np.float64)
+        prod = prod.reshape(n, r, n, c)  # prod[i, :, j, :] = pa[i] @ pb[j]
+        conv = np.zeros((2 * n - 1, r, c))
         for i in range(n):
             for j in range(n):
-                prod = pa[i] @ pb[j]
-                k = i + j
-                conv[k] = prod if conv[k] is None else conv[k] + prod
+                conv[i + j] += prod[i, :, j, :]
+        conv = _mod_p(conv, p, bound)
         # w^k reduces to a coefficient row of the power basis table
-        basis = f.power_basis
-        planes = [np.zeros((self.rows, other.cols), dtype=np.int64) for _ in range(n)]
-        for k in range(2 * n - 1):
-            ck = conv[k] % p
-            for i in range(n):
-                if basis[k, i]:
-                    planes[i] += ck * int(basis[k, i])
-        code = sum((planes[i] % p) * (p ** i) for i in range(n))
-        return FqMatrix(f, code.astype(np.int16))
+        planes = np.tensordot(f.power_basis.T.astype(conv.dtype), conv, axes=1) % p
+        return FqMatrix(f, np.tensordot(digits.astype(conv.dtype), planes, axes=1).astype(np.int16))
 
     def kron(self, other: "FqMatrix") -> "FqMatrix":
         """Kronecker product; index (i, k) maps to i * other.rows + k."""
@@ -182,52 +194,167 @@ def block_diag(field: FqField, mats) -> FqMatrix:
     return FqMatrix(field, out)
 
 
+_FLOAT_EXACT = 2 ** 53
+
+
+def _exact_bound(k: int, field: FqField) -> int:
+    """A bound on the entries of a float64 product with inner dimension k:
+    sums of at most n * k products of plane values below p.  Raises when
+    float64 would not hold them exactly."""
+    bound = field.n * k * (field.p - 1) ** 2
+    if bound >= _FLOAT_EXACT:
+        raise OverflowError(f"a product over {k} terms in F_{field.q} is not exact in float64")
+    return bound
+
+
+def _mod_p(x: np.ndarray, p: int, bound: int) -> np.ndarray:
+    """x mod p for a float64 array of integers in [0, bound]; integer
+    remainders are several times faster than float ones."""
+    y = x.astype(np.int32 if bound < 2 ** 31 else np.int64)
+    return y & 1 if p == 2 else y % p
+
+
 def rref(M: FqMatrix):
     """Reduced row echelon form.
 
-    Returns (R, rank, pivot_cols).  Pivoting is deterministic: columns are
-    scanned left to right and the first row with a nonzero entry is used.
+    Returns (R, rank, pivot_cols).  The pivot columns are the first nonzero
+    column of each row of R; R is unique, so the kernel that computes it does
+    not change it.
     """
     f = M.field
-    R = M.a.copy()
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    if f.q == 2:
+        top, pivots = _rref_f2(M.a)
+    else:
+        top, pivots = _rref_fq(f, M.a)
+    R = np.zeros(M.shape, dtype=np.int16)
+    R[: len(pivots)] = top
+    return FqMatrix(f, R), len(pivots), pivots
+
+
+def _rref_f2(a: np.ndarray):
+    """The pivot rows of the RREF over F2 and their pivot columns.
+
+    Bit j of a row's integer is column j.  `free` holds the nonzero rows that
+    are not pivot rows yet; they are zero left of the current strip.  A strip
+    of w columns costs a table of 2^w row sums, so w grows with the rows
+    that use the table: about log2 of their number, at most 8."""
+    rows, cols = a.shape
+    nb = (cols + 7) // 8
+    buf = np.packbits(a.astype(np.uint8), axis=1, bitorder="little").tobytes()
+    free = [int.from_bytes(buf[i * nb : (i + 1) * nb], "little") for i in range(rows)]
+    free = list(filter(None, free))
+    w = min(8, max(1, len(free).bit_length() - 1))
+    done, pivots = [], []
+    for c0 in range(0, cols, w):
+        if not free:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        # rows whose strip values form a basis of the strip's row space, keyed
+        # by the lowest bit of the reduced value: those bits are the pivots
+        strip = [(x >> c0) & ((1 << w) - 1) for x in free]
+        first = dict(zip(reversed(strip), reversed(free)))  # value -> first row
+        first.pop(0, None)
+        basis = {}
+        for v, row in first.items():
+            while v:
+                low = v & -v
+                if low not in basis:
+                    basis[low] = (v, row)
+                    break
+                v ^= basis[low][0]
+            if len(basis) == w:
+                break
+        if not basis:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
+        bits = sorted(basis)
+        P = [basis[b][1] for b in bits]
+        for k, b in enumerate(bits):  # Gauss-Jordan: identity on the pivot bits
+            b <<= c0
+            j = k
+            while not P[j] & b:
+                j += 1
+            P[j], P[k] = P[k], P[j]
+            for i in range(len(P)):
+                if i != k and P[i] & b:
+                    P[i] ^= P[k]
+        # table[v] = sum of the pivot rows at the pivot bits set in v
+        table, k = [0], 0
+        for pos in range(w):
+            if k < len(bits) and bits[k] == 1 << pos:
+                table += [t ^ P[k] for t in table]
+                k += 1
+            else:
+                table += table
+        mask = sum(bits)
+        done = [x ^ table[(x >> c0) & mask] for x in done] + P
+        free = list(filter(None, [x ^ table[(x >> c0) & mask] for x in free]))
+        pivots += [c0 + b.bit_length() - 1 for b in bits]
+    packed = b"".join(x.to_bytes(nb, "little") for x in done)
+    top = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(len(done), nb),
+        axis=1,
+        count=cols,
+        bitorder="little",
+    )
+    return top, pivots
+
+
+def _rref_fq(f: FqField, a: np.ndarray):
+    """The pivot rows of the RREF over F_q (q > 2) and their pivot columns.
+
+    Row operations touch only the rows with a nonzero entry in the pivot
+    column and the columns from the pivot on; the pivot row is the first
+    row, not already a pivot row, with a nonzero entry in that column."""
+    p, n = f.p, f.n
+    rows, cols = a.shape
+    R = a.astype(np.int32)
+    taken = np.zeros(rows, dtype=bool)
+    prow, pivots = [], []
+    for c in range(cols):
+        if len(prow) == rows:
+            break
+        hit = np.flatnonzero(R[:, c])
+        cand = hit[~taken[hit]]
+        if not cand.size:
+            continue
+        r = int(cand[0])
         piv = int(R[r, c])
         if piv != 1:
-            R[r] = f.mul[R[r], int(f.inv[piv])]
-        factors = R[:, c].copy()
-        factors[r] = 0
-        if factors.any():
-            R = f.sub[R, f.mul[factors[:, None], R[r][None, :]]]
+            inv = int(f.inv[piv])
+            R[r, c:] = R[r, c:] * inv % p if n == 1 else f.mul[inv, R[r, c:]]
+        hit = hit[hit != r]
+        if hit.size:
+            fac = R[hit, c][:, None]
+            if n == 1:
+                R[hit, c:] = (R[hit, c:] - fac * R[r, c:]) % p
+            elif p == 2:
+                R[hit, c:] ^= f.mul[fac, R[r, c:]]
+            else:
+                R[hit, c:] = f.sub[R[hit, c:], f.mul[fac, R[r, c:]]]
+        taken[r] = True
+        prow.append(r)
         pivots.append(c)
-        r += 1
-    return FqMatrix(f, R), len(pivots), pivots
+    return R[prow], pivots
 
 
 def rank(M: FqMatrix) -> int:
     return rref(M)[1]
 
 
+def _non_pivots(cols: int, pivots) -> np.ndarray:
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
+
+
 def kernel_basis(M: FqMatrix) -> FqMatrix:
-    """Columns form a basis of the right kernel {x : Mx = 0}."""
+    """Columns form a basis of the right kernel {x : Mx = 0}: one column per
+    non-pivot column j, with 1 at j and -R[i, j] at the i-th pivot."""
     f = M.field
     R, rk, pivots = rref(M)
-    free = [j for j in range(M.cols) if j not in set(pivots)]
-    out = np.zeros((M.cols, len(free)), dtype=np.int16)
-    for k, j in enumerate(free):
-        out[j, k] = 1
-        for i, pc in enumerate(pivots):
-            out[pc, k] = f.neg[int(R.a[i, j])]
+    free = _non_pivots(M.cols, pivots)
+    out = np.zeros((M.cols, free.size), dtype=np.int16)
+    out[free, np.arange(free.size)] = 1
+    out[pivots] = f.neg[R.a[:rk, free]]
     return FqMatrix(f, out)
 
 
@@ -248,20 +375,12 @@ def solve_matrix(M: FqMatrix, B: FqMatrix):
     M._check(B)
     if M.rows != B.rows:
         raise ValueError("right-hand side has wrong number of rows")
-    aug = hstack([M, B])
-    R, rk, pivots = rref(aug)
-    for pc in pivots:
-        if pc >= M.cols:
-            return None
+    R, rk, pivots = rref(hstack([M, B]))
+    if rk and pivots[-1] >= M.cols:
+        return None
     out = np.zeros((M.cols, B.cols), dtype=np.int16)
-    for i, pc in enumerate(pivots):
-        out[pc, :] = R.a[i, M.cols :]
+    out[pivots] = R.a[:rk, M.cols :]
     return FqMatrix(M.field, out)
-
-
-def in_span(V: FqMatrix, W: FqMatrix) -> bool:
-    """True when every column of W lies in the column span of V."""
-    return solve_matrix(V, W) is not None
 
 
 def quotient_space(V_basis: FqMatrix, W_basis: FqMatrix):
@@ -281,18 +400,14 @@ def quotient_space(V_basis: FqMatrix, W_basis: FqMatrix):
     if X is None:
         raise NotSubspace("W_basis is not contained in the span of V_basis")
     R, rk, pivots = rref(X.T)
-    free = [j for j in range(v) if j not in set(pivots)]
-    qdim = v - rk
-    # projection: reduce a coordinate vector by the echelon rows, keep free coords
-    proj = np.zeros((qdim, v), dtype=np.int16)
-    for k, j in enumerate(free):
-        proj[k, j] = 1
-        for i, pc in enumerate(pivots):
-            # subtracting R row i scaled by the pivot coordinate
-            proj[k, pc] = f.neg[int(R.a[i, j])]
-    section = np.zeros((v, qdim), dtype=np.int16)
-    for k, j in enumerate(free):
-        section[j, k] = 1
+    free = _non_pivots(v, pivots)
+    # projection: keep the free coordinates, and reduce a coordinate vector
+    # by the echelon rows scaled by its pivot coordinates
+    proj = np.zeros((free.size, v), dtype=np.int16)
+    proj[np.arange(free.size), free] = 1
+    proj[:, pivots] = f.neg[R.a[:rk, free]].T
+    section = np.zeros((v, free.size), dtype=np.int16)
+    section[free, np.arange(free.size)] = 1
     return FqMatrix(f, section), FqMatrix(f, proj)
 
 

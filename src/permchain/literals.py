@@ -147,27 +147,30 @@ def parse_module_literal(G: FiniteGroup, fld: FqField, text: str, where: str = "
     return direct_sum(parts)
 
 
-def format_module(M: KgModule) -> str:
-    """Canonical literal for a labeled module (summands grouped)."""
+def _grouped_summands(M: KgModule) -> list:
+    """M's summands with equal ones brought together: one list per distinct
+    summand, in the order of first appearance.  `format_module` writes the
+    groups in this order and `parse_module_literal` reads them back in it, so
+    the basis of a written complex must follow it too."""
     if M.labels is None:
         raise PermchainError("cannot print an unlabeled module")
     groups = {}
-    order = []
     for s in M.labels:
-        key = (s.character._elem_values, s.subgroup.elems)
-        if key not in groups:
-            groups[key] = [s, 0]
-            order.append(key)
-        groups[key][1] += 1
+        groups.setdefault((s.character._elem_values, s.subgroup.elems), []).append(s)
+    return list(groups.values())
+
+
+def format_module(M: KgModule) -> str:
+    """Canonical literal for a labeled module (summands grouped)."""
     terms = []
-    for key in order:
-        s, mult = groups[key]
+    for group in _grouped_summands(M):
+        s = group[0]
         t = ""
         if not s.character.is_trivial():
             t += format_character(s.character) + "*"
         t += f"[G/{format_subgroup(s.subgroup)}]"
-        if mult > 1:
-            t += f"^{mult}"
+        if len(group) > 1:
+            t += f"^{len(group)}"
         terms.append(t)
     return " + ".join(terms)
 
@@ -219,14 +222,15 @@ def format_element(t: TrivialSourceElement) -> str:
 
 
 def _label_basis_order(M: KgModule) -> list:
-    """For each summand in label order, the actual basis index of each coset
-    in the canonical coset order, chosen equivariantly from a base point
-    whose stabilizer is exactly the labeled subgroup."""
+    """For each summand in the order `format_module` writes them, the actual
+    basis index of each coset in the canonical coset order, chosen
+    equivariantly from a base point whose stabilizer is exactly the labeled
+    subgroup."""
     from .modules import _element_perms, _summand_perm_action
 
     G = M.group
     out = []
-    for s in M.labels:
+    for s in (s for group in _grouped_summands(M) for s in group):
         perms = _summand_perm_action(M, s)
         eperms = _element_perms(G, perms)
         base = None

@@ -625,15 +625,10 @@ class BrauerContext:
         ]
 
 
-_BRAUER_CTX_CACHE = {}
-
-
 def brauer_context(G: FiniteGroup, P: Subgroup) -> BrauerContext:
-    key = (id(G), P.elems)
-    ctx = _BRAUER_CTX_CACHE.get(key)
+    ctx = G._brauer_ctx_cache.get(P.elems)
     if ctx is None:
-        ctx = BrauerContext(G, P)
-        _BRAUER_CTX_CACHE[key] = ctx
+        ctx = G._brauer_ctx_cache[P.elems] = BrauerContext(G, P)
     return ctx
 
 

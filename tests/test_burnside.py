@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,9 @@ from permchain.burnside import (
     marks,
 )
 from permchain.errors import TooManyClasses
-from permchain.groups import FiniteGroup, catalog, perm_from_cycles
+from permchain.groups import FiniteGroup, catalog, group_from_spec, perm_from_cycles
+from permchain.invariants import cached_quotient
+from permchain.modules import brauer_context
 
 
 def test_marks_c2():
@@ -140,3 +144,21 @@ def test_units_too_many_classes():
     assert G.order == 32
     with pytest.raises(TooManyClasses):
         burnside_units(G)
+
+
+def test_caches_live_on_their_group():
+    """Build groups from specs and collect each before the next, so a new
+    group may get an old one's id.  Every group still gets a mark table of
+    its own size, and no cache keeps a collected group alive."""
+    specs = ["(0 1);(2 3)", "(0 1 2 3);(0 2)", "(0 1 2 3)", "(0 1);(2 3);(4 5)", "(0 1 2);(0 1)"]
+    for spec in specs * 2:
+        G = group_from_spec(spec)
+        L = G.lattice()
+        c = len(L.class_reps)
+        assert mark_table(G).shape == (c, c)
+        brauer_context(G, L.sylow_p(2))
+        cached_quotient(G, L.trivial)
+        alive = weakref.ref(G)
+        del G, L
+        gc.collect()
+        assert alive() is None

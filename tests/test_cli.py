@@ -164,6 +164,17 @@ def test_catalog_build_and_verify(tmp_path, capsys):
     assert rep["orthogonal_unit"] is True
 
 
+def test_catalog_build_then_check_gamma_sd16(tmp_path, capsys):
+    """γ-SD16 has equal summands that are not adjacent; the written file must
+    order its basis as its grouped module literals do, or it does not parse."""
+    path = tmp_path / "gsd16.json"
+    code, out, err = run_cli(["catalog", "build", "gamma-SD16", "--out", str(path)], capsys)
+    assert code == 0
+    code, out, err = run_cli(["check", str(path), "--json"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["endotrivial"] is True
+
+
 def test_catalog_verify_requires_name(capsys):
     code, out, err = run_cli(["catalog", "verify"], capsys)
     assert code == 2

@@ -45,7 +45,7 @@ SMALL = [
 @pytest.mark.parametrize("name", SMALL)
 def test_small_entries_verify(name):
     for e in build_entries(name):
-        rep = e.verify()
+        rep, _ = e.verify()
         assert rep["endotrivial"]
         assert rep.get("matches_expected", True)
 
@@ -152,7 +152,7 @@ def sd16_entry():
 
 
 def test_gamma_semidihedral_verifies(sd16_entry):
-    rep = sd16_entry.verify()
+    rep, _ = sd16_entry.verify()
     assert rep["endotrivial"]
     assert rep["matches_expected"]
 

@@ -3,10 +3,12 @@ import json
 import pytest
 
 from permchain.constructions import build_entries
-from permchain.complexes import homology_dims, xi
+from permchain.complexes import dual_complex, homology_dims, shift, tensor_complex, xi
+from permchain.constructions import gamma_dihedral
 from permchain.errors import ParseError
 from permchain.ffield import GF
 from permchain.groups import catalog
+from permchain.invariants import lefschetz
 from permchain.literals import (
     complex_from_obj,
     complex_to_obj,
@@ -113,3 +115,19 @@ def test_complex_obj_errors():
     short["differentials"]["1"] = short["differentials"]["1"][:-1]
     with pytest.raises(ParseError):
         complex_from_obj(short)
+
+
+@pytest.mark.parametrize("pn", [(2, 1), (2, 2), (2, 3)])
+@pytest.mark.parametrize("kind", ["CxC", "CxC*", "C[1]xC"])
+def test_tensor_roundtrip_gamma_d8(kind, pn):
+    """Tensor products of γ-D8 list equal summands apart; their files must
+    parse back to complexes with the same dims and Lefschetz invariant."""
+    g = gamma_dihedral(3, GF(*pn))
+    C = {
+        "CxC": lambda: tensor_complex(g, g),
+        "CxC*": lambda: tensor_complex(g, dual_complex(g)),
+        "C[1]xC": lambda: tensor_complex(shift(g, 1), g),
+    }[kind]()
+    D = complex_from_obj(json.loads(json.dumps(complex_to_obj(C))))
+    assert D.dims() == C.dims()
+    assert format_element(lefschetz(D)) == format_element(lefschetz(C))
