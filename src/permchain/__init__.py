@@ -11,7 +11,7 @@ from .groups import (
     p_subgroups,
     quotient,
 )
-from .linalg import FqMatrix, image_basis, kernel_basis, quotient_space, rank, rref, solve
+from .linalg import FqMatrix, image_basis, kernel_basis, quotient_space, rank, rref
 
 __all__ = [
     "GF",
@@ -34,5 +34,4 @@ __all__ = [
     "quotient_space",
     "rank",
     "rref",
-    "solve",
 ]

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PermchainError, TooManyClasses
-from .groups import FiniteGroup, Subgroup, SubgroupLattice, class_name
+from .groups import FiniteGroup, Subgroup, class_name
 from .modules import coset_list
 
 MAX_UNIT_SEARCH_CLASSES = 20

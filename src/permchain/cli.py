@@ -15,10 +15,10 @@ import sys
 from fractions import Fraction
 
 from .burnside import burnside_units, idempotent, mark_table, marks
-from .complexes import BoundedComplex, endotrivial_report, xi
+from .complexes import endotrivial_report, xi
 from .constructions import a4_frobenius_example, build_entries, catalog_names
 from .errors import ParseError, PermchainError
-from .ffield import GF, field_from_q
+from .ffield import field_from_q
 from .groups import class_name, group_from_spec, mobius_of_poset, perm_to_cycles
 from .invariants import (
     beta_direct,
@@ -169,9 +169,8 @@ def cmd_check(args) -> dict:
             for cid, degs in sorted(rep.violations.items())
         }
         return out
-    inv = xi(C)
-    out["xi"] = _xi_json(inv)
-    out["beta"] = _beta_json(beta_from_xi(inv))
+    out["xi"] = _xi_json(rep.xi)
+    out["beta"] = _beta_json(beta_from_xi(rep.xi))
     return out
 
 
@@ -202,13 +201,13 @@ def cmd_lefschetz(args) -> dict:
 def cmd_burnside(args) -> dict:
     G = group_from_spec(args.group)
     L = G.lattice()
+    units = burnside_units(G)  # checks the class bound before the work below
     names = [class_name(L, H) for H in L.class_reps]
     tbl = mark_table(G)
     denoms = {}
     for H in L.class_reps:
         e = idempotent(G, H)
         denoms[class_name(L, H)] = math.lcm(*(Fraction(c).denominator for c in e.coeffs))
-    units = burnside_units(G)
     return {
         "group": G.describe(),
         "classes": names,

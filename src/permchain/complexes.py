@@ -4,15 +4,22 @@ Differentials go down in degree (d_i: C_i -> C_{i-1}) and d o d = 0 is
 checked eagerly at construction, as are the chain-map conditions - silent
 nonsense is worse than a loud failure in exact arithmetic.
 
-Homology carries explicit subquotient witnesses so that group actions on
-homology (and in particular the degree-one characters of one-dimensional
-homology) are computed exactly, never up to isomorphism.
+Homology dimensions come from ranks: dim C_i - rank d_i - rank d_{i+1}.
+Where a homology module is needed, it carries explicit subquotient
+witnesses, so that group actions on homology (and in particular the
+degree-one characters of one-dimensional homology) are computed exactly,
+never up to isomorphism.  `endotrivial_report` is the one pass over the
+p-subgroup classes: it builds each local complex once, reads its homology
+dimensions from ranks, and builds a homology module only in the single
+nonzero degree, to read the invariant's character there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional
+
+import numpy as np
 
 from .errors import (
     IncompatibleHandles,
@@ -24,27 +31,24 @@ from .ffield import FqField
 from .groups import FiniteGroup, Subgroup
 from .linalg import (
     FqMatrix,
-    hstack,
     image_basis,
     kernel_basis,
     quotient_space,
+    rank,
     solve_matrix,
-    vstack,
 )
 from .modules import (
-    BrauerData,
     Character,
     KgModule,
     ModuleMap,
-    Summand,
+    brauer_context,
+    brauer_points,
     brauer_quotient,
     brauer_quotient_map,
     character_warning,
     direct_sum,
     dual,
-    one_dim_module,
     tensor,
-    trivial_character,
     twist,
     zero_module,
 )
@@ -331,26 +335,42 @@ def homology(C: BoundedComplex) -> Dict[int, HomologyData]:
 
 
 def homology_dims(C: BoundedComplex) -> dict:
-    return {i: h.dim for i, h in homology(C).items() if h.dim}
+    """Nonzero dim H_i = dim C_i - rank d_i - rank d_{i+1}, by degree."""
+    ranks = {i: rank(C.diff_at(i).matrix) for i in range(C.lo + 1, C.hi + 1)}
+    dims = {
+        i: C.module_at(i).dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
+        for i in C.degrees()
+    }
+    return {i: h for i, h in dims.items() if h}
 
 
 # -- Brauer construction on complexes -----------------------------------------
 
 
 class BrauerComplex:
-    """Degreewise Brauer quotient of a complex, over N_G(P)/P."""
+    """Degreewise Brauer construction of a complex, over N_G(P)/P.
+
+    A labeled complex keeps the P-fixed basis points X_i^P of each term,
+    and its local differentials are the submatrices d_i[X_{i-1}^P, X_i^P].
+    Any other complex goes through `brauer_quotient`."""
 
     def __init__(self, C: BoundedComplex, P: Subgroup):
-        datas = {i: brauer_quotient(C.module_at(i), P) for i in C.degrees()}
-        mods = [datas[i].module for i in C.degrees()]
-        ctx = datas[C.lo].ctx
-        diffs = {}
-        for i in range(C.lo + 1, C.hi + 1):
-            g = brauer_quotient_map(C.diff_at(i), P, src=datas[i], dst=datas[i - 1])
-            diffs[i] = g
-        self.complex = BoundedComplex(ctx.quotient_group, C.field, C.lo, mods, diffs)
-        self.datas = datas
-        self.ctx = ctx
+        self.ctx = brauer_context(C.group, P)
+        inner = range(C.lo + 1, C.hi + 1)
+        if C.has_labels():
+            pts, mods = zip(*(brauer_points(C.module_at(i), P) for i in C.degrees()))
+            diffs = {}
+            for i in inner:
+                rows, cols = pts[i - 1 - C.lo], pts[i - C.lo]
+                diffs[i] = FqMatrix(C.field, C.diff_at(i).matrix.a[np.ix_(rows, cols)])
+        else:
+            datas = [brauer_quotient(C.module_at(i), P) for i in C.degrees()]
+            mods = [d.module for d in datas]
+            diffs = {
+                i: brauer_quotient_map(C.diff_at(i), P, datas[i - C.lo], datas[i - 1 - C.lo])
+                for i in inner
+            }
+        self.complex = BoundedComplex(self.ctx.quotient_group, C.field, C.lo, mods, diffs)
 
 
 def brauer_complex(C: BoundedComplex, P: Subgroup) -> BoundedComplex:
@@ -366,9 +386,6 @@ class XiEntry:
     h: int
     character: Character  # on N_G(P)/P
     ctx: object
-
-    def char_values(self):
-        return self.character.values
 
 
 class XiInvariant:
@@ -434,9 +451,6 @@ class XiInvariant:
     def is_trivial(self) -> bool:
         return all(e.h == 0 and e.character.is_trivial() for e in self.entries.values())
 
-    def h_table(self) -> dict:
-        return {cid: e.h for cid, e in self.entries.items()}
-
     def __repr__(self):
         parts = ", ".join(
             f"[{e.subgroup.order}]:{e.h}" for _, e in sorted(self.entries.items())
@@ -448,6 +462,7 @@ class XiInvariant:
 class EndotrivialReport:
     ok: bool
     violations: dict  # class_id -> list of (degree, dim) of nonzero homology
+    xi: Optional[XiInvariant] = None  # set exactly when ok
 
     def __bool__(self):
         return self.ok
@@ -455,15 +470,23 @@ class EndotrivialReport:
 
 def endotrivial_report(C: BoundedComplex) -> EndotrivialReport:
     """Local homology must be one-dimensional and concentrated in a single
-    degree at every conjugacy class of p-subgroups."""
-    lat = C.group.lattice()
+    degree at every conjugacy class of p-subgroups; when it is, the report
+    carries the invariant xi read off those local homologies."""
+    character_warning(C.group, C.field)
+    entries = {}
     violations = {}
-    for P in lat.p_class_reps(C.field.p):
-        local = brauer_complex(C, P)
-        degs = [(i, h.dim) for i, h in homology(local).items() if h.dim]
+    for P in C.group.lattice().p_class_reps(C.field.p):
+        bc = BrauerComplex(C, P)
+        degs = list(homology_dims(bc.complex).items())
         if len(degs) != 1 or degs[0][1] != 1:
             violations[P.class_id] = degs
-    return EndotrivialReport(not violations, violations)
+            continue
+        h = degs[0][0]
+        values = [int(m.a[0, 0]) for m in homology_at(bc.complex, h).module.gen_mats]
+        entries[P.class_id] = XiEntry(P, h, Character(bc.complex.group, C.field, values), bc.ctx)
+    if violations:
+        return EndotrivialReport(False, violations)
+    return EndotrivialReport(True, {}, XiInvariant(C.group, C.field, entries))
 
 
 def is_endotrivial(C: BoundedComplex) -> bool:
@@ -472,31 +495,10 @@ def is_endotrivial(C: BoundedComplex) -> bool:
 
 def xi(C: BoundedComplex) -> XiInvariant:
     """h-marks and local homology characters across [s_p(G)]."""
-    character_warning(C.group, C.field)
-    lat = C.group.lattice()
-    entries = {}
-    violations = {}
-    for P in lat.p_class_reps(C.field.p):
-        bc = BrauerComplex(C, P)
-        local = bc.complex
-        hom = homology(local)
-        degs = [(i, h.dim) for i, h in hom.items() if h.dim]
-        if len(degs) != 1 or degs[0][1] != 1:
-            violations[P.class_id] = degs
-            continue
-        hdeg = degs[0][0]
-        hd = hom[hdeg]
-        Q = local.group
-        values = []
-        for gi in range(len(Q.generators)):
-            m = hd.module.gen_mats[gi]
-            values.append(int(m.a[0, 0]))
-        if any(v == 0 for v in values):
-            raise PermchainError("homology action is not invertible")
-        entries[P.class_id] = XiEntry(P, hdeg, Character(Q, C.field, values), bc.ctx)
-    if violations:
-        raise NotEndotrivial("complex is not endotrivial", report=violations)
-    return XiInvariant(C.group, C.field, entries)
+    rep = endotrivial_report(C)
+    if not rep.ok:
+        raise NotEndotrivial("complex is not endotrivial", report=rep.violations)
+    return rep.xi
 
 
 def homotopy_equivalent_endotrivial(C: BoundedComplex, D: BoundedComplex) -> bool:

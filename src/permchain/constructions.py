@@ -7,7 +7,7 @@ note.  Entries are verified by recomputation, never trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -16,7 +16,6 @@ import numpy as np
 from .complexes import (
     BoundedComplex,
     ChainMap,
-    XiInvariant,
     endotrivial_report,
     homology_dims,
     inflate_complex,
@@ -24,7 +23,6 @@ from .complexes import (
     module_complex,
     tensor_complex,
     trivial_complex,
-    xi,
 )
 from .errors import (
     BadIndex,
@@ -35,9 +33,8 @@ from .errors import (
     UnknownCatalogName,
 )
 from .ffield import GF, FqField
-from .groups import FiniteGroup, Subgroup, catalog as group_catalog, class_name
+from .groups import FiniteGroup, catalog as group_catalog, class_name
 from .invariants import (
-    BetaTuple,
     TrivialSourceElement,
     beta_direct,
     cached_quotient,
@@ -83,7 +80,7 @@ class CatalogEntry:
         if not rep.ok:
             result["violations"] = rep.violations
             return result, None
-        inv = xi(self.complex)
+        inv = rep.xi
         lat = self.group.lattice()
         result["h_marks"] = {
             class_name(lat, e.subgroup): e.h for _, e in sorted(inv.entries.items())
@@ -477,10 +474,3 @@ def all_entries() -> list:
     for name in catalog_names():
         out.extend(build_entries(name))
     return out
-
-
-def entries_by_group() -> dict:
-    by = {}
-    for e in all_entries():
-        by.setdefault(e.group.describe(), []).append(e)
-    return by

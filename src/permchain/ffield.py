@@ -130,9 +130,6 @@ class FqField:
     def one(self) -> "FqScalar":
         return self.scalar(1)
 
-    def from_int(self, value: int) -> "FqScalar":
-        return self.scalar(value % self.p)
-
     def elements(self):
         return [self.scalar(c) for c in range(self.q)]
 

@@ -429,9 +429,6 @@ class SubgroupLattice:
     def join(self, A: Subgroup, B: Subgroup) -> Subgroup:
         return self.generated_by(A.elemset | B.elemset)
 
-    def meet(self, A: Subgroup, B: Subgroup) -> Subgroup:
-        return self.subgroup(A.elemset & B.elemset)
-
     def subgroups_of(self, H: Subgroup) -> list:
         return [K for K in self.subgroups if H.contains(K)]
 
@@ -741,11 +738,8 @@ def class_name(L: SubgroupLattice, H: Subgroup) -> str:
         return "1"
     if rep.order == G.order:
         return "G"
-    center = [
-        g
-        for g in range(G.order)
-        if all(G.mul(g, x) == G.mul(x, g) for x in range(G.order))
-    ]
+    t = G.mul_table
+    center = np.flatnonzero(np.all(t == t.T, axis=1)).tolist()
     if rep.elemset == frozenset(center):
         return "Z"
     gens = minimal_generators(G, rep.elems)

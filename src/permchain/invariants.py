@@ -29,9 +29,8 @@ from .modules import (
     Character,
     KgModule,
     brauer_context,
-    brauer_quotient,
+    brauer_points,
     perm_module,
-    trivial_character,
     twist,
 )
 
@@ -198,9 +197,6 @@ class BetaTuple:
                 return False
         return True
 
-    def entry_at(self, P: Subgroup) -> BetaEntry:
-        return self.entries[P.class_id]
-
     def __repr__(self):
         parts = ", ".join(
             f"[{e.subgroup.order}]:{'+' if e.epsilon > 0 else '-'}"
@@ -234,16 +230,15 @@ def beta_direct(t: TrivialSourceElement) -> BetaTuple:
         vdim = 0
         tracesum = np.zeros(Q.order, dtype=np.int16)
         for char, sub, coeff in t.items():
-            M = t.module_for(char, sub)
-            bd = brauer_quotient(M, P)
-            vdim += coeff * bd.module.dim
-            if bd.module.dim == 0:
+            _, local = brauer_points(t.module_for(char, sub), P)
+            vdim += coeff * local.dim
+            if local.dim == 0:
                 continue
             cmod = coeff % f.p
             if cmod == 0:
                 continue
             for e in range(Q.order):
-                tr = bd.module.elem_mat(e).trace().code
+                tr = local.elem_mat(e).trace().code
                 contrib = int(f.mul[tr, cmod])
                 tracesum[e] = f.add[tracesum[e], contrib]
         if vdim not in (1, -1):

@@ -364,12 +364,6 @@ def image_basis(M: FqMatrix) -> FqMatrix:
     return M.take_cols(pivots)
 
 
-def solve(M: FqMatrix, b: FqMatrix):
-    """One solution of Mx = b with free variables set to zero, or None."""
-    X = solve_matrix(M, b)
-    return X
-
-
 def solve_matrix(M: FqMatrix, B: FqMatrix):
     """Solve MX = B columnwise; None if any column is inconsistent."""
     M._check(B)

@@ -36,7 +36,6 @@ from .linalg import FqMatrix
 from .modules import (
     Character,
     KgModule,
-    Summand,
     coset_list,
     direct_sum,
     perm_module,

@@ -1,10 +1,13 @@
 """Modules over group algebras kG in characteristic p.
 
-A module is one exact matrix per group generator.  Fixed points, trace maps
-and the resulting Brauer construction are computed by plain linear algebra
-over F_q; syzygies and free summands use the fact that over a p-group the
-group algebra is local and self-injective, with the norm element spanning
-the socle of the regular module.
+A module is one exact matrix per group generator.  On a labeled (twisted
+permutation) basis X the Brauer construction at a p-subgroup P is k[X^P],
+read off by picking the P-fixed basis points (`brauer_points`).  Unlabeled
+modules take M^P modulo the relative traces from the maximal subgroups of
+P, by linear algebra over F_q (`brauer_quotient`).  Syzygies and free
+summands use the fact that over a p-group the group algebra is local and
+self-injective, with the norm element spanning the socle of the regular
+module.
 
 Direct-sum decompositions into twisted transitive permutation summands are
 construction provenance: they are attached when a constructor knows them
@@ -14,7 +17,7 @@ and never recovered by a decomposition algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .linalg import (
     kernel_basis,
     quotient_space,
     rank,
-    rref,
     solve_matrix,
     vstack,
 )
@@ -611,10 +613,6 @@ class BrauerContext:
         i = self.to_n_index(g)
         return i if self.quot is None else self.quot.project(i)
 
-    def lift_to_g(self, qi: int) -> int:
-        i = qi if self.quot is None else self.quot.lift(qi)
-        return self.from_n_index(i)
-
     def quotient_generator_lifts(self) -> list:
         """G element indices lifting the quotient group's generators."""
         if self.quot is None:
@@ -696,6 +694,30 @@ def brauer_quotient(M: KgModule, P: Subgroup) -> BrauerData:
         mats.append(proj @ coords)
     mod = KgModule(Q, f, mats, labels=None, check=False)
     return BrauerData(mod, ctx, F, proj, section)
+
+
+def brauer_points(M: KgModule, P: Subgroup):
+    """The Brauer construction of a labeled module by picking coordinates.
+
+    On a twisted permutation basis X, M(P) = k[X^P]: traces from proper
+    subgroups of P kill the orbit sums of non-fixed points, and a degree
+    one character is trivial on a p-group, so the P-fixed points are the
+    basis indices t with g.t = t, seen as a nonzero diagonal entry of g,
+    for each generator g of P.  Returns those indices and k[X^P] as a
+    module over N_G(P)/P; non-p-subgroups give no points.
+    """
+    if M.dim and M.labels is None:
+        raise PermchainError("Brauer points need a labeled module")
+    fixed = np.full(M.dim, _is_p_subgroup(P, M.field.p))
+    for g in minimal_generators(M.group, P.elems):
+        fixed &= M.elem_mat(g).a.diagonal() != 0
+    pts = np.flatnonzero(fixed)
+    ctx = brauer_context(M.group, P)
+    mats = [
+        FqMatrix(M.field, M.elem_mat(g).a[np.ix_(pts, pts)])
+        for g in ctx.quotient_generator_lifts()
+    ]
+    return pts, KgModule(ctx.quotient_group, M.field, mats, labels=None, check=False)
 
 
 def brauer_quotient_map(fmap: ModuleMap, P: Subgroup, src: BrauerData = None, dst: BrauerData = None) -> ModuleMap:

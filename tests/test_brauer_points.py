@@ -1,0 +1,247 @@
+"""The Brauer construction by fixed basis points, the rank form of the
+homology dimensions, and the one pass of `endotrivial_report`.
+
+The oracle is the generic trace-quotient path: the same complex with its
+labels stripped goes through `brauer_quotient`, and both paths must give
+the same violations and the same invariant xi.  The paper's identities
+for shifts and twists are checked over the whole catalog.
+"""
+
+import json
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from permchain import complexes
+from permchain.cli import main
+from permchain.complexes import (
+    BoundedComplex,
+    brauer_complex,
+    dual_complex,
+    endotrivial_report,
+    homology,
+    homology_dims,
+    module_complex,
+    shift,
+    tensor_complex,
+    trivial_complex,
+    twist_complex,
+    xi,
+)
+from permchain.constructions import all_entries, build_entries, catalog_names
+from permchain.errors import PermchainError
+from permchain.ffield import GF
+from permchain.groups import group_from_spec
+from permchain.modules import KgModule, all_characters, brauer_points, perm_module
+
+ENTRIES = all_entries()
+ENTRY_IDS = [e.name for e in ENTRIES]
+
+
+def strip_labels(C: BoundedComplex) -> BoundedComplex:
+    mods = [
+        KgModule(C.group, C.field, C.module_at(i).gen_mats, labels=None, check=False)
+        for i in C.degrees()
+    ]
+    diffs = {i: C.diff_at(i).matrix for i in range(C.lo + 1, C.hi + 1)}
+    return BoundedComplex(C.group, C.field, C.lo, mods, diffs)
+
+
+def variants(C: BoundedComplex) -> list:
+    """C, its dual, its shift by 3 and its twists by each nontrivial character."""
+    twists = [
+        twist_complex(C, ch) for ch in all_characters(C.group, C.field) if not ch.is_trivial()
+    ]
+    return [C, dual_complex(C), shift(C, 3)] + twists
+
+
+def permutation_complexes() -> list:
+    """k[G/H] in degree 0 for every subgroup class of every catalog group;
+    all but k[G/G] fail to be endotrivial."""
+    out = {}
+    for e in ENTRIES:
+        G = e.group
+        for H in G.lattice().class_reps:
+            out[(id(G), e.field.q, H.elems)] = module_complex(perm_module(G, H, e.field))
+    return list(out.values())
+
+
+def assert_paths_agree(C: BoundedComplex):
+    plain = strip_labels(C)
+    assert C.has_labels() and not plain.has_labels()
+    by_points, by_traces = endotrivial_report(C), endotrivial_report(plain)
+    assert by_points.violations == by_traces.violations
+    assert by_points.xi == by_traces.xi
+    assert (by_points.xi is not None) == by_points.ok
+
+
+def _class_reps(C):
+    return sorted(P.elems for P in C.group.lattice().p_class_reps(C.field.p))
+
+
+def assert_rank_dims(C: BoundedComplex):
+    assert homology_dims(C) == {i: h.dim for i, h in homology(C).items() if h.dim}
+
+
+# -- labeled path against the trace-quotient oracle -----------------------------
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+def test_points_match_trace_quotients_on_catalog(entry):
+    for C in variants(entry.complex):
+        assert_paths_agree(C)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_points_match_trace_quotients_off_endotrivial():
+    cases = permutation_complexes()
+    assert sum(not endotrivial_report(C).ok for C in cases) > 20
+    for C in cases:
+        assert_paths_agree(C)
+
+
+def test_points_match_trace_quotients_at_every_subgroup():
+    """Both paths agree on the local complexes at every subgroup class,
+    non-p-subgroups (where both are zero) included."""
+    for e in build_entries("abelian-C6") + build_entries("gamma-D8"):
+        C = e.complex
+        p_classes = _class_reps(C)
+        for H in C.group.lattice().class_reps:
+            by_points = brauer_complex(C, H)
+            assert by_points.dims() == brauer_complex(strip_labels(C), H).dims()
+            if H.elems not in p_classes:
+                assert set(by_points.dims().values()) == {0}
+
+
+def test_points_need_labels():
+    M = strip_labels(build_entries("trunc-C2")[0].complex).module_at(1)
+    with pytest.raises(PermchainError):
+        brauer_points(M, M.group.lattice().trivial)
+
+
+def _tensor_pool(max_dim=400):
+    """Pairs of entries over one group whose tensor product has at most
+    max_dim basis vectors in all degrees."""
+    pool = []
+    for name in catalog_names():
+        fam = build_entries(name)
+        for a in fam:
+            for b in fam:
+                if sum(a.complex.dims().values()) * sum(b.complex.dims().values()) <= max_dim:
+                    pool.append((a, b))
+    return pool
+
+
+TENSOR_POOL = _tensor_pool()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(TENSOR_POOL))
+def test_points_match_trace_quotients_on_tensor_products(pair):
+    a, b = pair
+    assert_paths_agree(tensor_complex(a.complex, b.complex))
+
+
+# -- homology dimensions from ranks ---------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+def test_rank_dims_match_homology_modules(entry):
+    for C in variants(entry.complex):
+        assert_rank_dims(C)
+        for P in C.group.lattice().p_class_reps(C.field.p):
+            assert_rank_dims(brauer_complex(C, P))
+
+
+def test_rank_dims_off_endotrivial():
+    for C in permutation_complexes():
+        assert_rank_dims(C)
+
+
+# -- one Brauer construction per p-subgroup class -------------------------------
+
+
+@pytest.fixture
+def brauer_builds(monkeypatch):
+    """Records the subgroup of every BrauerComplex built."""
+    built = []
+    original = complexes.BrauerComplex.__init__
+
+    def counting(self, C, P):
+        built.append(P.elems)
+        original(self, C, P)
+
+    monkeypatch.setattr(complexes.BrauerComplex, "__init__", counting)
+    return built
+
+
+def test_verify_builds_each_class_once(brauer_builds):
+    for e in build_entries("gamma-D8") + build_entries("abelian-V4"):
+        brauer_builds.clear()
+        rep, inv = e.verify()
+        assert rep["endotrivial"] and inv is not None
+        assert sorted(brauer_builds) == _class_reps(e.complex)
+
+
+def test_check_builds_each_class_once(tmp_path, capsys, brauer_builds):
+    path = tmp_path / "gd8.json"
+    assert main(["catalog", "build", "gamma-D8", "--out", str(path)]) == 0
+    brauer_builds.clear()
+    assert main(["check", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["endotrivial"] is True
+    assert sorted(brauer_builds) == _class_reps(build_entries("gamma-D8")[0].complex)
+
+
+def test_report_carries_xi_only_when_ok():
+    C = build_entries("gamma-D8")[0].complex
+    rep = endotrivial_report(C)
+    assert rep.ok and rep.xi == xi(C)
+    G = C.group
+    bad = endotrivial_report(module_complex(perm_module(G, G.lattice().trivial, C.field)))
+    assert not bad.ok and bad.xi is None
+
+
+# -- the paper's identities ------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+def test_shift_adds_to_every_h_mark(entry):
+    C = entry.complex
+    base = xi(C)
+    for k in (-2, 1, 3):
+        moved = xi(shift(C, k))
+        for cid, e in base.entries.items():
+            assert moved.entries[cid].h == e.h + k
+            assert moved.entries[cid].character == e.character
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+def test_twist_multiplies_local_characters(entry):
+    C, f = entry.complex, entry.field
+    base = xi(C)
+    for omega in all_characters(C.group, f):
+        twisted = xi(twist_complex(C, omega))
+        for cid, e in base.entries.items():
+            lifts = e.ctx.quotient_generator_lifts()
+            want = [int(f.mul[v, omega.value_code(g)]) for v, g in zip(e.character.values, lifts)]
+            assert twisted.entries[cid].h == e.h
+            assert list(twisted.entries[cid].character.values) == want
+
+
+# -- the field-size warning --------------------------------------------------------
+
+
+def test_xi_warns_once_when_field_is_small():
+    C = trivial_complex(group_from_spec("(0 1 2)"), GF(2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        xi(C)
+    assert len(caught) == 1
+    assert "may miss degree one characters" in str(caught[0].message)

@@ -143,6 +143,17 @@ def test_burnside_too_many_classes(capsys):
     assert "classes" in err
 
 
+def test_burnside_checks_class_bound_first(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the class bound was checked")
+
+    monkeypatch.setattr("permchain.cli.mark_table", refuse)
+    monkeypatch.setattr("permchain.cli.idempotent", refuse)
+    code, out, err = run_cli(["burnside", "(0 1);(2 3);(4 5);(6 7);(8 9)"], capsys)
+    assert code == 2
+    assert "374 subgroup classes" in err
+
+
 def test_catalog_list(capsys):
     code, out, err = run_cli(["catalog", "list", "--json"], capsys)
     assert code == 0
