@@ -27,7 +27,7 @@ from .invariants import (
     is_orthogonal_unit_pgroup,
     lefschetz,
 )
-from .literals import complex_to_obj, format_element, load_complex, load_element
+from .literals import complex_to_obj, format_element, load_complexes, load_element
 
 
 def _emit(report: dict, args) -> None:
@@ -151,8 +151,19 @@ def cmd_group_info(args) -> dict:
     }
 
 
-def cmd_check(args) -> dict:
-    C = load_complex(args.file)
+def _per_complex(report_of):
+    """A subcommand on a complex file: the report of its complex, or for a
+    file of several {"complexes": [report, ...]} in file order."""
+
+    def cmd(args) -> dict:
+        complexes, several = load_complexes(args.file)
+        reports = [report_of(C) for C in complexes]
+        return {"complexes": reports} if several else reports[0]
+
+    return cmd
+
+
+def _check_report(C) -> dict:
     lat = C.group.lattice()
     rep = endotrivial_report(C)
     out = {
@@ -174,8 +185,7 @@ def cmd_check(args) -> dict:
     return out
 
 
-def cmd_xi(args) -> dict:
-    C = load_complex(args.file)
+def _xi_report(C) -> dict:
     inv = xi(C)
     return {
         "group": C.group.describe(),
@@ -184,8 +194,7 @@ def cmd_xi(args) -> dict:
     }
 
 
-def cmd_lefschetz(args) -> dict:
-    C = load_complex(args.file)
+def _lefschetz_report(C) -> dict:
     t = lefschetz(C)
     out = {
         "group": C.group.describe(),
@@ -196,6 +205,11 @@ def cmd_lefschetz(args) -> dict:
         out["marks"] = [int(v) for v in marks(b)]
         out["orthogonal_unit"] = is_orthogonal_unit_pgroup(t)
     return out
+
+
+cmd_check = _per_complex(_check_report)
+cmd_xi = _per_complex(_xi_report)
+cmd_lefschetz = _per_complex(_lefschetz_report)
 
 
 def cmd_burnside(args) -> dict:

@@ -9,6 +9,13 @@ not: row reduction works on packed bits over F2 and on integers mod p over
 prime fields, and uses the tables only over extension fields; products are
 float64 BLAS products, split into coefficient planes and reduced with the
 `power_basis` rows over extension fields.
+
+Scalars are written as text by `format` (the canonical form) and read by
+`parse`, which also accepts other spellings.  `GF` keeps the scalar codec as
+two tables next to the arithmetic ones: `strings`, the q canonical strings
+in code order, and `code_of`, the dict from each of them back to its code.
+Complex files are written and read through these tables, one lookup per
+entry; `parse` is the fallback for the spellings they do not hold.
 """
 
 from __future__ import annotations
@@ -107,6 +114,9 @@ class FqField:
     frob: np.ndarray = field(compare=False, repr=False, default=None)
     # w^k reduced mod the modulus, as coefficient rows, for k < 2n - 1
     power_basis: np.ndarray = field(compare=False, repr=False, default=None)
+    # format(c) for every code c, and the inverse map
+    strings: tuple = field(compare=False, repr=False, default=None)
+    code_of: dict = field(compare=False, repr=False, default=None)
 
     @property
     def q(self) -> int:
@@ -164,8 +174,17 @@ class FqField:
         return "+".join(terms) if terms else "0"
 
     def parse(self, text: str) -> int:
-        """Inverse of format; accepts whitespace and '-' coefficient signs."""
-        s = text.replace(" ", "")
+        """Inverse of format; accepts whitespace, '-' coefficient signs, terms
+        in any order and unreduced integer coefficients.  Anything else,
+        non-strings included, raises PermchainError."""
+        if not isinstance(text, str):
+            raise PermchainError(f"bad scalar literal {text!r}")
+        try:
+            return self._parse_terms(text.replace(" ", ""))
+        except ValueError:
+            raise PermchainError(f"bad scalar literal {text!r}") from None
+
+    def _parse_terms(self, s: str) -> int:
         if not s:
             raise PermchainError("empty scalar literal")
         coeffs = [0] * self.n
@@ -185,13 +204,13 @@ class FqField:
             if t.startswith("-"):
                 sign, t = -1, t[1:]
             if not t:
-                raise PermchainError(f"bad scalar literal {text!r}")
+                raise ValueError
             if "w" in t:
                 coef_s, _, pow_s = t.partition("w")
                 coef = int(coef_s.rstrip("*")) if coef_s.rstrip("*") else 1
                 power = int(pow_s[1:]) if pow_s.startswith("^") else (1 if not pow_s else None)
                 if power is None or power >= self.n:
-                    raise PermchainError(f"bad scalar literal {text!r}")
+                    raise ValueError
                 coeffs[power] = (coeffs[power] + sign * coef) % self.p
             else:
                 coeffs[0] = (coeffs[0] + sign * int(t)) % self.p
@@ -261,6 +280,9 @@ def GF(p: int, n: int = 1) -> FqField:
     object.__setattr__(fld, "inv", inv)
     object.__setattr__(fld, "frob", frob)
     object.__setattr__(fld, "power_basis", power)
+    strings = tuple(fld.format(c) for c in range(fld.q))
+    object.__setattr__(fld, "strings", strings)
+    object.__setattr__(fld, "code_of", {t: c for c, t in enumerate(strings)})
     return fld
 
 

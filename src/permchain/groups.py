@@ -730,17 +730,23 @@ def group_from_spec(spec: str, max_order=DEFAULT_MAX_ORDER) -> FiniteGroup:
     return catalog(spec)
 
 
+def subgroup_literal(G: FiniteGroup, elems) -> str:
+    """'1', 'G', or '<w1,w2,...>' in the generator words of the subgroup's
+    `minimal_generators`: how module literals and class names write it."""
+    if len(elems) == 1:
+        return "1"
+    if len(elems) == G.order:
+        return "G"
+    return "<" + ",".join(G.word_str(g) for g in minimal_generators(G, elems)) + ">"
+
+
 def class_name(L: SubgroupLattice, H: Subgroup) -> str:
     """Canonical display name for the conjugacy class of H."""
     rep = L.rep_of(H)
     G = L.group
-    if rep.order == 1:
-        return "1"
-    if rep.order == G.order:
-        return "G"
-    t = G.mul_table
-    center = np.flatnonzero(np.all(t == t.T, axis=1)).tolist()
-    if rep.elemset == frozenset(center):
-        return "Z"
-    gens = minimal_generators(G, rep.elems)
-    return "<" + ",".join(G.word_str(g) for g in gens) + ">"
+    if 1 < rep.order < G.order:
+        t = G.mul_table
+        center = np.flatnonzero(np.all(t == t.T, axis=1)).tolist()
+        if rep.elemset == frozenset(center):
+            return "Z"
+    return subgroup_literal(G, rep.elems)

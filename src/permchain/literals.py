@@ -11,7 +11,14 @@ integer coefficients ('2*[G/1] - [G/G]').
 
 A complex file is a JSON object with the group, the field, the module
 literal per degree and each differential as a row-major list of scalar
-strings.  Parsing validates eagerly and reports the offending location.
+strings; a file may also hold several, as {"complexes": [...]}.  A
+differential is written by indexing the field's table of canonical scalar
+strings (`FqField.strings`) with its code array, and read back with one
+lookup per entry in the inverse table (`FqField.code_of`).  Entries the
+table does not hold - other spellings such as ' 1 + w', 'w+1', '-1' or an
+unreduced '5' over F3, and JSON integers - go through `FqField.parse`, so
+every spelling it accepts is accepted.  Parsing validates eagerly, the
+shape of the object included, and reports the offending location.
 """
 
 from __future__ import annotations
@@ -24,13 +31,7 @@ import numpy as np
 from .complexes import BoundedComplex
 from .errors import ParseError, PermchainError
 from .ffield import GF, FqField
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    group_from_spec,
-    minimal_generators,
-    perm_to_cycles,
-)
+from .groups import FiniteGroup, Subgroup, group_from_spec, perm_to_cycles, subgroup_literal
 from .invariants import TrivialSourceElement
 from .linalg import FqMatrix
 from .modules import (
@@ -48,13 +49,7 @@ from .modules import (
 
 
 def format_subgroup(H: Subgroup) -> str:
-    G = H.parent
-    if H.order == 1:
-        return "1"
-    if H.order == G.order:
-        return "G"
-    gens = minimal_generators(G, H.elems)
-    return "<" + ",".join(G.word_str(g) for g in gens) + ">"
+    return subgroup_literal(H.parent, H.elems)
 
 
 def parse_subgroup(G: FiniteGroup, text: str, where: str = "") -> Subgroup:
@@ -139,8 +134,7 @@ def parse_module_literal(G: FiniteGroup, fld: FqField, text: str, where: str = "
         )
         sub = parse_subgroup(G, m.group("sub"), where)
         mult = int(m.group("mult") or 1)
-        for _ in range(mult):
-            parts.append(twist(perm_module(G, sub, fld), char))
+        parts += [twist(perm_module(G, sub, fld), char)] * mult
     if not parts:
         raise ParseError("empty module literal", where)
     return direct_sum(parts)
@@ -230,18 +224,16 @@ def _label_basis_order(M: KgModule) -> list:
     G = M.group
     out = []
     for s in (s for group in _grouped_summands(M) for s in group):
-        perms = _summand_perm_action(M, s)
-        eperms = _element_perms(G, perms)
-        base = None
-        for k in range(len(s.indices)):
-            stab = frozenset(e for e in range(G.order) if eperms[e][k] == k)
-            if stab == s.subgroup.elemset:
-                base = k
-                break
-        if base is None:
+        # eperms[e, k]: the point element e sends point k to
+        eperms = np.array(_element_perms(G, _summand_perm_action(M, s)))
+        in_sub = np.zeros(G.order, dtype=bool)
+        in_sub[list(s.subgroup.elems)] = True
+        fixed = eperms == np.arange(len(s.indices))
+        bases = np.flatnonzero((fixed == in_sub[:, None]).all(axis=0))
+        if bases.size == 0:
             raise PermchainError("no base point matches the labeled stabilizer")
-        for coset in coset_list(G, s.subgroup):
-            out.append(s.indices[eperms[coset[0]][base]])
+        reps = [coset[0] for coset in coset_list(G, s.subgroup)]
+        out += np.asarray(s.indices)[eperms[reps, bases[0]]].tolist()
     return out
 
 
@@ -267,7 +259,7 @@ def complex_to_obj(C: BoundedComplex) -> dict:
         re_rows = np.array(orders[i - 1], dtype=int)
         re_cols = np.array(orders[i], dtype=int)
         perm = D.a[np.ix_(re_rows, re_cols)]
-        diffs[str(i)] = [fld.format(int(v)) for v in perm.reshape(-1)]
+        diffs[str(i)] = list(map(fld.strings.__getitem__, perm.ravel().tolist()))
     return {
         "group": group_spec,
         "field": {"p": fld.p, "n": fld.n},
@@ -277,7 +269,49 @@ def complex_to_obj(C: BoundedComplex) -> dict:
     }
 
 
+def _json_type(v) -> str:
+    return {dict: "object", list: "list", str: "string", bool: "boolean"}.get(
+        type(v), "null" if v is None else "number"
+    )
+
+
+def _integer(v, where: str) -> int:
+    """A degree: a JSON integer or a string holding one."""
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ParseError(f"expected an integer, got {v!r}", where)
+
+
+def _by_degree(raw, where: str) -> dict:
+    """An object keyed by integer degrees, as {degree: value}."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"expected an object keyed by degree, got {_json_type(raw)}", where)
+    out = {}
+    for key, value in raw.items():
+        d = _integer(key, where)
+        if d in out:
+            raise ParseError(f"degree {d} given twice", where)
+        out[d] = value
+    return out
+
+
+def _scalar_code(fld: FqField, v, where: str) -> int:
+    """One differential entry: a table lookup, else `FqField.parse`."""
+    code = fld.code_of.get(v) if isinstance(v, str) else None
+    if code is not None:
+        return code
+    try:
+        return fld.parse(str(v))
+    except PermchainError as e:
+        raise ParseError(str(e), where)
+
+
 def complex_from_obj(obj: dict) -> BoundedComplex:
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected an object, got {_json_type(obj)}", "complex")
     for key in ("group", "field", "modules"):
         if key not in obj:
             raise ParseError(f"missing key {key!r}", "complex")
@@ -290,50 +324,71 @@ def complex_from_obj(obj: dict) -> BoundedComplex:
         fld = GF(int(fspec["p"]), int(fspec.get("n", 1)))
     except Exception as e:
         raise ParseError(str(e), "complex.field")
-    mods_raw = obj["modules"]
-    degrees = sorted(int(d) for d in mods_raw)
+    mods_raw = _by_degree(obj["modules"], "complex.modules")
+    degrees = sorted(mods_raw)
     if not degrees:
         raise ParseError("no modules given", "complex.modules")
-    lo = int(obj.get("lo", degrees[0]))
+    lo = _integer(obj.get("lo", degrees[0]), "complex.lo")
     if degrees != list(range(degrees[0], degrees[-1] + 1)) or degrees[0] != lo:
         raise ParseError("module degrees must be consecutive from lo", "complex.modules")
-    mods = [
-        parse_module_literal(G, fld, mods_raw[str(d)], f"complex.modules.{d}")
-        for d in degrees
-    ]
+    mods = []
+    for d in degrees:
+        where = f"complex.modules.{d}"
+        if not isinstance(mods_raw[d], str):
+            raise ParseError(f"expected a module literal, got {_json_type(mods_raw[d])}", where)
+        mods.append(parse_module_literal(G, fld, mods_raw[d], where))
     diffs = {}
-    for key, flat in obj.get("differentials", {}).items():
-        i = int(key)
+    for i, flat in _by_degree(obj.get("differentials", {}), "complex.differentials").items():
+        where = f"complex.differentials.{i}"
         if not (lo + 1 <= i <= degrees[-1]):
             raise ParseError(f"differential degree {i} out of range", "complex.differentials")
+        if not isinstance(flat, list):
+            raise ParseError(f"expected a list of scalars, got {_json_type(flat)}", where)
         rows = mods[i - 1 - lo].dim
         cols = mods[i - lo].dim
         if len(flat) != rows * cols:
-            raise ParseError(
-                f"expected {rows * cols} entries, got {len(flat)}",
-                f"complex.differentials.{i}",
-            )
+            raise ParseError(f"expected {rows * cols} entries, got {len(flat)}", where)
         try:
-            codes = [fld.parse(str(v)) for v in flat]
-        except PermchainError as e:
-            raise ParseError(str(e), f"complex.differentials.{i}")
-        a = np.array(codes, dtype=np.int16).reshape(rows, cols)
-        diffs[i] = FqMatrix(fld, a)
+            a = np.fromiter(map(fld.code_of.__getitem__, flat), dtype=np.int16, count=len(flat))
+        except (KeyError, TypeError):  # a spelling the table does not hold
+            a = np.array(
+                [_scalar_code(fld, v, f"{where}[{k}]") for k, v in enumerate(flat)],
+                dtype=np.int16,
+            )
+        diffs[i] = FqMatrix(fld, a.reshape(rows, cols))
     try:
         return BoundedComplex(G, fld, lo, mods, diffs)
     except PermchainError as e:
         raise ParseError(str(e), "complex")
 
 
-def load_complex(path: str) -> BoundedComplex:
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}", path)
     except OSError as e:
         raise ParseError(str(e), path)
-    return complex_from_obj(obj)
+
+
+def load_complexes(path: str):
+    """The complexes of a complex file in file order, and whether the file
+    holds several: one complex object, or {"complexes": [...]} as
+    `catalog build` writes for a registry name with more than one entry."""
+    obj = _load_json(path)
+    if not (isinstance(obj, dict) and "complexes" in obj):
+        return [complex_from_obj(obj)], False
+    items = obj["complexes"]
+    if not isinstance(items, list) or not items:
+        raise ParseError("expected a nonempty list of complexes", "complexes")
+    out = []
+    for k, item in enumerate(items):
+        try:
+            out.append(complex_from_obj(item))
+        except ParseError as e:
+            raise ParseError(str(e), f"complexes[{k}]") from None
+    return out, True
 
 
 def element_from_obj(obj: dict) -> TrivialSourceElement:
@@ -347,11 +402,4 @@ def element_from_obj(obj: dict) -> TrivialSourceElement:
 
 
 def load_element(path: str) -> TrivialSourceElement:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}", path)
-    except OSError as e:
-        raise ParseError(str(e), path)
-    return element_from_obj(obj)
+    return element_from_obj(_load_json(path))

@@ -7,7 +7,7 @@ import pytest
 
 from permchain.burnside import idempotent
 from permchain.cli import main
-from permchain.constructions import build_entries
+from permchain.constructions import build_entries, catalog_names
 from permchain.groups import class_name, group_from_spec
 from permchain.literals import complex_to_obj
 
@@ -184,6 +184,33 @@ def test_catalog_build_then_check_gamma_sd16(tmp_path, capsys):
     code, out, err = run_cli(["check", str(path), "--json"], capsys)
     assert code == 0, err
     assert json.loads(out)["endotrivial"] is True
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_build_then_check_every_name(name, tmp_path, capsys):
+    """`check`, `xi` and `lefschetz` read every file `catalog build --out`
+    writes, one complex or several, and agree with `catalog verify`."""
+    path = tmp_path / "built.json"
+    assert run_cli(["catalog", "build", name, "--out", str(path)], capsys)[0] == 0
+    code, out, err = run_cli(["catalog", "verify", name, "--json"], capsys)
+    assert code == 0
+    verified = json.loads(out)
+    verified = verified.get("entries", [verified])
+    several = "complexes" in json.loads(path.read_text())
+    assert several == (len(verified) > 1)
+    for cmd in ("check", "xi", "lefschetz"):
+        code, out, err = run_cli([cmd, str(path), "--json"], capsys)
+        assert code == 0, err
+        reports = json.loads(out)
+        reports = reports["complexes"] if several else [reports]
+        assert len(reports) == len(verified)
+        for rep, ver in zip(reports, verified):
+            if cmd == "lefschetz":
+                assert rep["element"] == ver["lefschetz"]
+            else:
+                assert rep["xi"] == ver["xi"]
+            if cmd == "check":
+                assert rep["endotrivial"] is True and rep["beta"] == ver["beta"]
 
 
 def test_catalog_verify_requires_name(capsys):

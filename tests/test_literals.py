@@ -5,7 +5,8 @@ import pytest
 from permchain.constructions import build_entries
 from permchain.complexes import dual_complex, homology_dims, shift, tensor_complex, xi
 from permchain.constructions import gamma_dihedral
-from permchain.errors import ParseError
+from permchain.cli import main
+from permchain.errors import ParseError, PermchainError
 from permchain.ffield import GF
 from permchain.groups import catalog
 from permchain.invariants import lefschetz
@@ -16,6 +17,7 @@ from permchain.literals import (
     format_element,
     format_module,
     format_subgroup,
+    load_complexes,
     parse_character,
     parse_element_literal,
     parse_module_literal,
@@ -131,3 +133,95 @@ def test_tensor_roundtrip_gamma_d8(kind, pn):
     D = complex_from_obj(json.loads(json.dumps(complex_to_obj(C))))
     assert D.dims() == C.dims()
     assert format_element(lefschetz(D)) == format_element(lefschetz(C))
+
+
+def _gamma_d8_obj():
+    return json.loads(json.dumps(complex_to_obj(build_entries("gamma-D8")[0].complex)))
+
+
+def _set(path, value):
+    """Mutation of the γ-D8 file object that sets obj[path...] = value."""
+
+    def mutate(obj):
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return obj
+
+    return mutate
+
+
+def _rekey(section, old, new):
+    def mutate(obj):
+        obj[section][new] = obj[section].pop(old)
+        return obj
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (_set(["differentials", "1", 0], "x"), "complex.differentials.1[0]"),
+        (_set(["differentials", "1", 0], "1.5"), "complex.differentials.1[0]"),
+        (_set(["differentials", "1", 0], None), "complex.differentials.1[0]"),
+        (_set(["differentials", "1", 0], [1]), "complex.differentials.1[0]"),
+        (_set(["differentials", "1", 0], "w"), "complex.differentials.1[0]"),
+        (_rekey("modules", "0", "a"), "complex.modules"),
+        (_rekey("differentials", "1", "x"), "complex.differentials"),
+        (_set(["lo"], "a"), "complex.lo"),
+        (_set(["lo"], 1.5), "complex.lo"),
+        (_set(["modules"], ["[G/G]"]), "complex.modules"),
+        (_set(["modules", "0"], 1), "complex.modules.0"),
+        (_set(["differentials"], None), "complex.differentials"),
+        (_set(["differentials", "1"], None), "complex.differentials.1"),
+        (lambda obj: _set(["differentials", "1"], "".join(obj["differentials"]["1"]))(obj),
+         "complex.differentials.1"),
+        (lambda obj: [obj], "complex"),
+    ],
+    ids=[
+        "entry-x", "entry-1.5", "entry-null", "entry-list", "entry-w-over-F2",
+        "module-key", "differential-key", "lo-string", "lo-float", "modules-list",
+        "module-literal-number", "differentials-null", "differential-null",
+        "differential-string", "not-an-object",
+    ],
+)
+def test_malformed_complex_files_raise_parse_error(mutate, where, tmp_path, capsys):
+    """Malformed files fail with a ParseError naming the location, and
+    `permchain check` on them exits 2 with one error line."""
+    obj = mutate(_gamma_d8_obj())
+    with pytest.raises(ParseError) as exc:
+        complex_from_obj(obj)
+    assert exc.value.location == where
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("token", ["x", "1.5", None, [1], "", "w^", "1+", "2*w*w", "w^9"])
+def test_parse_rejects_unreadable_tokens(token):
+    with pytest.raises(PermchainError):
+        F4.parse(token)
+
+
+def test_load_complexes_locates_errors_in_multi_files(tmp_path):
+    good = _gamma_d8_obj()
+    bad = _set(["differentials", "1", 3], "x")(_gamma_d8_obj())
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"complexes": [good, bad]}))
+    with pytest.raises(ParseError) as exc:
+        load_complexes(str(path))
+    assert exc.value.location == "complexes[1]"
+    assert "complex.differentials.1[3]" in str(exc.value)
+    path.write_text(json.dumps({"complexes": []}))
+    with pytest.raises(ParseError):
+        load_complexes(str(path))
+    path.write_text(json.dumps({"complexes": [good]}))
+    complexes, several = load_complexes(str(path))
+    assert several and len(complexes) == 1
+    path.write_text(json.dumps(good))
+    complexes, several = load_complexes(str(path))
+    assert not several and complexes[0].dims() == build_entries("gamma-D8")[0].complex.dims()
