@@ -2,8 +2,10 @@
 
 Elements are integer (or rational) vectors over the conjugacy classes of
 subgroups, in the transitive basis [G/H].  The mark homomorphism counts
-fixed cosets; its rational inverse goes through the standard idempotent
-formula, with exact Fraction arithmetic throughout.
+fixed cosets.  Its inverse is never found by elimination: the primitive
+idempotent e_H has the marks of the class of H alone, so the idempotents
+are the columns of the inverse mark table, and Gluck's formula gives each
+from the lattice's Mobius matrix, with exact Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .groups import FiniteGroup, Subgroup, class_name
 from .modules import coset_list
 
 MAX_UNIT_SEARCH_CLASSES = 20
+_SIGN_BLOCK = 4096  # sign vectors tried per block in burnside_units
 
 
 @dataclass(frozen=True)
@@ -78,13 +81,10 @@ def basis_element(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
 
 def _fixed_coset_count(G: FiniteGroup, K: Subgroup, H: Subgroup) -> int:
     """#{gH : KgH = gH}, i.e. cosets of H fixed under left translation by K."""
-    from .groups import minimal_generators
-
-    gens = minimal_generators(G, K.elems)
     count = 0
     for coset in coset_list(G, H):
         cs = set(coset)
-        if all(G.mul(k, coset[0]) in cs for k in gens):
+        if all(G.mul(k, coset[0]) in cs for k in K.gens):
             count += 1
     return count
 
@@ -140,49 +140,26 @@ def inverse_marks(G: FiniteGroup, v) -> BurnsideElement:
     return BurnsideElement(G, norm)
 
 
-def _rational_inverse(tbl: np.ndarray):
-    """Exact inverse of the integer mark matrix: (numerators, denominator)."""
-    c = tbl.shape[0]
-    M = [[Fraction(int(tbl[i, j])) for j in range(c)] for i in range(c)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(c)] for i in range(c)]
-    for col in range(c):
-        piv = next(r for r in range(col, c) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = M[col][col]
-        M[col] = [x / scale for x in M[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(c):
-            if r != col and M[r][col]:
-                factor = M[r][col]
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    den = 1
-    for row in inv:
-        for x in row:
-            den = math.lcm(den, x.denominator)
-    num = np.array([[int(x * den) for x in row] for row in inv], dtype=np.int64)
-    return num, den
-
-
 def burnside_units(G: FiniteGroup) -> list:
     """All units: elements with every mark +-1 and integral preimage.
 
-    Exhaustive over sign tuples; class counts stay small at this scale.
+    Exhaustive over sign tuples, _SIGN_BLOCK at a time; class counts stay
+    small at this scale.  A sign tuple's preimage is its product with the
+    inverse mark table, whose columns are the idempotents.
     """
     L = G.lattice()
     c = len(L.class_reps)
     if c > MAX_UNIT_SEARCH_CLASSES:
         raise TooManyClasses(f"{c} subgroup classes exceeds the search bound")
-    num, den = _rational_inverse(mark_table(G))
-    k = 1 << c
-    bits = ((np.arange(k)[:, None] >> np.arange(c)[None, :]) & 1).astype(np.int64)
-    signs = 1 - 2 * bits  # rows of +-1
-    coeff_num = signs @ num.T  # candidate coefficients scaled by den
-    integral = np.all(coeff_num % den == 0, axis=1)
+    cols = [idempotent(G, H).coeffs for H in L.class_reps]
+    den = math.lcm(*(x.denominator for col in cols for x in col))
+    num = np.array([[int(x * den) for x in col] for col in cols], dtype=np.int64)
     out = []
-    for row in np.nonzero(integral)[0]:
-        coeffs = tuple(int(x) for x in coeff_num[row] // den)
-        out.append(BurnsideElement(G, coeffs))
+    for start in range(0, 1 << c, _SIGN_BLOCK):
+        rows = np.arange(start, min(start + _SIGN_BLOCK, 1 << c))
+        signs = 1 - 2 * ((rows[:, None] >> np.arange(c)[None, :]) & 1)  # rows of +-1
+        coeff_num = signs @ num  # candidate coefficients scaled by den
+        for row in coeff_num[np.all(coeff_num % den == 0, axis=1)]:
+            out.append(BurnsideElement(G, tuple(int(x) for x in row // den)))
     out.sort(key=lambda u: u.coeffs)
     return out

@@ -9,6 +9,8 @@ byte-identical output.  Exit codes: 0 on success, 2 on validation errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -19,7 +21,7 @@ from .complexes import endotrivial_report, xi
 from .constructions import a4_frobenius_example, build_entries, catalog_names
 from .errors import ParseError, PermchainError
 from .ffield import field_from_q
-from .groups import class_name, group_from_spec, mobius_of_poset, perm_to_cycles
+from .groups import class_name, group_from_spec, is_p_power, mobius_matrix, perm_to_cycles
 from .invariants import (
     beta_direct,
     beta_from_xi,
@@ -31,15 +33,17 @@ from .literals import complex_to_obj, format_element, load_complexes, load_eleme
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "json", False) or getattr(args, "out", None):
-        text = json.dumps(report, indent=2)
+    """Write the report in batches of pieces: a large JSON report joined into
+    one string first holds every encoded entry at once."""
+    out = getattr(args, "out", None)
+    if getattr(args, "json", False) or out:
+        pieces = json.JSONEncoder(indent=2).iterencode(report)
     else:
-        text = _render_text(report)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        pieces = iter([_render_text(report)])
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        while batch := list(itertools.islice(pieces, 8192)):
+            fh.write("".join(batch))
+        fh.write("\n")
 
 
 def _render_text(obj, indent=0) -> str:
@@ -54,10 +58,14 @@ def _render_text(obj, indent=0) -> str:
                 lines.append(f"{pad}{k}: {_render_text_scalar(v)}")
         return "\n".join(lines)
     if isinstance(obj, list):
-        return "\n".join(
-            _render_text(v, indent) if isinstance(v, (dict, list)) else f"{pad}- {_render_text_scalar(v)}"
-            for v in obj
-        )
+        lines = []
+        for v in obj:
+            if isinstance(v, (dict, list)) and v:
+                lines.append(f"{pad}-")  # marks where each report or row starts
+                lines.append(_render_text(v, indent + 1))
+            else:
+                lines.append(f"{pad}- {_render_text_scalar(v)}")
+        return "\n".join(lines)
     return f"{pad}{_render_text_scalar(obj)}"
 
 
@@ -126,17 +134,13 @@ def cmd_group_info(args) -> dict:
         for P in L.p_class_reps(p)
     }
     poset = L.normal_p_subgroups(p)
-    mob = []
-    for A in poset:
-        for B in poset:
-            if B.contains(A):
-                mob.append(
-                    {
-                        "from": class_name(L, A),
-                        "to": class_name(L, B),
-                        "mu": mobius_of_poset(poset, A, B),
-                    }
-                )
+    mu = mobius_matrix(poset)
+    mob = [
+        {"from": class_name(L, A), "to": class_name(L, B), "mu": int(mu[a, b])}
+        for a, A in enumerate(poset)
+        for b, B in enumerate(poset)
+        if B.contains(A)
+    ]
     return {
         "group": G.describe(),
         "order": G.order,
@@ -200,7 +204,7 @@ def _lefschetz_report(C) -> dict:
         "group": C.group.describe(),
         "element": format_element(t),
     }
-    if C.group.is_p_group(C.field.p):
+    if is_p_power(C.group.order, C.field.p):
         b = t.to_burnside()
         out["marks"] = [int(v) for v in marks(b)]
         out["orthogonal_unit"] = is_orthogonal_unit_pgroup(t)
@@ -262,7 +266,7 @@ def cmd_catalog(args) -> dict:
             rep["frobenius_stable"] = is_frobenius_stable(b)
             t = lefschetz(e.complex)
             rep["lefschetz"] = format_element(t)
-            if e.group.is_p_group(e.field.p):
+            if is_p_power(e.group.order, e.field.p):
                 rep["marks"] = [int(v) for v in marks(t.to_burnside())]
                 rep["orthogonal_unit"] = is_orthogonal_unit_pgroup(t)
         reports.append(rep)

@@ -20,6 +20,7 @@ entry; `parse` is the fallback for the spellings they do not hold.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,8 +176,8 @@ class FqField:
 
     def parse(self, text: str) -> int:
         """Inverse of format; accepts whitespace, '-' coefficient signs, terms
-        in any order and unreduced integer coefficients.  Anything else,
-        non-strings included, raises PermchainError."""
+        in any order and unreduced integer coefficients, in ASCII digits.
+        Anything else, non-strings included, raises PermchainError."""
         if not isinstance(text, str):
             raise PermchainError(f"bad scalar literal {text!r}")
         try:
@@ -205,16 +206,21 @@ class FqField:
                 sign, t = -1, t[1:]
             if not t:
                 raise ValueError
-            if "w" in t:
-                coef_s, _, pow_s = t.partition("w")
-                coef = int(coef_s.rstrip("*")) if coef_s.rstrip("*") else 1
-                power = int(pow_s[1:]) if pow_s.startswith("^") else (1 if not pow_s else None)
-                if power is None or power >= self.n:
-                    raise ValueError
-                coeffs[power] = (coeffs[power] + sign * coef) % self.p
+            m = _TERM.fullmatch(t)
+            if m is None:
+                raise ValueError
+            if m[1]:
+                coef, power = int(m[1]), 0
             else:
-                coeffs[0] = (coeffs[0] + sign * int(t)) % self.p
+                coef, power = int(m[2] or 1), int(m[3] or 1)
+            if power >= self.n:
+                raise ValueError
+            coeffs[power] = (coeffs[power] + sign * coef) % self.p
         return self.encode(coeffs)
+
+
+# a term of a scalar literal, in ASCII digits only: c, or [c[*]]w[^k]
+_TERM = re.compile(r"([0-9]+)|(?:([0-9]+)\*?)?w(?:\^([0-9]+))?")
 
 
 def _build_tables(p, n, modulus):

@@ -5,6 +5,11 @@ once, sorted lexicographically as image tuples, and all arithmetic is done on
 element indices through a cached multiplication table.  Every derived object
 (subgroup, conjugacy class, coset ordering, quotient) is deterministic so
 that repeated runs produce byte-identical output.
+
+A subgroup is the identity closed under right multiplication by its
+generators, which the lattice keeps.  Mobius values come from one inverse
+zeta matrix per poset (`mobius_matrix`); the lattice keeps its own, and
+each class name once first asked for.
 """
 
 from __future__ import annotations
@@ -104,8 +109,9 @@ def perm_to_cycles(perm) -> str:
 class FiniteGroup:
     """A finite group presented by generating permutations.
 
-    Immutable after construction; the subgroup lattice is computed lazily and
-    cached, under the single-writer contract noted in the module docstring.
+    Immutable after construction.  The subgroup lattice and the values
+    listed at the end of `__init__` are computed on first use and kept on
+    the group.
     """
 
     def __init__(self, generators, gen_names=None, name=None, max_order=DEFAULT_MAX_ORDER):
@@ -202,12 +208,6 @@ class FiniteGroup:
     def is_cyclic(self) -> bool:
         return any(self.element_order(i) == self.order for i in range(self.order))
 
-    def is_p_group(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
-
     def word_str(self, i: int) -> str:
         """Element as a word in the named generators, e.g. 'a^2*b'."""
         w = self.words[i]
@@ -265,33 +265,45 @@ class FiniteGroup:
         return f"FiniteGroup({self.describe()})"
 
 
-def _closure(G: FiniteGroup, seed) -> frozenset:
-    elems = set(seed) | {G.identity}
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for x in frontier:
-            for s in list(elems):
-                for y in (G.mul(x, s), G.mul(s, x)):
-                    if y not in elems:
-                        elems.add(y)
-                        new.append(y)
-        frontier = new
-    return frozenset(elems)
+def is_p_power(n: int, p: int) -> bool:
+    """Whether n is a power of p (1 included): the order test of p-groups."""
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _closure(G: FiniteGroup, gens) -> frozenset:
+    """The subgroup generated by `gens`: the identity closed under right
+    multiplication by each generator, read off the generator's column of
+    `mul_table`.  In a finite group the monoid the generators span is the
+    group they generate."""
+    right = G.mul_table[:, list(gens)].T.tolist()  # right[k][x] = x * gens[k]
+    found = [G.identity]
+    seen = {G.identity}
+    for x in found:  # grows while walked: breadth first
+        for col in right:
+            y = col[x]
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return frozenset(seen)
 
 
 # -- subgroups and the lattice ------------------------------------------
 
 
 class Subgroup:
-    """A subgroup as a sorted tuple of element indices of its parent."""
+    """A subgroup as a sorted tuple of element indices of its parent, with
+    its place in the lattice's list and the generators the lattice found."""
 
-    __slots__ = ("parent", "elems", "elemset", "class_id", "is_normal", "conj_to_rep")
+    __slots__ = ("parent", "elems", "elemset", "index", "gens", "class_id", "is_normal", "conj_to_rep")
 
-    def __init__(self, parent, elems, class_id=-1, is_normal=False, conj_to_rep=None):
+    def __init__(self, parent, elems, index, gens, class_id=-1, is_normal=False, conj_to_rep=None):
         self.parent = parent
         self.elems = tuple(sorted(elems))
         self.elemset = frozenset(self.elems)
+        self.index = index
+        self.gens = gens
         self.class_id = class_id
         self.is_normal = is_normal
         self.conj_to_rep = conj_to_rep  # g with self = g . rep . g^{-1}
@@ -326,7 +338,7 @@ def minimal_generators(G: FiniteGroup, elems) -> list:
         if x in have:
             continue
         gens.append(x)
-        have = _closure(G, set(have) | {x})
+        have = _closure(G, gens)
         if len(have) == len(elems):
             break
     return gens
@@ -335,35 +347,33 @@ def minimal_generators(G: FiniteGroup, elems) -> list:
 class SubgroupLattice:
     """All subgroups of a finite group with conjugacy and containment data.
 
-    Subgroups are enumerated by closing sets of cyclic generators; class
-    representatives are the lexicographically least members.  Enumeration is
-    feasible at the supported group sizes only - this is desk-scale code.
+    Subgroups are enumerated by extending each one found by the cyclic
+    subgroups it does not contain, closing its generators plus one more;
+    class representatives are the lexicographically least members.
+    Enumeration is feasible at the supported group sizes only - this is
+    desk-scale code.
     """
 
     def __init__(self, G: FiniteGroup):
         self.group = G
-        n = G.order
 
         cyclic = {}
-        for x in range(n):
-            s = {G.identity}
-            acc = x
-            while acc != G.identity:
-                s.add(acc)
-                acc = G.mul(acc, x)
-            cyclic.setdefault(frozenset(s), x)
+        for x in range(G.order):
+            cyclic.setdefault(_closure(G, [x]), x)
         cyc_list = sorted(cyclic.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
-        found = {frozenset({G.identity})}
-        queue = [frozenset({G.identity})]
+        trivial = frozenset({G.identity})
+        found = {trivial: ()}  # subgroup -> the generators it was found by
+        queue = [trivial]
         while queue:
             H = queue.pop(0)
             for cset, x in cyc_list:
                 if x in H:
                     continue
-                new = _closure(G, H | {x})
+                gens = found[H] + (x,)
+                new = _closure(G, gens)
                 if new not in found:
-                    found.add(new)
+                    found[new] = gens
                     queue.append(new)
 
         sets = sorted(found, key=lambda s: (len(s), sorted(s)))
@@ -398,6 +408,8 @@ class SubgroupLattice:
                 Subgroup(
                     G,
                     s,
+                    i,
+                    found[s],
                     class_id=class_of[i],
                     is_normal=len(classes[class_of[i]]) == 1,
                     conj_to_rep=conj_elem[i],
@@ -409,7 +421,9 @@ class SubgroupLattice:
         self.trivial = self.subgroups[0]
         self.full = self.subgroups[-1]
         self._as_group_cache = {}
-        self._mobius_cache = {}
+        self._mobius = None  # mobius_matrix(self.subgroups), on first use
+        self._center = None
+        self._class_names = {}  # class id -> class_name
 
     # -- lookups -------------------------------------------------------
 
@@ -427,7 +441,7 @@ class SubgroupLattice:
         return self.class_reps[H.class_id]
 
     def join(self, A: Subgroup, B: Subgroup) -> Subgroup:
-        return self.generated_by(A.elemset | B.elemset)
+        return self.generated_by(A.gens + B.gens)
 
     def subgroups_of(self, H: Subgroup) -> list:
         return [K for K in self.subgroups if H.contains(K)]
@@ -449,6 +463,12 @@ class SubgroupLattice:
         ]
         return self.subgroup(elems)
 
+    def center(self) -> Subgroup:
+        if self._center is None:
+            t = self.group.mul_table
+            self._center = self.subgroup(np.flatnonzero(np.all(t == t.T, axis=1)).tolist())
+        return self._center
+
     def centralizer(self, H: Subgroup) -> Subgroup:
         G = self.group
         elems = [
@@ -467,26 +487,31 @@ class SubgroupLattice:
     def p_class_reps(self, p: int) -> list:
         """One representative per conjugacy class of p-subgroups, ordered by
         increasing order then lexicographically."""
-        return [H for H in self.class_reps if _is_p_power(H.order, p)]
+        return [H for H in self.class_reps if is_p_power(H.order, p)]
 
     def normal_p_subgroups(self, p: int) -> list:
         return [
             H
             for H in self.subgroups
-            if H.is_normal and _is_p_power(H.order, p)
+            if H.is_normal and is_p_power(H.order, p)
         ]
 
     def sylow_p(self, p: int) -> Subgroup:
         pk = 1
         while self.group.order % (pk * p) == 0:
             pk *= p
-        cands = [H for H in self.subgroups if H.order == pk and _is_p_power(pk, p)]
+        cands = [H for H in self.subgroups if H.order == pk and is_p_power(pk, p)]
         return cands[0]
 
     # -- Mobius function -------------------------------------------------
 
     def mobius(self, A: Subgroup, B: Subgroup) -> int:
-        return mobius_of_poset(self.subgroups, A, B, cache=self._mobius_cache)
+        """mu(A, B) on the whole lattice, read off its Mobius matrix."""
+        if not B.contains(A):
+            raise NotComparable("A is not contained in B")
+        if self._mobius is None:
+            self._mobius = mobius_matrix(self.subgroups)
+        return int(self._mobius[A.index, B.index])
 
     # -- subgroup as standalone group -------------------------------------
 
@@ -509,35 +534,35 @@ class SubgroupLattice:
         return cached
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+def mobius_matrix(poset) -> np.ndarray:
+    """The Mobius function of the containment order on `poset`, a non-empty
+    list of distinct subgroups of one group: entry [i, j] is mu(poset[i],
+    poset[j]), 0 where poset[i] is not contained in poset[j].
+
+    It is the inverse of the zeta matrix (Rota), which is unitriangular
+    with the subgroups taken by increasing order, so forward substitution
+    inverts it exactly in int64: column j is e_j minus the columns of the
+    subgroups strictly inside poset[j].
+    """
+    n = len(poset)
+    member = np.zeros((n, poset[0].parent.order), dtype=np.int64)
+    for i, H in enumerate(poset):
+        member[i, list(H.elems)] = 1
+    sizes = member.sum(axis=1)
+    inside = (member @ member.T == sizes[:, None]) & (sizes[:, None] < sizes[None, :])
+    mu = np.eye(n, dtype=np.int64)
+    for j in np.argsort(sizes, kind="stable"):
+        mu[:, j] -= mu[:, inside[:, j]].sum(axis=1)
+    return mu
 
 
-def mobius_of_poset(poset, A: Subgroup, B: Subgroup, cache=None) -> int:
-    """Standard Mobius function of the containment poset given by `poset`
-    (any list of subgroups closed enough to contain every C with A<=C<=B)."""
+def mobius_of_poset(poset, A: Subgroup, B: Subgroup) -> int:
+    """mu(A, B) on the containment order of `poset` (distinct subgroups,
+    A and B among them): one entry of `mobius_matrix(poset)`.  A loop over
+    pairs builds that matrix once instead."""
     if not B.contains(A):
         raise NotComparable("A is not contained in B")
-    if cache is None:
-        cache = {}
-    key_poset = tuple(sorted(H.elems for H in poset))
-
-    def mu(a: Subgroup, b: Subgroup) -> int:
-        if a.elems == b.elems:
-            return 1
-        key = (key_poset, a.elems, b.elems)
-        if key in cache:
-            return cache[key]
-        total = 0
-        for C in poset:
-            if C.order < b.order and C.contains(a) and b.contains(C):
-                total += mu(a, C)
-        cache[key] = -total
-        return -total
-
-    return mu(A, B)
+    return int(mobius_matrix(poset)[poset.index(A), poset.index(B)])
 
 
 # -- operations mirroring the library surface -----------------------------
@@ -741,12 +766,10 @@ def subgroup_literal(G: FiniteGroup, elems) -> str:
 
 
 def class_name(L: SubgroupLattice, H: Subgroup) -> str:
-    """Canonical display name for the conjugacy class of H."""
-    rep = L.rep_of(H)
-    G = L.group
-    if 1 < rep.order < G.order:
-        t = G.mul_table
-        center = np.flatnonzero(np.all(t == t.T, axis=1)).tolist()
-        if rep.elemset == frozenset(center):
-            return "Z"
-    return subgroup_literal(G, rep.elems)
+    """Canonical display name for the conjugacy class of H, kept on the
+    lattice once worked out."""
+    if H.class_id not in L._class_names:
+        rep = L.rep_of(H)
+        central = 1 < rep.order < L.group.order and rep == L.center()
+        L._class_names[H.class_id] = "Z" if central else subgroup_literal(L.group, rep.elems)
+    return L._class_names[H.class_id]

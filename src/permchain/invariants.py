@@ -24,7 +24,7 @@ from .errors import (
     UnlabeledComponent,
 )
 from .ffield import FqField
-from .groups import FiniteGroup, Quotient, Subgroup, mobius_of_poset, quotient
+from .groups import FiniteGroup, Quotient, Subgroup, is_p_power, mobius_matrix, quotient
 from .modules import (
     Character,
     KgModule,
@@ -161,7 +161,7 @@ def lefschetz(C: BoundedComplex) -> TrivialSourceElement:
 def is_orthogonal_unit_pgroup(t: TrivialSourceElement) -> bool:
     """Over a p-group the trivial source ring is the Burnside ring and the
     self-dual orthogonal units are exactly the elements with all marks +-1."""
-    if not t.group.is_p_group(t.field.p):
+    if not is_p_power(t.group.order, t.field.p):
         raise PGroupOnly("orthogonal unit test implemented for p-groups")
     b = t.to_burnside()
     return all(v in (1, -1) for v in marks(b))
@@ -294,10 +294,6 @@ def is_frobenius_stable(b: BetaTuple) -> bool:
 # -- faithful decomposition ----------------------------------------------------
 
 
-def _normal_p_poset(G: FiniteGroup, p: int):
-    return G.lattice().normal_p_subgroups(p)
-
-
 def _image_subgroup(quot: Quotient, X: Subgroup) -> Subgroup:
     lat = quot.group.lattice()
     return lat.subgroup({quot.project(x) for x in X.elems})
@@ -321,18 +317,14 @@ def faithful_project(x: XiInvariant):
     G, f = x.group, x.field
     p = f.p
     lat = G.lattice()
-    poset = _normal_p_poset(G, p)
+    poset = lat.normal_p_subgroups(p)
+    mob = mobius_matrix(poset)
     out = []
-    for S in poset:
+    for s, S in enumerate(poset):
         quot_S = cached_quotient(G, S)
         GS = quot_S.group
         latS = GS.lattice()
-        weights = []
-        for Q in poset:
-            if Q.contains(S):
-                mu = mobius_of_poset(poset, S, Q)
-                if mu:
-                    weights.append((Q, mu))
+        weights = [(Q, int(mob[s, q])) for q, Q in enumerate(poset) if mob[s, q]]
         entries = {}
         for Pbar in latS.p_class_reps(p):
             P = _preimage_subgroup(quot_S, Pbar)
@@ -399,7 +391,7 @@ def is_faithful_invariant(x: XiInvariant) -> bool:
     normal p-subgroup."""
     G = x.group
     lat = G.lattice()
-    norms = [N for N in _normal_p_poset(G, x.field.p) if N.order > 1]
+    norms = [N for N in lat.normal_p_subgroups(x.field.p) if N.order > 1]
     for cid, e in x.entries.items():
         if any(e.subgroup.contains(N) for N in norms):
             if e.h != 0 or not e.character.is_trivial():

@@ -28,7 +28,7 @@ from .errors import (
     PGroupOnly,
 )
 from .ffield import FqField, FqScalar
-from .groups import FiniteGroup, Quotient, Subgroup, minimal_generators, quotient
+from .groups import FiniteGroup, Quotient, Subgroup, is_p_power, minimal_generators, quotient
 from .linalg import (
     FqMatrix,
     block_diag,
@@ -656,20 +656,13 @@ class BrauerData:
         return self.fixed @ (self.section @ quotient_cols)
 
 
-def _is_p_subgroup(P: Subgroup, p: int) -> bool:
-    n = P.order
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def brauer_quotient(M: KgModule, P: Subgroup) -> BrauerData:
     """M^P modulo all relative traces from maximal subgroups of P, as a
     module over N_G(P)/P.  Non-p-subgroups give the zero module."""
     G, f = M.group, M.field
     ctx = brauer_context(G, P)
     Q = ctx.quotient_group
-    if not _is_p_subgroup(P, f.p):
+    if not is_p_power(P.order, f.p):
         zero = zero_module(Q, f)
         e = FqMatrix.zeros(f, M.dim, 0)
         return BrauerData(zero, ctx, e, FqMatrix.zeros(f, 0, 0), FqMatrix.zeros(f, 0, 0))
@@ -708,7 +701,7 @@ def brauer_points(M: KgModule, P: Subgroup):
     """
     if M.dim and M.labels is None:
         raise PermchainError("Brauer points need a labeled module")
-    fixed = np.full(M.dim, _is_p_subgroup(P, M.field.p))
+    fixed = np.full(M.dim, is_p_power(P.order, M.field.p))
     for g in minimal_generators(M.group, P.elems):
         fixed &= M.elem_mat(g).a.diagonal() != 0
     pts = np.flatnonzero(fixed)
@@ -771,7 +764,7 @@ def vertex_classes(M: KgModule) -> list:
 
 
 def _require_p_group(G: FiniteGroup, field: FqField):
-    if not G.is_p_group(field.p):
+    if not is_p_power(G.order, field.p):
         raise PGroupOnly("operation defined for p-groups in characteristic p only")
 
 

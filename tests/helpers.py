@@ -1,12 +1,16 @@
 """Shared test utilities: independent oracles and random generators.
 
 The oracles here deliberately avoid the library code paths they are used to
-check: subgroup enumeration by pairwise closure, fixed-point dimensions by
-orbit counting, split detection by solving the splitting equation, naive
-matrix products by schoolbook scalar arithmetic.
+check: subgroup enumeration by pairwise closure, Mobius values by the
+defining recursion, the inverse mark table by Gauss-Jordan elimination,
+fixed-point dimensions by orbit counting, split detection by solving the
+splitting equation, naive matrix products by schoolbook scalar arithmetic.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -65,6 +69,118 @@ def oracle_mobius(poset_sets, A, B):
         if A <= C < B:
             total += oracle_mobius(poset_sets, A, C)
     return -total
+
+
+def pairwise_closure(G: FiniteGroup, seed, table=None) -> frozenset:
+    """The subgroup holding `seed`: every new element multiplied on both
+    sides by every element found so far (`table`: `G.mul_table` as lists)."""
+    if table is None:
+        table = G.mul_table.tolist()
+    elems = set(seed) | {G.identity}
+    frontier = list(elems)
+    while frontier:
+        new = []
+        for x in frontier:
+            for s in list(elems):
+                for y in (table[x][s], table[s][x]):
+                    if y not in elems:
+                        elems.add(y)
+                        new.append(y)
+        frontier = new
+    return frozenset(elems)
+
+
+def pairwise_subgroup_sets(G: FiniteGroup) -> list:
+    """Every subgroup as an element set, sorted by (order, members): each
+    one found extended by each cyclic subgroup it misses, by pairwise
+    closure of its elements and the new generator."""
+    table = G.mul_table.tolist()
+    cyclic = {}
+    for x in range(G.order):
+        cyclic.setdefault(pairwise_closure(G, {x}, table), x)
+    found = {frozenset({G.identity})}
+    queue = [frozenset({G.identity})]
+    while queue:
+        H = queue.pop(0)
+        for cset, x in cyclic.items():
+            if x not in H:
+                new = pairwise_closure(G, H | {x}, table)
+                if new not in found:
+                    found.add(new)
+                    queue.append(new)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def pairwise_minimal_generators(G: FiniteGroup, elems) -> list:
+    """Greedy generators over the sorted elements, closing pairwise."""
+    table = G.mul_table.tolist()
+    elems = sorted(elems)
+    gens = []
+    have = frozenset({G.identity})
+    for x in elems:
+        if x in have:
+            continue
+        gens.append(x)
+        have = pairwise_closure(G, set(have) | {x}, table)
+        if len(have) == len(elems):
+            break
+    return gens
+
+
+def recursive_mobius(poset, A: Subgroup, B: Subgroup, cache: dict) -> int:
+    """mu(A, B) on the containment order of `poset` by the recursion
+    mu(A, B) = -sum of mu(A, C) over A <= C < B, memoised in `cache` (one
+    dict per poset)."""
+    if A.elems == B.elems:
+        return 1
+    key = (A.elems, B.elems)
+    if key not in cache:
+        cache[key] = -sum(
+            recursive_mobius(poset, A, C, cache)
+            for C in poset
+            if C.order < B.order and C.contains(A) and B.contains(C)
+        )
+    return cache[key]
+
+
+def rational_inverse(tbl: np.ndarray):
+    """Exact inverse of an integer matrix by Gauss-Jordan elimination over
+    Fractions: (numerators, common denominator)."""
+    c = tbl.shape[0]
+    M = [[Fraction(int(tbl[i, j])) for j in range(c)] for i in range(c)]
+    inv = [[Fraction(1 if i == j else 0) for j in range(c)] for i in range(c)]
+    for col in range(c):
+        piv = next(r for r in range(col, c) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = M[col][col]
+        M[col] = [x / scale for x in M[col]]
+        inv[col] = [x / scale for x in inv[col]]
+        for r in range(c):
+            if r != col and M[r][col]:
+                factor = M[r][col]
+                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
+                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    num = np.array([[int(x * den) for x in row] for row in inv], dtype=np.int64)
+    return num, den
+
+
+def percall_class_name(L, H) -> str:
+    """A class name worked out afresh: the centre from the whole
+    multiplication table, generators by pairwise closure."""
+    rep = L.class_reps[H.class_id]
+    G = L.group
+    if 1 < rep.order < G.order:
+        t = G.mul_table
+        center = np.flatnonzero(np.all(t == t.T, axis=1)).tolist()
+        if rep.elemset == frozenset(center):
+            return "Z"
+    if rep.order == 1:
+        return "1"
+    if rep.order == G.order:
+        return "G"
+    return "<" + ",".join(G.word_str(g) for g in pairwise_minimal_generators(G, rep.elems)) + ">"
 
 
 def oracle_orbit_count(G: FiniteGroup, P: Subgroup, cosets) -> int:

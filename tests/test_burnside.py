@@ -135,6 +135,19 @@ def test_units_group_closure():
                 assert prod in mark_set
 
 
+def test_units_across_sign_blocks():
+    """C2^3 has 16 subgroup classes, so its 2^16 sign vectors are searched in
+    16 blocks.  Matsuda: an abelian group with 8 subgroups of index <= 2 has
+    2^8 units, and -1 (every mark -1) is the last sign vector searched."""
+    G = group_from_spec("(0 1);(2 3);(4 5)")
+    L = G.lattice()
+    units = burnside_units(G)
+    assert len(L.class_reps) == 16 and len(units) == 2 ** 8
+    assert len({u.coeffs for u in units}) == len(units)
+    assert all(set(marks(u)) <= {1, -1} for u in units)
+    assert (-basis_element(G, L.full)).coeffs in {u.coeffs for u in units}
+
+
 def test_units_too_many_classes():
     # (C2)^5 has far more than 20 subgroup classes
     gens = []

@@ -257,3 +257,34 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "gamma-SD16" in proc.stdout
+
+
+def test_text_output_marks_each_report_of_a_list(tmp_path, capsys):
+    """Without --json, each report in a list starts on a '-' line of its own."""
+    code, out, err = run_cli(["catalog", "verify", "abelian-V4"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["entries:", "  -"]
+    assert lines.count("  -") == 4
+    names = [lines[i + 1] for i, ln in enumerate(lines) if ln == "  -"]
+    assert names == [f"    name: abelian-V4-{tag}" for tag in ("res0", "res1", "res2", "shift")]
+    path = tmp_path / "v4.json"
+    assert run_cli(["catalog", "build", "abelian-V4", "--out", str(path)], capsys)[0] == 0
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["complexes:", "  -"]
+    assert lines.count("  -") == 4
+
+
+def test_json_reports_are_written_as_dumps_writes_them(tmp_path, capsys):
+    """Reports go out in batches of encoder pieces; the bytes are still
+    those of json.dumps(report, indent=2) and a newline, on stdout and in
+    --out files."""
+    code, out, err = run_cli(["catalog", "build", "gamma-SD16", "--json"], capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert out.count("\n") > 3 * 8192
+    path = tmp_path / "gsd16.json"
+    assert run_cli(["catalog", "build", "gamma-SD16", "--out", str(path)], capsys)[0] == 0
+    assert path.read_text() == out

@@ -1,0 +1,171 @@
+"""The group layer against the computations it replaced.
+
+Subgroups come from closing generators by rows of the multiplication table,
+mu from one inverse zeta matrix per poset, the inverse mark table from the
+idempotents, class names from a memo on the lattice.  Each is compared here
+with the direct computation in `helpers`: pairwise closure, the defining
+recursion of mu, Gauss-Jordan elimination over Fractions and a fresh name
+per call.  The groups are every catalog group up to order 64, plus S4,
+C2^4 and C2^5.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from permchain.burnside import idempotent, mark_table
+from permchain.groups import (
+    catalog,
+    class_name,
+    group_from_spec,
+    minimal_generators,
+    mobius_matrix,
+    mobius_of_poset,
+)
+
+from helpers import (
+    pairwise_closure,
+    pairwise_minimal_generators,
+    pairwise_subgroup_sets,
+    percall_class_name,
+    rational_inverse,
+    recursive_mobius,
+)
+
+CATALOG = (
+    [f"C{n}" for n in range(1, 65)]
+    + ["V4", "A4"]
+    + [f"CpxCp{p}" for p in (2, 3, 5, 7)]
+    + [f"D{2 ** k}" for k in range(2, 7)]
+    + [f"Q{2 ** k}" for k in range(3, 7)]
+    + [f"SD{2 ** k}" for k in range(4, 7)]
+)
+
+
+def _elementary_abelian(r: int) -> str:
+    return ";".join(f"({2 * i} {2 * i + 1})" for i in range(r))
+
+
+SPECS = {name: name for name in CATALOG}
+SPECS.update({"S4": "(0 1 2 3);(0 1)", "C2^4": _elementary_abelian(4), "C2^5": _elementary_abelian(5)})
+NAMES = list(SPECS)
+
+
+def _group(name):
+    return group_from_spec(SPECS[name])
+
+
+def _primes(n: int) -> list:
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))] or [2]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_lattice_matches_pairwise_closure(name):
+    G = _group(name)
+    L = G.lattice()
+    assert [H.elemset for H in L.subgroups] == pairwise_subgroup_sets(G)
+    for i, H in enumerate(L.subgroups):
+        assert H.index == i
+        assert pairwise_closure(G, set(H.gens)) == H.elemset
+    for H in L.class_reps:
+        assert minimal_generators(G, H.elems) == pairwise_minimal_generators(G, H.elems)
+    if len(L.class_reps) <= 20:
+        for A in L.class_reps:
+            for B in L.class_reps:
+                assert L.join(A, B).elemset == pairwise_closure(G, A.elemset | B.elemset)
+
+
+def _recursion_matrix(poset) -> np.ndarray:
+    """The recursion on every comparable pair, 0 on the others."""
+    cache = {}
+    return np.array(
+        [[recursive_mobius(poset, A, B, cache) if B.contains(A) else 0 for B in poset] for A in poset],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_mobius_matrix_matches_recursion(name):
+    G = _group(name)
+    L = G.lattice()
+    whole = mobius_matrix(L.subgroups)
+    assert whole.dtype == np.int64
+    assert np.array_equal(whole, _recursion_matrix(L.subgroups))
+    for A in L.subgroups[:3]:
+        for B in L.subgroups:
+            if B.contains(A):
+                assert L.mobius(A, B) == whole[A.index, B.index]
+    for p in _primes(G.order):
+        poset = L.normal_p_subgroups(p)
+        mu = mobius_matrix(poset)
+        if poset == L.subgroups:
+            assert np.array_equal(mu, whole)
+        else:
+            assert np.array_equal(mu, _recursion_matrix(poset))
+        assert mobius_of_poset(poset, poset[0], poset[-1]) == mu[0, -1]
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_mobius_on_elementary_abelian_is_halls(r):
+    """P. Hall: mu(A, B) = (-1)^k 2^(k(k-1)/2) on C2^r, with |B:A| = 2^k."""
+    L = group_from_spec(_elementary_abelian(r)).lattice()
+    hall = np.zeros((len(L.subgroups),) * 2, dtype=np.int64)
+    for A in L.subgroups:
+        for B in L.subgroups:
+            if B.contains(A):
+                k = (B.order // A.order).bit_length() - 1
+                hall[A.index, B.index] = (-1) ** k * 2 ** (k * (k - 1) // 2)
+    assert np.array_equal(mobius_matrix(L.subgroups), hall)
+    assert L.mobius(L.trivial, L.full) == hall[0, -1]
+
+
+def _inverse_from_idempotents(G):
+    """The stacked idempotents as (numerators, denominator): column j holds
+    the coefficients of e_H for the j-th class."""
+    cols = [idempotent(G, H).coeffs for H in G.lattice().class_reps]
+    den = math.lcm(*(x.denominator for col in cols for x in col))
+    num = [[x.numerator * (den // x.denominator) for x in col] for col in cols]
+    return np.array(num, dtype=np.int64).T, den
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n != "C2^5"])
+def test_idempotents_are_the_inverse_mark_table(name):
+    G = _group(name)
+    tbl = mark_table(G)
+    num, den = _inverse_from_idempotents(G)
+    assert np.array_equal(tbl @ num, den * np.eye(len(tbl), dtype=np.int64))
+    onum, oden = rational_inverse(tbl)
+    for i in range(len(tbl)):
+        for j in range(len(tbl)):
+            assert Fraction(int(num[i, j]), den) == Fraction(int(onum[i, j]), oden)
+
+
+def test_idempotents_invert_the_marks_of_c2_5():
+    """On an abelian group |(G/H)^K| is |G:H| when K <= H and 0 otherwise;
+    the 374 x 374 table of C2^5 is formed that way, not counted."""
+    G = _group("C2^5")
+    reps = G.lattice().class_reps
+    tbl = np.array(
+        [[G.order // H.order if H.contains(K) else 0 for H in reps] for K in reps], dtype=np.int64
+    )
+    num, den = _inverse_from_idempotents(G)
+    assert np.abs(num).max() * tbl.max() * len(reps) < 2 ** 62
+    assert np.array_equal(tbl @ num, den * np.eye(len(reps), dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_class_names_match_percall_names(name):
+    L = _group(name).lattice()
+    for H in L.subgroups:
+        assert class_name(L, H) == percall_class_name(L, H)
+    assert len(L._class_names) == len(L.class_reps)
+
+
+def test_class_names_are_kept_on_the_lattice():
+    L = catalog("D8").lattice()
+    first = [class_name(L, H) for H in L.class_reps]
+    assert L._class_names == dict(enumerate(first))
+    assert [class_name(L, H) for H in L.class_reps] == first
+    assert L.center() is L.center()

@@ -201,7 +201,9 @@ def test_malformed_complex_files_raise_parse_error(mutate, where, tmp_path, caps
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("token", ["x", "1.5", None, [1], "", "w^", "1+", "2*w*w", "w^9"])
+@pytest.mark.parametrize(
+    "token", ["x", "1.5", None, [1], "", "w^", "1+", "2*w*w", "w^9", "**w", "1_1", "\u0663"]
+)
 def test_parse_rejects_unreadable_tokens(token):
     with pytest.raises(PermchainError):
         F4.parse(token)
