@@ -124,6 +124,14 @@ def idempotent(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
     return BurnsideElement(G, tuple(coeffs))
 
 
+def idempotents(G: FiniteGroup) -> tuple:
+    """e_H for every class of subgroups, in class order: the columns of
+    the inverse mark table.  Kept on the group once computed."""
+    if G._idempotents is None:
+        G._idempotents = tuple(idempotent(G, H) for H in G.lattice().class_reps)
+    return G._idempotents
+
+
 def inverse_marks(G: FiniteGroup, v) -> BurnsideElement:
     """Rational preimage of a class-constant mark vector."""
     L = G.lattice()
@@ -151,7 +159,7 @@ def burnside_units(G: FiniteGroup) -> list:
     c = len(L.class_reps)
     if c > MAX_UNIT_SEARCH_CLASSES:
         raise TooManyClasses(f"{c} subgroup classes exceeds the search bound")
-    cols = [idempotent(G, H).coeffs for H in L.class_reps]
+    cols = [e.coeffs for e in idempotents(G)]
     den = math.lcm(*(x.denominator for col in cols for x in col))
     num = np.array([[int(x * den) for x in col] for col in cols], dtype=np.int64)
     out = []

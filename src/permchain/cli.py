@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .burnside import burnside_units, idempotent, mark_table, marks
+from .burnside import burnside_units, idempotents, mark_table, marks
 from .complexes import endotrivial_report, xi
 from .constructions import a4_frobenius_example, build_entries, catalog_names
 from .errors import ParseError, PermchainError
@@ -126,13 +126,10 @@ def cmd_group_info(args) -> dict:
             }
         )
     psub = [class_name(L, P) for P in L.p_class_reps(p)]
-    normalizers = {
-        class_name(L, P): {
-            "normalizer_order": L.normalizer(P).order,
-            "quotient_order": L.normalizer(P).order // P.order,
-        }
-        for P in L.p_class_reps(p)
-    }
+    normalizers = {}
+    for P in L.p_class_reps(p):
+        n = L.normalizer(P).order
+        normalizers[class_name(L, P)] = {"normalizer_order": n, "quotient_order": n // P.order}
     poset = L.normal_p_subgroups(p)
     mu = mobius_matrix(poset)
     mob = [
@@ -222,10 +219,10 @@ def cmd_burnside(args) -> dict:
     units = burnside_units(G)  # checks the class bound before the work below
     names = [class_name(L, H) for H in L.class_reps]
     tbl = mark_table(G)
-    denoms = {}
-    for H in L.class_reps:
-        e = idempotent(G, H)
-        denoms[class_name(L, H)] = math.lcm(*(Fraction(c).denominator for c in e.coeffs))
+    denoms = {
+        class_name(L, H): math.lcm(*(Fraction(c).denominator for c in e.coeffs))
+        for H, e in zip(L.class_reps, idempotents(G))
+    }
     return {
         "group": G.describe(),
         "classes": names,

@@ -318,16 +318,15 @@ def homology_at(C: BoundedComplex, i: int) -> HomologyData:
     if W is None:
         raise PermchainError("boundaries are not cycles")
     section, proj = quotient_space(FqMatrix.identity(f, Z.cols), W)
-    hdim = proj.rows
+    witness = Z @ section
     mats = []
     for gi in range(len(G.generators)):
-        acted = Mi.gen_mats[gi] @ (Z @ section)
-        coords = solve_matrix(Z, acted)
+        coords = solve_matrix(Z, Mi.act(gi, witness))
         if coords is None:
             raise PermchainError("action does not preserve cycles")
         mats.append(proj @ coords)
     mod = KgModule(G, f, mats, labels=None, check=False)
-    return HomologyData(mod, Z @ section, Z, proj)
+    return HomologyData(mod, witness, Z, proj)
 
 
 def homology(C: BoundedComplex) -> Dict[int, HomologyData]:

@@ -48,16 +48,14 @@ from .modules import (
     all_characters,
     coset_list,
     direct_sum,
-    free_generators,
     free_module,
-    omega,
     one_dim_module,
     perm_module,
     regular_module,
-    relative_syzygy,
     trivial_character,
     trivial_module,
 )
+from .syzygies import free_generators, omega, relative_syzygy
 
 MAX_PERIOD_SEARCH = 4
 
@@ -257,7 +255,7 @@ def gamma_semidihedral(n: int, fld: FqField) -> BoundedComplex:
     D4 = D.module_at(4)
     kermats = []
     for gi in range(len(G.generators)):
-        coords = solve_matrix(K, D4.gen_mats[gi] @ K)
+        coords = solve_matrix(K, D4.act(gi, K))
         if coords is None:
             raise ConstructionFailure("top kernel is not a submodule")
         kermats.append(coords)
@@ -272,7 +270,7 @@ def gamma_semidihedral(n: int, fld: FqField) -> BoundedComplex:
     for i, j in enumerate(chosen):
         w = K.col(j)
         for g in range(G.order):
-            incl.a[:, i * G.order + g] = (D4.elem_mat(g) @ w).a[:, 0]
+            incl.a[:, i * G.order + g] = D4.apply(g, w).a[:, 0]
     if rank(incl) != r * G.order:
         raise ConstructionFailure("free part failed to embed freely")
     if not (d4 @ incl).is_zero():

@@ -13,7 +13,8 @@ float64 BLAS products, split into coefficient planes and reduced with the
 Scalars are written as text by `format` (the canonical form) and read by
 `parse`, which also accepts other spellings.  `GF` keeps the scalar codec as
 two tables next to the arithmetic ones: `strings`, the q canonical strings
-in code order, and `code_of`, the dict from each of them back to its code.
+in code order, and `code_of`, the mapping from each of them back to its
+code.  `GF` builds each field once; every table is read-only.
 Complex files are written and read through these tables, one lookup per
 entry; `parse` is the fallback for the spellings they do not hold.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -269,8 +271,18 @@ def _build_tables(p, n, modulus):
     return add, mul, neg, inv, frob, power
 
 
+_FIELDS = {}  # (p, n) -> the one FqField that GF gives for it
+
+
 def GF(p: int, n: int = 1) -> FqField:
-    """Construct F_{p^n} with a fixed modulus for the common small fields."""
+    """F_{p^n} with a fixed modulus for the common small fields.
+
+    Each (p, n) is built once and the same field comes back on every later
+    call; its tables are read-only, so no caller can change them for the
+    others."""
+    fld = _FIELDS.get((p, n))
+    if fld is not None:
+        return fld
     if not _is_prime(p):
         raise PermchainError(f"{p} is not prime")
     if n < 1 or p ** n > _MAX_Q:
@@ -286,9 +298,12 @@ def GF(p: int, n: int = 1) -> FqField:
     object.__setattr__(fld, "inv", inv)
     object.__setattr__(fld, "frob", frob)
     object.__setattr__(fld, "power_basis", power)
+    for table in (add, sub, mul, neg, inv, frob, power):
+        table.setflags(write=False)
     strings = tuple(fld.format(c) for c in range(fld.q))
     object.__setattr__(fld, "strings", strings)
-    object.__setattr__(fld, "code_of", {t: c for c, t in enumerate(strings)})
+    object.__setattr__(fld, "code_of", MappingProxyType({t: c for c, t in enumerate(strings)}))
+    _FIELDS[(p, n)] = fld
     return fld
 
 

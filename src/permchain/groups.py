@@ -170,6 +170,7 @@ class FiniteGroup:
         self._orders = None
         # values other modules derive from this group alone
         self._mark_table = None  # burnside.mark_table
+        self._idempotents = None  # burnside.idempotents
         self._quotient_cache = {}  # subgroup elems -> invariants.cached_quotient
         self._brauer_ctx_cache = {}  # p-subgroup elems -> modules.brauer_context
 
@@ -455,13 +456,16 @@ class SubgroupLattice:
         return out
 
     def normalizer(self, H: Subgroup) -> Subgroup:
-        G = self.group
-        elems = [
-            g
-            for g in range(G.order)
-            if frozenset(G.conj(g, x) for x in H.elems) == H.elemset
-        ]
-        return self.subgroup(elems)
+        """The g with g h g^{-1} in H for each kept generator h of H; for a
+        finite H that gives g H g^{-1} = H."""
+        t = self.group.mul_table
+        inv = self.group.inv_table
+        member = np.zeros(self.group.order, dtype=bool)
+        member[list(H.elems)] = True
+        keep = np.ones(self.group.order, dtype=bool)
+        for h in H.gens:
+            keep &= member[t[t[:, h], inv]]  # row g: g h g^{-1}
+        return self.subgroup(np.flatnonzero(keep).tolist())
 
     def center(self) -> Subgroup:
         if self._center is None:
@@ -522,7 +526,7 @@ class SubgroupLattice:
         cached = self._as_group_cache.get(H.elems)
         if cached is None:
             G = self.group
-            gens = minimal_generators(G, H.elems)
+            gens = minimal_generators(G, H.elems) or [G.identity]  # H = 1: one generator
             names = [f"h{i}" for i in range(len(gens))]
             cached = FiniteGroup(
                 [G.elements[g] for g in gens],

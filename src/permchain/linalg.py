@@ -57,10 +57,6 @@ class FqMatrix:
         a = np.asarray(rows, dtype=np.int64) % field.p
         return FqMatrix(field, a.astype(np.int16))
 
-    @staticmethod
-    def column(field: FqField, codes) -> "FqMatrix":
-        return FqMatrix(field, np.asarray(codes, dtype=np.int16).reshape(-1, 1))
-
     # -- basics -------------------------------------------------------
 
     @property
@@ -106,9 +102,6 @@ class FqMatrix:
 
     def __neg__(self) -> "FqMatrix":
         return FqMatrix(self.field, self.field.neg[self.a])
-
-    def scale(self, code: int) -> "FqMatrix":
-        return FqMatrix(self.field, self.field.mul[self.a, int(code)])
 
     def __matmul__(self, other: "FqMatrix") -> "FqMatrix":
         self._check(other)
@@ -162,10 +155,6 @@ class FqMatrix:
         for i in range(min(self.rows, self.cols)):
             acc = int(f.add[acc, int(self.a[i, i])])
         return FqScalar(f, acc)
-
-    def map_codes(self, table: np.ndarray) -> "FqMatrix":
-        """Apply a code-indexed table entrywise (e.g. Frobenius)."""
-        return FqMatrix(self.field, table[self.a].astype(np.int16))
 
     def __repr__(self):
         return f"FqMatrix(F{self.field.q}, {self.rows}x{self.cols})"

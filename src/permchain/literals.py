@@ -219,21 +219,19 @@ def _label_basis_order(M: KgModule) -> list:
     basis index of each coset in the canonical coset order, chosen
     equivariantly from a base point whose stabilizer is exactly the labeled
     subgroup."""
-    from .modules import _element_perms, _summand_perm_action
-
     G = M.group
+    eperms = M.element_perms()  # eperms[e, t]: the point element e sends t to
     out = []
     for s in (s for group in _grouped_summands(M) for s in group):
-        # eperms[e, k]: the point element e sends point k to
-        eperms = np.array(_element_perms(G, _summand_perm_action(M, s)))
+        idx = np.asarray(s.indices)
         in_sub = np.zeros(G.order, dtype=bool)
         in_sub[list(s.subgroup.elems)] = True
-        fixed = eperms == np.arange(len(s.indices))
-        bases = np.flatnonzero((fixed == in_sub[:, None]).all(axis=0))
+        fixed = eperms[:, idx] == idx
+        bases = idx[(fixed == in_sub[:, None]).all(axis=0)]
         if bases.size == 0:
             raise PermchainError("no base point matches the labeled stabilizer")
         reps = [coset[0] for coset in coset_list(G, s.subgroup)]
-        out += np.asarray(s.indices)[eperms[reps, bases[0]]].tolist()
+        out += eperms[reps, bases[0]].tolist()
     return out
 
 

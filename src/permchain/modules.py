@@ -1,13 +1,21 @@
 """Modules over group algebras kG in characteristic p.
 
-A module is one exact matrix per group generator.  On a labeled (twisted
-permutation) basis X the Brauer construction at a p-subgroup P is k[X^P],
-read off by picking the P-fixed basis points (`brauer_points`).  Unlabeled
-modules take M^P modulo the relative traces from the maximal subgroups of
-P, by linear algebra over F_q (`brauer_quotient`).  Syzygies and free
-summands use the fact that over a p-group the group algebra is local and
-self-injective, with the norm element spanning the socle of the regular
-module.
+The paper's modules are twisted permutation modules: on their basis X
+every generator g acts monomially, g.e_j = c_j e_{pi(j)}, by a permutation
+pi of X and one twist code c_j per point.  `KgModule` stores exactly that
+for them, and sums, twists, duals, tensors, restriction and inflation are
+index arithmetic and lookups in the field's multiplication table.  So are
+the commutation check of a `ModuleMap` (rows against columns, both moved
+and scaled) and the action on a block of vectors.  Subquotients
+(homology, syzygies, Brauer quotients) are dense: one exact matrix per
+generator.  The dense matrices of a monomial module are built only when
+something asks for them.
+
+On a labeled basis X the Brauer construction at a p-subgroup P is k[X^P]:
+the points that P's permutations fix (`brauer_points`).  Unlabeled modules
+take M^P modulo the relative traces from the maximal subgroups of P, by
+linear algebra over F_q (`brauer_quotient`).  Syzygies, free summands and
+Hom spaces are in `syzygies`.
 
 Direct-sum decompositions into twisted transitive permutation summands are
 construction provenance: they are attached when a constructor knows them
@@ -21,18 +29,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    IncompatibleHandles,
-    NotNested,
-    PermchainError,
-    PGroupOnly,
-)
+from .errors import IncompatibleHandles, NotNested, PermchainError
 from .ffield import FqField, FqScalar
 from .groups import FiniteGroup, Quotient, Subgroup, is_p_power, minimal_generators, quotient
 from .linalg import (
     FqMatrix,
     block_diag,
-    complete_to_basis,
     hstack,
     image_basis,
     kernel_basis,
@@ -202,48 +204,148 @@ class Summand(NamedTuple):
 
 
 class KgModule:
-    __slots__ = ("group", "field", "dim", "gen_mats", "labels", "_elem_cache", "_fixed_cache")
+    """A kG-module on the basis e_0, ..., e_{dim-1}, in one of two forms.
 
-    def __init__(self, group, field, gen_mats, labels=None, check=True):
+    Monomial: for each generator g a permutation `perms[g]` of the basis
+    indices and one twist code per index, `twists[g]`, with
+    g.e_j = twists[g][j] e_{perms[g][j]}.  Twisted permutation modules and
+    every operation on them (sums, twists, duals, tensors, restriction,
+    inflation, Brauer points) have this form, and a labeled module is always
+    monomial.  Dense: one matrix per generator, for modules that are only
+    subquotients (homology, syzygies, Brauer quotients).
+
+    `gen_mats` and `elem_mat` give the matrices of either form.  On a
+    monomial module they are built from the permutations only when asked
+    for; `act`, `act_right`, `apply` and `elem_monomial` never build them.
+    """
+
+    __slots__ = (
+        "group", "field", "dim", "labels", "perms", "twists",
+        "_gen_mats", "_mono_cache", "_elem_cache", "_fixed_cache",
+    )
+
+    def __init__(
+        self, group, field, gen_mats=None, labels=None, check=True, perms=None, twists=None
+    ):
         self.group = group
         self.field = field
-        self.gen_mats = tuple(gen_mats)
-        if len(self.gen_mats) != len(group.generators):
-            raise PermchainError("one matrix per group generator required")
-        dims = {m.rows for m in self.gen_mats} | {m.cols for m in self.gen_mats}
-        if len(dims) > 1:
-            raise PermchainError("generator matrices must be square of equal size")
-        self.dim = self.gen_mats[0].rows if self.gen_mats else 0
+        ngens = len(group.generators)
+        if perms is None:
+            if gen_mats is None:
+                raise PermchainError("a module needs generator matrices or permutations")
+            self._gen_mats = tuple(gen_mats)
+            if len(self._gen_mats) != ngens:
+                raise PermchainError("one matrix per group generator required")
+            dims = {m.rows for m in self._gen_mats} | {m.cols for m in self._gen_mats}
+            if len(dims) > 1:
+                raise PermchainError("generator matrices must be square of equal size")
+            self.dim = self._gen_mats[0].rows if self._gen_mats else 0
+            self.perms = self.twists = self._mono_cache = None
+            self._elem_cache = {group.identity: FqMatrix.identity(field, self.dim)}
+        else:
+            self.perms = tuple(np.asarray(x, dtype=np.intp) for x in perms)
+            self.twists = tuple(np.asarray(c, dtype=np.int16) for c in twists)
+            if len(self.perms) != ngens or len(self.twists) != ngens:
+                raise PermchainError("one permutation and twist list per group generator required")
+            self.dim = len(self.perms[0]) if self.perms else 0
+            shapes = {x.shape for x in self.perms} | {c.shape for c in self.twists}
+            if shapes - {(self.dim,)}:
+                raise PermchainError("generator permutations must be of equal length")
+            self._gen_mats = None
+            ident = (np.arange(self.dim), np.ones(self.dim, dtype=np.int16))
+            self._mono_cache = {group.identity: ident}
+            self._elem_cache = {}
         self.labels = tuple(labels) if labels is not None else None
-        self._elem_cache = {group.identity: FqMatrix.identity(field, self.dim)}
         self._fixed_cache = {}
         if self.labels is not None:
+            if self.perms is None:
+                raise PermchainError("summand labels need a monomial module")
             total = sum(len(s.indices) for s in self.labels)
             if total != self.dim:
                 raise PermchainError("summand labels do not cover the basis")
         if check:
             self._verify_relations()
 
+    @property
+    def gen_mats(self) -> tuple:
+        if self._gen_mats is None:
+            self._gen_mats = tuple(
+                _monomial_matrix(self.field, x, c) for x, c in zip(self.perms, self.twists)
+            )
+        return self._gen_mats
+
     def _verify_relations(self):
-        """Relation check: the BFS word assignment must be consistent, i.e.
-        gen * elem lands on the matrix already assigned to the product."""
+        """Relation check: each generator permutes the basis with unit
+        twists, and the BFS word assignment is consistent, i.e. gen * elem
+        lands on the action already assigned to the product."""
         G = self.group
+        for x, c in zip(self.perms or (), self.twists or ()):
+            if self.dim and (x.min() < 0 or (np.bincount(x, minlength=self.dim) != 1).any()):
+                raise PermchainError("generator images are not a permutation of the basis")
+            if ((c <= 0) | (c >= self.field.q)).any():
+                raise PermchainError("twists must be unit codes")
         for gi, g in enumerate(G.gen_indices):
-            A = self.gen_mats[gi]
             for x in range(G.order):
-                if (A @ self.elem_mat(x)) != self.elem_mat(G.mul(g, x)):
-                    raise PermchainError(
-                        "generator matrices violate the group relations"
-                    )
+                if self.perms is None:
+                    ok = (self.gen_mats[gi] @ self.elem_mat(x)) == self.elem_mat(G.mul(g, x))
+                else:
+                    have = _compose(self.field, self._gen_monomial(gi), self.elem_monomial(x))
+                    ok = all(map(np.array_equal, have, self.elem_monomial(G.mul(g, x))))
+                if not ok:
+                    raise PermchainError("generator matrices violate the group relations")
+
+    def _gen_monomial(self, gi: int):
+        return self.perms[gi], self.twists[gi]
+
+    def elem_monomial(self, i: int):
+        """(permutation, twists) of group element i on a monomial module,
+        composed along its BFS word."""
+        got = self._mono_cache.get(i)
+        if got is None:
+            G = self.group
+            w = G.words[i]
+            rest = G.mul(G.inv(G.gen_indices[w[0]]), i)
+            got = _compose(self.field, self._gen_monomial(w[0]), self.elem_monomial(rest))
+            self._mono_cache[i] = got
+        return got
+
+    def element_perms(self) -> np.ndarray:
+        """Row e: the permutation of the basis by group element e."""
+        return np.array([self.elem_monomial(e)[0] for e in range(self.group.order)])
 
     def elem_mat(self, i: int) -> FqMatrix:
         m = self._elem_cache.get(i)
         if m is None:
-            w = self.group.words[i]
-            rest = self.group.mul(self.group.inv(self.group.gen_indices[w[0]]), i)
-            m = self.gen_mats[w[0]] @ self.elem_mat(rest)
+            if self.perms is not None:
+                m = _monomial_matrix(self.field, *self.elem_monomial(i))
+            else:
+                w = self.group.words[i]
+                rest = self.group.mul(self.group.inv(self.group.gen_indices[w[0]]), i)
+                m = self.gen_mats[w[0]] @ self.elem_mat(rest)
             self._elem_cache[i] = m
         return m
+
+    def act(self, gi: int, X: FqMatrix) -> FqMatrix:
+        """Generator gi applied to the columns of X."""
+        if self.perms is None:
+            return self._gen_mats[gi] @ X
+        return _move_rows(self.field, *self._gen_monomial(gi), X)
+
+    def act_right(self, X: FqMatrix, gi: int) -> FqMatrix:
+        """X times the matrix of generator gi: column j of the product is
+        column perms[gi][j] of X scaled by twists[gi][j]."""
+        if self.perms is None:
+            return X @ self._gen_mats[gi]
+        cols = X.a[:, self.perms[gi]]
+        if self.field.q > 2:
+            cols = self.field.mul[cols, self.twists[gi][None, :]]
+        return FqMatrix(self.field, cols)
+
+    def apply(self, i: int, X: FqMatrix) -> FqMatrix:
+        """Group element i applied to the columns of X."""
+        if self.perms is None:
+            return self.elem_mat(i) @ X
+        return _move_rows(self.field, *self.elem_monomial(i), X)
 
     def fixed_points(self, P: Subgroup) -> FqMatrix:
         """Column basis of the P-fixed subspace."""
@@ -264,9 +366,39 @@ class KgModule:
         return f"KgModule(dim {self.dim} over {self.group.describe()}, F{self.field.q})"
 
 
+def _compose(f: FqField, outer, inner):
+    """The monomial action of A.B, for A = (perm, twists) and B likewise:
+    A(B e_j) = c_B[j] c_A[pi_B(j)] e_{pi_A(pi_B(j))}."""
+    (perm, tw), (iperm, itw) = outer, inner
+    return perm[iperm], f.mul[itw, tw[iperm]]
+
+
+def _monomial_matrix(f: FqField, perm, tw) -> FqMatrix:
+    a = np.zeros((len(perm), len(perm)), dtype=np.int16)
+    a[perm, np.arange(len(perm))] = tw
+    return FqMatrix(f, a)
+
+
+def _move_rows(f: FqField, perm, tw, X: FqMatrix) -> FqMatrix:
+    """The monomial matrix (perm, tw) times X: row j of X, scaled by tw[j],
+    becomes row perm[j]."""
+    rows = f.mul[tw[:, None], X.a] if f.q > 2 else X.a
+    out = np.empty_like(X.a)
+    out[perm] = rows
+    return FqMatrix(f, out)
+
+
+def _require_monomial(*mods):
+    if any(m.perms is None for m in mods):
+        raise PermchainError("operation defined on monomial (twisted permutation) modules only")
+
+
 @dataclass
 class ModuleMap:
-    """A kG-homomorphism; commutes with every generator action."""
+    """A kG-homomorphism; commutes with every generator action.
+
+    On monomial modules each check permutes and scales the rows and the
+    columns of the matrix, and compares the two results entry for entry."""
 
     source: KgModule
     target: KgModule
@@ -280,10 +412,8 @@ class ModuleMap:
                 f"map matrix has shape {self.matrix.shape}, expected "
                 f"({self.target.dim}, {self.source.dim})"
             )
-        for gi in range(len(self.source.gen_mats)):
-            if (self.target.gen_mats[gi] @ self.matrix) != (
-                self.matrix @ self.source.gen_mats[gi]
-            ):
+        for gi in range(len(self.source.group.generators)):
+            if self.target.act(gi, self.matrix) != self.source.act_right(self.matrix, gi):
                 raise PermchainError("matrix does not commute with the group action")
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
@@ -297,8 +427,8 @@ class ModuleMap:
 
 
 def zero_module(G: FiniteGroup, field: FqField) -> KgModule:
-    mats = [FqMatrix.zeros(field, 0, 0) for _ in G.generators]
-    return KgModule(G, field, mats, labels=(), check=False)
+    empty = [()] * len(G.generators)
+    return KgModule(G, field, perms=empty, twists=empty, labels=(), check=False)
 
 
 def trivial_module(G: FiniteGroup, field: FqField) -> KgModule:
@@ -307,9 +437,14 @@ def trivial_module(G: FiniteGroup, field: FqField) -> KgModule:
 
 def one_dim_module(char: Character) -> KgModule:
     G, f = char.group, char.field
-    mats = [FqMatrix(f, [[v]]) for v in char.values]
     full = G.lattice().full
-    return KgModule(G, f, mats, labels=(Summand(char, full, (0,)),), check=False)
+    return KgModule(
+        G, f,
+        perms=[(0,)] * len(char.values),
+        twists=[(v,) for v in char.values],
+        labels=(Summand(char, full, (0,)),),
+        check=False,
+    )
 
 
 def coset_list(G: FiniteGroup, H: Subgroup) -> list:
@@ -329,20 +464,15 @@ def coset_list(G: FiniteGroup, H: Subgroup) -> list:
 def perm_module(G: FiniteGroup, H: Subgroup, field: FqField) -> KgModule:
     """k[G/H] on the deterministic coset basis."""
     cosets = coset_list(G, H)
-    pos = {c[0]: i for i, c in enumerate(cosets)}
     member = {}
     for i, c in enumerate(cosets):
         for x in c:
             member[x] = i
     dim = len(cosets)
-    mats = []
-    for g in G.gen_indices:
-        a = np.zeros((dim, dim), dtype=np.int16)
-        for j, c in enumerate(cosets):
-            a[member[G.mul(g, c[0])], j] = 1
-        mats.append(FqMatrix(field, a))
+    perms = [[member[G.mul(g, c[0])] for c in cosets] for g in G.gen_indices]
     labels = (Summand(trivial_character(G, field), H, tuple(range(dim))),)
-    return KgModule(G, field, mats, labels=labels, check=False)
+    ones = [np.ones(dim, dtype=np.int16)] * len(perms)
+    return KgModule(G, field, perms=perms, twists=ones, labels=labels, check=False)
 
 
 def regular_module(G: FiniteGroup, field: FqField) -> KgModule:
@@ -361,134 +491,89 @@ def direct_sum(mods) -> KgModule:
     for m in mods:
         if m.group is not G or m.field != f:
             raise IncompatibleHandles("direct sum over mixed groups or fields")
-    mats = [
-        block_diag(f, [m.gen_mats[gi] for m in mods]) for gi in range(len(G.generators))
-    ]
-    labels = []
-    offset = 0
-    for m in mods:
-        if m.labels is None:
-            labels = None
-            break
-        for s in m.labels:
-            labels.append(Summand(s.character, s.subgroup, tuple(i + offset for i in s.indices)))
-        offset += m.dim
-    return KgModule(G, f, mats, labels=tuple(labels) if labels is not None else None, check=False)
+    gens = range(len(G.generators))
+    if any(m.perms is None for m in mods):
+        mats = [block_diag(f, [m.gen_mats[gi] for m in mods]) for gi in gens]
+        return KgModule(G, f, mats, labels=None, check=False)
+    offsets = np.cumsum([0] + [m.dim for m in mods])
+    perms = [np.concatenate([m.perms[gi] + o for m, o in zip(mods, offsets)]) for gi in gens]
+    twists = [np.concatenate([m.twists[gi] for m in mods]) for gi in gens]
+    labels = None
+    if all(m.labels is not None for m in mods):
+        labels = tuple(
+            Summand(s.character, s.subgroup, tuple(int(i + o) for i in s.indices))
+            for m, o in zip(mods, offsets)
+            for s in m.labels
+        )
+    return KgModule(G, f, perms=perms, twists=twists, labels=labels, check=False)
+
+
+def _relabel(M: KgModule, twists, char_map) -> KgModule:
+    """M with new twists on the same permutations, and each summand's
+    character replaced by char_map of it."""
+    labels = None
+    if M.labels is not None:
+        labels = tuple(Summand(char_map(s.character), s.subgroup, s.indices) for s in M.labels)
+    return KgModule(M.group, M.field, perms=M.perms, twists=twists, labels=labels, check=False)
 
 
 def twist(M: KgModule, char: Character) -> KgModule:
+    """M tensored with k_char: every twist of generator g times char(g)."""
     if char.group is not M.group or char.field != M.field:
         raise IncompatibleHandles("twisting character on a different group or field")
-    mats = [m.scale(v) for m, v in zip(M.gen_mats, char.values)]
-    labels = None
-    if M.labels is not None:
-        labels = tuple(
-            Summand(s.character * char, s.subgroup, s.indices) for s in M.labels
-        )
-    return KgModule(M.group, M.field, mats, labels=labels, check=False)
+    _require_monomial(M)
+    twists = [M.field.mul[c, v] for c, v in zip(M.twists, char.values)]
+    return _relabel(M, twists, lambda x: x * char)
 
 
 def dual(M: KgModule) -> KgModule:
-    """Inverse-transpose action on the dual basis."""
-    G = M.group
-    mats = [
-        M.elem_mat(G.inv(g)).T for g in G.gen_indices
-    ]
-    labels = None
-    if M.labels is not None:
-        labels = tuple(
-            Summand(s.character.inverse(), s.subgroup, s.indices) for s in M.labels
-        )
-    return KgModule(G, M.field, mats, labels=labels, check=False)
-
-
-def _summand_perm_action(M: KgModule, s: Summand):
-    """Per-generator permutation of the summand's indices, extracted from the
-    monomial structure of the restricted generator matrices."""
-    f = M.field
-    pos = {t: k for k, t in enumerate(s.indices)}
-    perms = []
-    for gi in range(len(M.group.generators)):
-        a = M.gen_mats[gi].a
-        want = s.character.values[gi]
-        img = []
-        for t in s.indices:
-            col = a[:, t]
-            nz = np.nonzero(col)[0]
-            if nz.size != 1 or int(col[nz[0]]) != want or int(nz[0]) not in pos:
-                raise PermchainError("summand label does not match the action")
-            img.append(pos[int(nz[0])])
-        perms.append(tuple(img))
-    return perms
-
-
-def _element_perms(G: FiniteGroup, gen_perms):
-    """Extend per-generator permutations to all elements along BFS words."""
-    out = [None] * G.order
-    n = len(gen_perms[0]) if gen_perms else 0
-    out[G.identity] = tuple(range(n))
-    for i in sorted(range(G.order), key=lambda j: len(G.words[j])):
-        w = G.words[i]
-        if not w:
-            continue
-        rest = G.mul(G.inv(G.gen_indices[w[0]]), i)
-        gp = gen_perms[w[0]]
-        out[i] = tuple(gp[x] for x in out[rest])
-    return out
+    """The dual action on the dual basis: the inverse transpose of
+    c_j e_{pi(j)} keeps pi and inverts every twist."""
+    _require_monomial(M)
+    return _relabel(M, [M.field.inv[c] for c in M.twists], Character.inverse)
 
 
 def tensor(M: KgModule, N: KgModule) -> KgModule:
-    """Diagonal action on the Kronecker basis e_i (x) e_j -> i*dim(N)+j.
+    """Diagonal action on the Kronecker basis e_i (x) e_j -> i*dim(N)+j:
+    the product permutation, with twists multiplied.
 
-    If both factors carry labels, the result is labeled by the orbit
-    decomposition of the product of the underlying coset actions.
+    If both factors carry labels, each pair of summands is split into the
+    orbits of the product permutation; the first point of an orbit is its
+    base point, and its stabilizer labels the orbit.
     """
     if M.group is not N.group or M.field != N.field:
         raise IncompatibleHandles("tensor over mixed groups or fields")
-    G, f = M.group, M.field
-    mats = [a.kron(b) for a, b in zip(M.gen_mats, N.gen_mats)]
-    labels = None
-    if M.labels is not None and N.labels is not None:
-        lat = G.lattice()
-        labels = []
-        for s1 in M.labels:
-            p1 = _summand_perm_action(M, s1)
-            e1 = _element_perms(G, p1)
-            for s2 in N.labels:
-                p2 = _summand_perm_action(N, s2)
-                e2 = _element_perms(G, p2)
-                char = s1.character * s2.character
-                npairs = len(s1.indices) * len(s2.indices)
-                seen = [False] * npairs
-                for start in range(npairs):
-                    if seen[start]:
-                        continue
-                    x0, y0 = divmod(start, len(s2.indices))
-                    orbit = []
-                    stack = [(x0, y0)]
-                    seen[start] = True
-                    while stack:
-                        x, y = stack.pop()
-                        orbit.append((x, y))
-                        for gi in range(len(G.generators)):
-                            nx, ny = p1[gi][x], p2[gi][y]
-                            k = nx * len(s2.indices) + ny
-                            if not seen[k]:
-                                seen[k] = True
-                                stack.append((nx, ny))
-                    stab = [
-                        e
-                        for e in range(G.order)
-                        if e1[e][x0] == x0 and e2[e][y0] == y0
-                    ]
-                    ambient = tuple(
-                        sorted(
-                            s1.indices[x] * N.dim + s2.indices[y] for x, y in orbit
-                        )
-                    )
-                    labels.append(Summand(char, lat.subgroup(stab), ambient))
-        labels = tuple(labels)
-    return KgModule(G, f, mats, labels=labels, check=False)
+    _require_monomial(M, N)
+    G, f, n = M.group, M.field, N.dim
+    perms = [(a[:, None] * n + b[None, :]).ravel() for a, b in zip(M.perms, N.perms)]
+    twists = [f.mul[a[:, None], b[None, :]].ravel() for a, b in zip(M.twists, N.twists)]
+    T = KgModule(G, f, perms=perms, twists=twists, check=False)
+    if M.labels is None or N.labels is None:
+        return T
+    lat = G.lattice()
+    eperms = T.element_perms()
+    seen = np.zeros(T.dim, dtype=bool)
+    labels = []
+    for s1 in M.labels:
+        for s2 in N.labels:
+            char = s1.character * s2.character
+            for t0 in (x * n + y for x in s1.indices for y in s2.indices):
+                if seen[t0]:
+                    continue
+                orbit = np.unique(eperms[:, t0])
+                seen[orbit] = True
+                stab = np.flatnonzero(eperms[:, t0] == t0).tolist()
+                labels.append(Summand(char, lat.subgroup(stab), tuple(orbit.tolist())))
+    return KgModule(G, f, perms=T.perms, twists=T.twists, labels=labels, check=False)
+
+
+def _elements_acting(M: KgModule, H: FiniteGroup, elems, labels=None) -> KgModule:
+    """The module over H whose i-th generator acts as M's element elems[i]."""
+    if M.perms is None:
+        return KgModule(H, M.field, [M.elem_mat(x) for x in elems], labels=labels, check=False)
+    mono = [M.elem_monomial(x) for x in elems]
+    perms, twists = [x for x, _ in mono], [c for _, c in mono]
+    return KgModule(H, M.field, perms=perms, twists=twists, labels=labels, check=False)
 
 
 def restrict(M: KgModule, H: Subgroup) -> KgModule:
@@ -496,8 +581,7 @@ def restrict(M: KgModule, H: Subgroup) -> KgModule:
     Hgrp = M.group.lattice().as_group(H)
     if Hgrp is M.group:
         return M
-    mats = [M.elem_mat(M.group.index[perm]) for perm in Hgrp.generators]
-    return KgModule(Hgrp, M.field, mats, labels=None, check=False)
+    return _elements_acting(M, Hgrp, [M.group.index[perm] for perm in Hgrp.generators])
 
 
 def inflate(M: KgModule, quot: Quotient) -> KgModule:
@@ -505,7 +589,6 @@ def inflate(M: KgModule, quot: Quotient) -> KgModule:
     if M.group is not quot.group:
         raise IncompatibleHandles("module is not over the quotient group")
     G = quot.source
-    mats = [M.elem_mat(quot.project(g)) for g in G.gen_indices]
     labels = None
     if M.labels is not None:
         lat = G.lattice()
@@ -519,28 +602,21 @@ def inflate(M: KgModule, quot: Quotient) -> KgModule:
                 check=False,
             )
             labels.append(Summand(char, lat.subgroup(preimage), s.indices))
-        labels = tuple(labels)
-    return KgModule(G, M.field, mats, labels=labels, check=False)
+    return _elements_acting(M, G, [quot.project(g) for g in G.gen_indices], labels)
 
 
 def frobenius_twist_module(M: KgModule) -> KgModule:
-    """Scalar restriction along Frobenius: entries mapped by F^{-1}.
+    """Scalar restriction along Frobenius: twists mapped by F^{-1}.
 
-    Permutation modules come back entrywise identical; twisting characters
-    are composed with the inverse automorphism.
+    Permutation modules come back identical; twisting characters are
+    composed with the inverse automorphism.
     """
+    _require_monomial(M)
     f = M.field
     table = np.arange(f.q, dtype=np.int16)
     for _ in range(f.n - 1):
         table = f.frob[table]
-    mats = [m.map_codes(table) for m in M.gen_mats]
-    labels = None
-    if M.labels is not None:
-        labels = tuple(
-            Summand(s.character.frobenius_inverse_twist(), s.subgroup, s.indices)
-            for s in M.labels
-        )
-    return KgModule(M.group, f, mats, labels=labels, check=False)
+    return _relabel(M, [table[c] for c in M.twists], Character.frobenius_inverse_twist)
 
 
 # -- fixed points, traces, Brauer construction ------------------------------
@@ -568,7 +644,7 @@ def trace_map(M: KgModule, Q: Subgroup, P: Subgroup) -> FqMatrix:
     FP = M.fixed_points(P)
     total = None
     for r in sorted(reps):
-        term = M.elem_mat(r) @ FQ
+        term = M.apply(r, FQ)
         total = term if total is None else total + term
     out = solve_matrix(FP, total)
     if out is None:
@@ -676,12 +752,10 @@ def brauer_quotient(M: KgModule, P: Subgroup) -> BrauerData:
     else:
         W = FqMatrix.zeros(f, F.cols, 0)
     section, proj = quotient_space(FqMatrix.identity(f, F.cols), W)
-    qdim = proj.rows
-    gen_lift = ctx.quotient_generator_lifts()
+    reps = F @ section
     mats = []
-    for g in gen_lift:
-        acted = M.elem_mat(g) @ (F @ section)
-        coords = solve_matrix(F, acted)
+    for g in ctx.quotient_generator_lifts():
+        coords = solve_matrix(F, M.apply(g, reps))
         if coords is None:
             raise PermchainError("normalizer action does not preserve fixed points")
         mats.append(proj @ coords)
@@ -695,22 +769,27 @@ def brauer_points(M: KgModule, P: Subgroup):
     On a twisted permutation basis X, M(P) = k[X^P]: traces from proper
     subgroups of P kill the orbit sums of non-fixed points, and a degree
     one character is trivial on a p-group, so the P-fixed points are the
-    basis indices t with g.t = t, seen as a nonzero diagonal entry of g,
-    for each generator g of P.  Returns those indices and k[X^P] as a
-    module over N_G(P)/P; non-p-subgroups give no points.
+    basis indices that the permutation of every generator of P fixes.
+    N_G(P) permutes them; returns them and k[X^P] as a monomial module over
+    N_G(P)/P.  Non-p-subgroups give no points.
     """
     if M.dim and M.labels is None:
         raise PermchainError("Brauer points need a labeled module")
     fixed = np.full(M.dim, is_p_power(P.order, M.field.p))
     for g in minimal_generators(M.group, P.elems):
-        fixed &= M.elem_mat(g).a.diagonal() != 0
+        fixed &= M.elem_monomial(g)[0] == np.arange(M.dim)
     pts = np.flatnonzero(fixed)
+    local = np.zeros(M.dim, dtype=np.intp)
+    local[pts] = np.arange(pts.size)
     ctx = brauer_context(M.group, P)
-    mats = [
-        FqMatrix(M.field, M.elem_mat(g).a[np.ix_(pts, pts)])
-        for g in ctx.quotient_generator_lifts()
-    ]
-    return pts, KgModule(ctx.quotient_group, M.field, mats, labels=None, check=False)
+    lifts = [M.elem_monomial(g) for g in ctx.quotient_generator_lifts()]
+    return pts, KgModule(
+        ctx.quotient_group,
+        M.field,
+        perms=[local[x[pts]] for x, _ in lifts],
+        twists=[c[pts] for _, c in lifts],
+        check=False,
+    )
 
 
 def brauer_quotient_map(fmap: ModuleMap, P: Subgroup, src: BrauerData = None, dst: BrauerData = None) -> ModuleMap:
@@ -758,206 +837,3 @@ def vertex_classes(M: KgModule) -> list:
         for P in lat.p_class_reps(M.field.p)
         if brauer_quotient(M, P).module.dim != 0
     ]
-
-
-# -- p-group syzygy machinery ----------------------------------------------
-
-
-def _require_p_group(G: FiniteGroup, field: FqField):
-    if not is_p_power(G.order, field.p):
-        raise PGroupOnly("operation defined for p-groups in characteristic p only")
-
-
-def radical_basis(M: KgModule) -> FqMatrix:
-    """Basis of rad M = span{(g-1)m} over the generators."""
-    eye = FqMatrix.identity(M.field, M.dim)
-    cols = hstack([m - eye for m in M.gen_mats])
-    return image_basis(cols)
-
-
-class OmegaData(NamedTuple):
-    module: KgModule     # the kernel of the cover
-    cover: ModuleMap     # free module -> M, a projective cover
-    inclusion: FqMatrix  # kernel basis inside the free module
-
-
-def omega(M: KgModule) -> OmegaData:
-    """Kernel of the projective cover kG^n -> M, n = dim M/rad M."""
-    G, f = M.group, M.field
-    _require_p_group(G, f)
-    if M.dim == 0:
-        raise PermchainError("omega of the zero module")
-    rad = radical_basis(M)
-    head_idx = complete_to_basis(rad)
-    n = len(head_idx)
-    free = free_module(G, f, n)
-    cols = []
-    for j in head_idx:
-        target = FqMatrix.zeros(f, M.dim, G.order)
-        for g in range(G.order):
-            target.a[:, g] = M.elem_mat(g).a[:, j]
-        cols.append(target)
-    cover_mat = hstack(cols)
-    cover = ModuleMap(free, M, cover_mat)
-    if rank(cover_mat) != M.dim:
-        raise PermchainError("cover is not surjective")
-    K = kernel_basis(cover_mat)
-    mats = []
-    for gi in range(len(G.generators)):
-        moved = free.gen_mats[gi] @ K
-        coords = solve_matrix(K, moved)
-        if coords is None:
-            raise PermchainError("kernel is not a submodule")
-        mats.append(coords)
-    kernel_mod = KgModule(G, f, mats, labels=None, check=False)
-    return OmegaData(kernel_mod, cover, K)
-
-
-def norm_matrix(M: KgModule) -> FqMatrix:
-    total = None
-    for g in range(M.group.order):
-        m = M.elem_mat(g)
-        total = m if total is None else total + m
-    return total
-
-
-def free_rank(M: KgModule) -> int:
-    """Rank of the norm element's action; the multiplicity of kG in M."""
-    _require_p_group(M.group, M.field)
-    if M.dim == 0:
-        return 0
-    return rank(norm_matrix(M))
-
-
-class SplitFree(NamedTuple):
-    rank: int
-    free: KgModule            # kG^rank
-    free_inclusion: FqMatrix  # columns: basis of the free summand in M
-    complement: KgModule
-    complement_inclusion: FqMatrix
-    retraction: FqMatrix      # M -> free coordinates, identity on the summand
-
-
-def free_generators(M: KgModule):
-    """Vectors w with norm(w) jointly independent; each generates a free
-    rank-one summand since every nonzero submodule of kG meets the socle."""
-    f = M.field
-    nm = norm_matrix(M)
-    chosen = []
-    images = FqMatrix.zeros(f, M.dim, 0)
-    for j in range(M.dim):
-        cand = nm.col(j)
-        trial = hstack([images, cand])
-        if rank(trial) > images.cols:
-            images = image_basis(trial)
-            chosen.append(j)
-    return chosen, images
-
-
-def split_free_summand(M: KgModule) -> SplitFree:
-    """M = kG^r (+) complement with the complement free-rank zero.
-
-    The retraction is built from the symmetrizing form of kG: a linear
-    functional L with L(norm . w_j) = delta_ij spreads to the kG-map
-    m -> sum_g L(g^{-1} m) g, and the head of the composite with the
-    inclusion is exactly that delta matrix, so the composite is invertible.
-    """
-    G, f = M.group, M.field
-    _require_p_group(G, f)
-    chosen, _ = free_generators(M)
-    r = len(chosen)
-    free = free_module(G, f, r)
-    if r == 0:
-        return SplitFree(
-            0,
-            free,
-            FqMatrix.zeros(f, M.dim, 0),
-            M,
-            FqMatrix.identity(f, M.dim),
-            FqMatrix.zeros(f, 0, M.dim),
-        )
-    incl = FqMatrix.zeros(f, M.dim, r * G.order)
-    for i, j in enumerate(chosen):
-        for g in range(G.order):
-            incl.a[:, i * G.order + g] = M.elem_mat(g).a[:, j]
-    nm = norm_matrix(M)
-    U = nm.take_cols(chosen)  # independent columns
-    lam = solve_matrix(U.T, FqMatrix.identity(f, r))
-    if lam is None:
-        raise PermchainError("failed to dualize the norm images")
-    lamT = lam.T  # r x dim with lamT @ U = I_r
-    rho = FqMatrix.zeros(f, r * G.order, M.dim)
-    for g in range(G.order):
-        row_block = lamT @ M.elem_mat(G.inv(g))
-        for i in range(r):
-            rho.a[i * G.order + g, :] = row_block.a[i, :]
-    S = rho @ incl
-    Sinv = solve_matrix(S, FqMatrix.identity(f, r * G.order))
-    if Sinv is None:
-        raise PermchainError("free summand retraction is singular")
-    retraction = Sinv @ rho
-    C = kernel_basis(retraction)
-    cmats = []
-    for gi in range(len(G.generators)):
-        moved = M.gen_mats[gi] @ C
-        coords = solve_matrix(C, moved)
-        if coords is None:
-            raise PermchainError("complement is not a submodule")
-        cmats.append(coords)
-    comp = KgModule(G, f, cmats, labels=None, check=False)
-    return SplitFree(r, free, incl, comp, C, retraction)
-
-
-class SyzygyData(NamedTuple):
-    module: KgModule
-    inclusion: FqMatrix
-    ambient: KgModule
-
-
-def relative_syzygy(G: FiniteGroup, H: Subgroup, field: FqField) -> SyzygyData:
-    """Kernel of the augmentation k[G/H] -> k."""
-    M = perm_module(G, H, field)
-    aug = FqMatrix(field, np.ones((1, M.dim), dtype=np.int16))
-    K = kernel_basis(aug)
-    mats = []
-    for gi in range(len(G.generators)):
-        coords = solve_matrix(K, M.gen_mats[gi] @ K)
-        if coords is None:
-            raise PermchainError("syzygy is not a submodule")
-        mats.append(coords)
-    return SyzygyData(KgModule(G, field, mats, labels=None, check=False), K, M)
-
-
-# -- hom spaces --------------------------------------------------------------
-
-
-def hom_space_basis(M: KgModule, N: KgModule) -> list:
-    """Basis of Hom_kG(M, N) as matrices, via the equivariance equations."""
-    if M.group is not N.group or M.field != N.field:
-        raise IncompatibleHandles("hom space over mixed groups or fields")
-    f = M.field
-    if M.dim == 0 or N.dim == 0:
-        return []
-    eyeM = FqMatrix.identity(f, M.dim)
-    eyeN = FqMatrix.identity(f, N.dim)
-    blocks = []
-    for gi in range(len(M.gen_mats)):
-        lhs = N.gen_mats[gi].kron(eyeM)
-        rhs = eyeN.kron(M.gen_mats[gi].T)
-        blocks.append(lhs - rhs)
-    K = kernel_basis(vstack(blocks))
-    out = []
-    for j in range(K.cols):
-        out.append(FqMatrix(f, K.a[:, j].reshape(N.dim, M.dim).copy()))
-    return out
-
-
-def module_check_labels(M: KgModule) -> bool:
-    """Verify the labeled block structure matches the action (test helper)."""
-    if M.labels is None:
-        return False
-    for s in M.labels:
-        _summand_perm_action(M, s)
-        if len(s.indices) != M.group.order // s.subgroup.order:
-            return False
-    return True

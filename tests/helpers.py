@@ -23,11 +23,13 @@ from permchain.modules import (
     ModuleMap,
     all_characters,
     direct_sum,
-    hom_space_basis,
     perm_module,
     twist,
 )
+from permchain.syzygies import hom_space_basis
 from permchain.complexes import BoundedComplex
+
+from module_reference import scale
 
 
 # -- independent group-theory oracles ----------------------------------------
@@ -183,6 +185,14 @@ def percall_class_name(L, H) -> str:
     return "<" + ",".join(G.word_str(g) for g in pairwise_minimal_generators(G, rep.elems)) + ">"
 
 
+def elementwise_normalizer(L, H: Subgroup) -> frozenset:
+    """N_G(H) by conjugating every element of H by every element of G."""
+    G = L.group
+    return frozenset(
+        g for g in range(G.order) if frozenset(G.conj(g, x) for x in H.elems) == H.elemset
+    )
+
+
 def oracle_orbit_count(G: FiniteGroup, P: Subgroup, cosets) -> int:
     """Number of P-orbits on a list of cosets (each a tuple of elements)."""
     index_of = {}
@@ -302,7 +312,7 @@ def random_hom(rng, M: KgModule, N: KgModule):
     total = FqMatrix.zeros(fld, N.dim, M.dim)
     for b in basis:
         c = int(rng.integers(0, fld.q))
-        total = total + b.scale(c)
+        total = total + scale(b, c)
     return ModuleMap(M, N, total)
 
 
@@ -335,7 +345,7 @@ def random_complex(rng, G: FiniteGroup, fld: FqField, max_len=4, max_dim=6):
             for j in range(K.cols):
                 combo = FqMatrix.zeros(fld, dst.dim, src.dim)
                 for bi, b in enumerate(basis):
-                    combo = combo + b.scale(int(K.a[bi, j]))
+                    combo = combo + scale(b, int(K.a[bi, j]))
                 pick.append(combo)
         if not pick:
             prev = FqMatrix.zeros(fld, dst.dim, src.dim)
@@ -343,7 +353,7 @@ def random_complex(rng, G: FiniteGroup, fld: FqField, max_len=4, max_dim=6):
             continue
         total = FqMatrix.zeros(fld, dst.dim, src.dim)
         for b in pick:
-            total = total + b.scale(int(rng.integers(0, fld.q)))
+            total = total + scale(b, int(rng.integers(0, fld.q)))
         prev = total
         diffs[i] = total
     return BoundedComplex(G, fld, 0, mods, diffs)

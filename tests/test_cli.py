@@ -148,7 +148,8 @@ def test_burnside_checks_class_bound_first(capsys, monkeypatch):
         raise AssertionError("called before the class bound was checked")
 
     monkeypatch.setattr("permchain.cli.mark_table", refuse)
-    monkeypatch.setattr("permchain.cli.idempotent", refuse)
+    monkeypatch.setattr("permchain.cli.idempotents", refuse)
+    monkeypatch.setattr("permchain.burnside.idempotent", refuse)
     code, out, err = run_cli(["burnside", "(0 1);(2 3);(4 5);(6 7);(8 9)"], capsys)
     assert code == 2
     assert "374 subgroup classes" in err

@@ -114,6 +114,20 @@ def test_field_from_q():
         GF(4, 1)
 
 
+@pytest.mark.parametrize("pn", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 9), (509, 1)])
+def test_one_read_only_field_per_pn(pn):
+    f = GF(*pn)
+    assert GF(*pn) is f
+    assert field_from_q(f.q) is f
+    for name in ("add", "sub", "mul", "neg", "inv", "frob", "power_basis"):
+        table = getattr(f, name)
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
+    with pytest.raises(TypeError):
+        f.code_of["0"] = 1
+    assert f.code_of["0"] == 0
+
+
 def test_scalar_order():
     F4 = GF(2, 2)
     assert F4.scalar_order(2) == 3

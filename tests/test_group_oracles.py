@@ -1,11 +1,12 @@
 """The group layer against the computations it replaced.
 
 Subgroups come from closing generators by rows of the multiplication table,
-mu from one inverse zeta matrix per poset, the inverse mark table from the
-idempotents, class names from a memo on the lattice.  Each is compared here
-with the direct computation in `helpers`: pairwise closure, the defining
-recursion of mu, Gauss-Jordan elimination over Fractions and a fresh name
-per call.  The groups are every catalog group up to order 64, plus S4,
+mu from one inverse zeta matrix per poset, normalizers from the conjugates
+of kept generators, the inverse mark table from the idempotents, class
+names from a memo on the lattice.  Each is compared here with the direct
+computation in `helpers`: pairwise closure, the defining recursion of mu,
+conjugation of every element, Gauss-Jordan elimination over Fractions and
+a fresh name per call.  The groups are every catalog group up to order 64, plus S4,
 C2^4 and C2^5.
 """
 
@@ -26,6 +27,7 @@ from permchain.groups import (
 )
 
 from helpers import (
+    elementwise_normalizer,
     pairwise_closure,
     pairwise_minimal_generators,
     pairwise_subgroup_sets,
@@ -153,6 +155,14 @@ def test_idempotents_invert_the_marks_of_c2_5():
     num, den = _inverse_from_idempotents(G)
     assert np.abs(num).max() * tbl.max() * len(reps) < 2 ** 62
     assert np.array_equal(tbl @ num, den * np.eye(len(reps), dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_normalizers_match_elementwise_conjugation(name):
+    """Conjugating H's kept generators decides membership in N_G(H)."""
+    L = _group(name).lattice()
+    for H in L.subgroups:
+        assert L.normalizer(H).elemset == elementwise_normalizer(L, H)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -23,7 +23,9 @@ from permchain.literals import (
     parse_module_literal,
     parse_subgroup,
 )
-from permchain.modules import all_characters, module_check_labels
+from permchain.modules import all_characters
+
+from module_reference import module_check_labels
 
 F2 = GF(2)
 F4 = GF(2, 2)

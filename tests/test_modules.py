@@ -17,20 +17,14 @@ from permchain.modules import (
     dual,
     fixed_points,
     free_module,
-    free_rank,
     frobenius_twist_module,
-    hom_space_basis,
     inflate,
     is_split_injective,
     is_split_surjective,
-    module_check_labels,
-    omega,
     one_dim_module,
     perm_module,
     regular_module,
-    relative_syzygy,
     restrict,
-    split_free_summand,
     tensor,
     trace_map,
     trivial_character,
@@ -38,8 +32,10 @@ from permchain.modules import (
     twist,
     vertex_classes,
 )
+from permchain.syzygies import free_rank, hom_space_basis, omega, relative_syzygy, split_free_summand
 
 from helpers import oracle_orbit_count, random_hom, random_labeled_module
+from module_reference import module_check_labels
 
 F2 = GF(2)
 F3 = GF(3)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permchain.complexes import BoundedComplex
-from permchain.ffield import GF, _is_prime
+from permchain.ffield import GF, FqField, _is_prime
 from permchain.groups import catalog
 from permchain.linalg import FqMatrix
 from permchain.literals import complex_from_obj, complex_to_obj
@@ -27,11 +27,6 @@ FIXED = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (509, 1), (2, 9)]  # F2 ... F51
 ALL_PN = [
     (p, n) for p in range(2, 513) if _is_prime(p) for n in range(1, 10) if p ** n <= 512
 ]
-
-
-@lru_cache(maxsize=None)
-def field(p, n):
-    return GF(p, n)
 
 
 def test_all_fields_listed():
@@ -50,19 +45,20 @@ def check_tables(fld):
 
 @pytest.mark.parametrize("pn", FIXED, ids=[f"F{p ** n}" for p, n in FIXED])
 def test_tables_match_format_and_parse(pn):
-    check_tables(field(*pn))
+    check_tables(GF(*pn))
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(ALL_PN))
 def test_tables_match_on_drawn_fields(pn):
-    check_tables(field(*pn))
+    check_tables(GF(*pn))
 
 
 def test_tables_leave_field_equality_alone():
-    a, b = GF(3, 2), GF(3, 2)
+    a = GF(3, 2)
+    b = FqField(p=a.p, n=a.n, modulus=a.modulus)  # the same field without tables
+    assert b is not a and b.strings is None and b.mul is None
     assert a == b and hash(a) == hash(b)
-    assert a.strings == b.strings and a.strings is not b.strings
 
 
 @st.composite
@@ -102,7 +98,7 @@ def spelling(draw, fld, code):
 def right_multiplication_complex(p, n, seed):
     """kV4 -> kV4, x -> x*a for a random a in kV4: a labeled two-term complex
     whose differential holds random codes of the field."""
-    fld = field(p, n)
+    fld = GF(p, n)
     G = catalog("V4")
     a = np.random.default_rng(seed).integers(0, fld.q, G.order)
     # the regular module's basis index is the element index
@@ -124,7 +120,7 @@ def reference_codes(fld, flat):
 @given(st.data())
 def test_noncanonical_spellings_read_as_parse_reads_them(data):
     pn = data.draw(st.sampled_from(FIXED) | st.sampled_from(ALL_PN), label="field")
-    fld = field(*pn)
+    fld = GF(*pn)
     C = right_multiplication_complex(*pn, data.draw(st.integers(0, 3), label="seed"))
     obj = json.loads(json.dumps(complex_to_obj(C)))
     canonical = obj["differentials"]["1"]
