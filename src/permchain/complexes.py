@@ -5,18 +5,19 @@ checked eagerly at construction, as are the chain-map conditions - silent
 nonsense is worse than a loud failure in exact arithmetic.
 
 Homology dimensions come from ranks: dim C_i - rank d_i - rank d_{i+1}.
-Where a homology module is needed, it carries explicit subquotient
-witnesses, so that group actions on homology (and in particular the
-degree-one characters of one-dimensional homology) are computed exactly,
-never up to isomorphism.  `endotrivial_report` is the one pass over the
-p-subgroup classes: it builds each local complex once, reads its homology
-dimensions from ranks, and builds a homology module only in the single
-nonzero degree, to read the invariant's character there.
+A homology module (`homology_at`) carries explicit subquotient witnesses,
+so group actions on homology are computed exactly, never up to
+isomorphism.  `endotrivial_report` is the one pass over the p-subgroup
+classes, made once per complex: it reduces each local differential once.
+The ranks give the homology dimensions, and in the single nonzero degree
+the same reduction gives the cycles; the invariant's character is read off
+one cycle outside the boundaries, with no homology module built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Optional
 
 import numpy as np
@@ -31,10 +32,12 @@ from .ffield import FqField
 from .groups import FiniteGroup, Subgroup
 from .linalg import (
     FqMatrix,
+    hstack,
     image_basis,
     kernel_basis,
+    kernel_from_rref,
     quotient_space,
-    rank,
+    rref,
     solve_matrix,
 )
 from .modules import (
@@ -55,35 +58,34 @@ from .modules import (
 
 
 class BoundedComplex:
-    """Degree-indexed modules with differentials d_i: C_i -> C_{i-1}."""
+    """Degree-indexed modules with differentials d_i: C_i -> C_{i-1}.
+
+    Immutable after construction, down to the differentials' arrays.  The
+    endotriviality report is computed on first use and kept on the complex."""
 
     def __init__(self, group: FiniteGroup, field: FqField, lo: int, modules, diffs):
-        self.group = group
-        self.field = field
-        self.lo = lo
-        self.mods = list(modules)
-        if not self.mods:
-            self.mods = [zero_module(group, field)]
-        for m in self.mods:
-            if m.group is not group or m.field != field:
-                raise IncompatibleHandles("component over the wrong group or field")
-        self.hi = lo + len(self.mods) - 1
-        self.diffs: Dict[int, ModuleMap] = {}
-        for i, d in dict(diffs).items():
-            if not (self.lo + 1 <= i <= self.hi):
+        mods = tuple(modules) or (zero_module(group, field),)
+        if any(m.group is not group or m.field != field for m in mods):
+            raise IncompatibleHandles("component over the wrong group or field")
+        hi = lo + len(mods) - 1
+        for i in diffs:
+            if not (lo + 1 <= i <= hi):
                 raise PermchainError(f"differential at degree {i} out of range")
-            if isinstance(d, ModuleMap):
-                self.diffs[i] = d
-            else:
-                self.diffs[i] = ModuleMap(self.module_at(i), self.module_at(i - 1), d)
-        for i in range(self.lo + 1, self.hi + 1):
-            if i not in self.diffs:
-                src, dst = self.module_at(i), self.module_at(i - 1)
-                self.diffs[i] = ModuleMap(src, dst, FqMatrix.zeros(field, dst.dim, src.dim))
-        for i in range(self.lo + 2, self.hi + 1):
-            comp = self.diffs[i - 1].matrix @ self.diffs[i].matrix
-            if not comp.is_zero():
+        own = {}
+        for i in range(lo + 1, hi + 1):
+            src, dst = mods[i - lo], mods[i - 1 - lo]
+            d = diffs[i] if i in diffs else FqMatrix.zeros(field, dst.dim, src.dim)
+            own[i] = d if isinstance(d, ModuleMap) else ModuleMap(src, dst, d)
+        for i in range(lo + 2, hi + 1):
+            if not (own[i - 1].matrix @ own[i].matrix).is_zero():
                 raise PermchainError(f"d^2 != 0 between degrees {i} and {i - 2}")
+        for d in own.values():
+            d.matrix.a.setflags(write=False)
+        self.__dict__.update(group=group, field=field, lo=lo, hi=hi, mods=mods, _report=None)
+        self.__dict__["diffs"] = MappingProxyType(own)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BoundedComplex is immutable; cannot set {name}")
 
     def module_at(self, i: int) -> KgModule:
         if self.lo <= i <= self.hi:
@@ -319,12 +321,10 @@ def homology_at(C: BoundedComplex, i: int) -> HomologyData:
         raise PermchainError("boundaries are not cycles")
     section, proj = quotient_space(FqMatrix.identity(f, Z.cols), W)
     witness = Z @ section
-    mats = []
-    for gi in range(len(G.generators)):
-        coords = solve_matrix(Z, Mi.act(gi, witness))
-        if coords is None:
-            raise PermchainError("action does not preserve cycles")
-        mats.append(proj @ coords)
+    coords = solve_matrix(Z, hstack([Mi.act(gi, witness) for gi in range(len(G.generators))]))
+    if coords is None:
+        raise PermchainError("action does not preserve cycles")
+    mats = [FqMatrix(f, a) for a in np.hsplit((proj @ coords).a, len(G.generators))]
     mod = KgModule(G, f, mats, labels=None, check=False)
     return HomologyData(mod, witness, Z, proj)
 
@@ -335,12 +335,29 @@ def homology(C: BoundedComplex) -> Dict[int, HomologyData]:
 
 def homology_dims(C: BoundedComplex) -> dict:
     """Nonzero dim H_i = dim C_i - rank d_i - rank d_{i+1}, by degree."""
-    ranks = {i: rank(C.diff_at(i).matrix) for i in range(C.lo + 1, C.hi + 1)}
-    dims = {
-        i: C.module_at(i).dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
-        for i in C.degrees()
-    }
-    return {i: h for i, h in dims.items() if h}
+    return _reduce(C)[1]
+
+
+def _reduce(C: BoundedComplex):
+    """The `rref` of each differential and the nonzero homology dims by rank."""
+    reds = {i: rref(d.matrix) for i, d in C.diffs.items()}
+    rk = {i: r[1] for i, r in reds.items()}
+    dims = {i: C.module_at(i).dim - rk.get(i, 0) - rk.get(i + 1, 0) for i in C.degrees()}
+    return reds, {i: h for i, h in dims.items() if h}
+
+
+def _line_character(C: BoundedComplex, h: int, reds) -> list:
+    """The generators' values of the character on a one-dimensional H_h(C).
+    For z the first cycle outside im d_{h+1}, g.z = chi(g) z modulo boundaries:
+    the row of z's pivot in the rref of [d_{h+1} | z | g_1 z ...] holds chi."""
+    M, B = C.module_at(h), C.diff_at(h + 1).matrix
+    Z = kernel_from_rref(*reds[h]) if h in reds else FqMatrix.identity(C.field, M.dim)
+    _, _, pivots = rref(hstack([B, Z]))
+    z = Z.col(next(c for c in pivots if c >= B.cols) - B.cols)
+    R, rk, pivots = rref(hstack([B, z] + [M.act(gi, z) for gi in range(len(C.group.generators))]))
+    if pivots[-1] != B.cols:
+        raise PermchainError(f"the action does not preserve the homology line in degree {h}")
+    return [int(v) for v in R.a[rk - 1, B.cols + 1 :]]
 
 
 # -- Brauer construction on complexes -----------------------------------------
@@ -457,7 +474,7 @@ class XiInvariant:
         return f"XiInvariant({parts})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EndotrivialReport:
     ok: bool
     violations: dict  # class_id -> list of (degree, dim) of nonzero homology
@@ -470,22 +487,25 @@ class EndotrivialReport:
 def endotrivial_report(C: BoundedComplex) -> EndotrivialReport:
     """Local homology must be one-dimensional and concentrated in a single
     degree at every conjugacy class of p-subgroups; when it is, the report
-    carries the invariant xi read off those local homologies."""
+    carries xi read off those local homologies.  Made once, kept on C."""
+    if C._report is not None:
+        return C._report
     character_warning(C.group, C.field)
     entries = {}
     violations = {}
     for P in C.group.lattice().p_class_reps(C.field.p):
         bc = BrauerComplex(C, P)
-        degs = list(homology_dims(bc.complex).items())
+        reds, dims = _reduce(bc.complex)
+        degs = list(dims.items())
         if len(degs) != 1 or degs[0][1] != 1:
             violations[P.class_id] = degs
             continue
         h = degs[0][0]
-        values = [int(m.a[0, 0]) for m in homology_at(bc.complex, h).module.gen_mats]
+        values = _line_character(bc.complex, h, reds)
         entries[P.class_id] = XiEntry(P, h, Character(bc.complex.group, C.field, values), bc.ctx)
-    if violations:
-        return EndotrivialReport(False, violations)
-    return EndotrivialReport(True, {}, XiInvariant(C.group, C.field, entries))
+    inv = None if violations else XiInvariant(C.group, C.field, entries)
+    object.__setattr__(C, "_report", EndotrivialReport(not violations, violations, inv))
+    return C._report
 
 
 def is_endotrivial(C: BoundedComplex) -> bool:
@@ -493,7 +513,7 @@ def is_endotrivial(C: BoundedComplex) -> bool:
 
 
 def xi(C: BoundedComplex) -> XiInvariant:
-    """h-marks and local homology characters across [s_p(G)]."""
+    """h-marks and local homology characters across [s_p(G)], from the report."""
     rep = endotrivial_report(C)
     if not rep.ok:
         raise NotEndotrivial("complex is not endotrivial", report=rep.violations)
@@ -501,8 +521,8 @@ def xi(C: BoundedComplex) -> XiInvariant:
 
 
 def homotopy_equivalent_endotrivial(C: BoundedComplex, D: BoundedComplex) -> bool:
-    """Equality of the complete invariant decides homotopy equivalence for
-    endotrivial complexes."""
+    """Equality of the complete invariant, read off the report kept on each
+    complex, decides homotopy equivalence for endotrivial complexes."""
     return xi(C) == xi(D)
 
 

@@ -70,9 +70,9 @@ class CatalogEntry:
     note: str = ""
 
     def verify(self):
-        """Recompute endotriviality and the invariant; compare when an
-        expected table is present.  Returns the report and the invariant,
-        which is None when the complex is not endotrivial."""
+        """Endotriviality and the invariant from the report kept on the
+        complex; compare when an expected table is present.  Returns the
+        report and the invariant, which is None when not endotrivial."""
         rep = endotrivial_report(self.complex)
         result = {"name": self.name, "endotrivial": rep.ok}
         if not rep.ok:

@@ -15,12 +15,12 @@ chosen by the field:
   integer arithmetic mod p; extension fields use the field's tables, and in
   characteristic 2 adding two codes is XOR.
 
-A matrix product is one float64 BLAS product reduced mod p at the end.
-Over extension fields the codes are split into coefficient planes: one
-product gives every pair of planes, and the power basis of the modulus
-reduces their convolution.  Each entry is a sum of at most n * k products
-below p^2, which float64 holds exactly while it is below 2^53; a product
-past that bound raises instead of wrapping.
+A matrix product is one BLAS product reduced mod p at the end.  Over
+extension fields the codes are split into coefficient planes: one product
+gives every pair of planes, and the power basis of the modulus reduces their
+convolution.  Each entry is a sum of at most n * k products below p^2: the
+product runs in float32 while that bound is below 2^24, at half the memory,
+else in float64 up to 2^53; a product past that bound raises.
 """
 
 from __future__ import annotations
@@ -110,16 +110,17 @@ class FqMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         bound = _exact_bound(self.cols, f)
+        dt = np.float32 if bound < 2 ** 24 else np.float64  # both hold every sum exactly
         if n == 1:
-            prod = self.a.astype(np.float64) @ other.a.astype(np.float64)
+            prod = self.a.astype(dt) @ other.a.astype(dt)
             return FqMatrix(f, _mod_p(prod, p, bound).astype(np.int16))
         r, c = self.rows, other.cols
         digits = p ** np.arange(n, dtype=np.int16)
         pa = self.a[None] // digits[:, None, None] % p  # n x r x k
         pb = other.a[None] // digits[:, None, None] % p  # n x k x c
-        prod = pa.reshape(n * r, self.cols).astype(np.float64) @ np.hstack(pb).astype(np.float64)
+        prod = pa.reshape(n * r, self.cols).astype(dt) @ np.hstack(pb).astype(dt)
         prod = prod.reshape(n, r, n, c)  # prod[i, :, j, :] = pa[i] @ pb[j]
-        conv = np.zeros((2 * n - 1, r, c))
+        conv = np.zeros((2 * n - 1, r, c), dtype=dt)
         for i in range(n):
             for j in range(n):
                 conv[i + j] += prod[i, :, j, :]
@@ -197,7 +198,7 @@ def _exact_bound(k: int, field: FqField) -> int:
 
 
 def _mod_p(x: np.ndarray, p: int, bound: int) -> np.ndarray:
-    """x mod p for a float64 array of integers in [0, bound]; integer
+    """x mod p for a float array of integers in [0, bound]; integer
     remainders are several times faster than float ones."""
     y = x.astype(np.int32 if bound < 2 ** 31 else np.int64)
     return y & 1 if p == 2 else y % p
@@ -336,12 +337,16 @@ def _non_pivots(cols: int, pivots) -> np.ndarray:
 
 
 def kernel_basis(M: FqMatrix) -> FqMatrix:
-    """Columns form a basis of the right kernel {x : Mx = 0}: one column per
+    """Columns form a basis of the right kernel {x : Mx = 0}."""
+    return kernel_from_rref(*rref(M))
+
+
+def kernel_from_rref(R: FqMatrix, rk: int, pivots) -> FqMatrix:
+    """`kernel_basis` from the `rref` of the matrix: one column per
     non-pivot column j, with 1 at j and -R[i, j] at the i-th pivot."""
-    f = M.field
-    R, rk, pivots = rref(M)
-    free = _non_pivots(M.cols, pivots)
-    out = np.zeros((M.cols, free.size), dtype=np.int16)
+    f = R.field
+    free = _non_pivots(R.cols, pivots)
+    out = np.zeros((R.cols, free.size), dtype=np.int16)
     out[free, np.arange(free.size)] = 1
     out[pivots] = f.neg[R.a[:rk, free]]
     return FqMatrix(f, out)

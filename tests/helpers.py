@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library code paths they are used to
 check: subgroup enumeration by pairwise closure, Mobius values by the
 defining recursion, the inverse mark table by Gauss-Jordan elimination,
 fixed-point dimensions by orbit counting, split detection by solving the
-splitting equation, naive matrix products by schoolbook scalar arithmetic.
+splitting equation, naive matrix products by schoolbook scalar arithmetic,
+local characters from the homology modules `homology_at` builds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from permchain.modules import (
     twist,
 )
 from permchain.syzygies import hom_space_basis
-from permchain.complexes import BoundedComplex
+from permchain.complexes import BoundedComplex, brauer_complex, homology
+from permchain.linalg import image_basis, quotient_space
 
 from module_reference import scale
 
@@ -280,6 +282,38 @@ def _splitting_exists(fmap: ModuleMap) -> bool:
     rows.append(f.kron(f.T))
     rhs.append(FqMatrix(fld, f.a.reshape(-1, 1).copy()))
     return solve_matrix(vstack(rows), vstack(rhs)) is not None
+
+
+# -- homology-module oracles -----------------------------------------------------
+
+
+def per_generator_homology_action(C: BoundedComplex, i: int) -> list:
+    """The matrices of the generators on H_i(C), one solve per generator, on
+    the homology basis `homology_at` picks."""
+    f = C.field
+    Mi = C.module_at(i)
+    Z = kernel_basis(C.diff_at(i).matrix)
+    B = C.diff_at(i + 1).matrix
+    Bb = image_basis(B) if B.cols else FqMatrix.zeros(f, Mi.dim, 0)
+    section, proj = quotient_space(FqMatrix.identity(f, Z.cols), solve_matrix(Z, Bb))
+    witness = Z @ section
+    return [proj @ solve_matrix(Z, Mi.act(gi, witness)) for gi in range(len(C.group.generators))]
+
+
+def homology_module_reading(C: BoundedComplex):
+    """(violations, {class_id: (h, character values)}) of the local homology
+    at every p-subgroup class, from the homology modules: the character is
+    the action on a 1x1 homology module."""
+    violations, entries = {}, {}
+    for P in C.group.lattice().p_class_reps(C.field.p):
+        local = {i: H for i, H in homology(brauer_complex(C, P)).items() if H.dim}
+        degs = [(i, H.dim) for i, H in local.items()]
+        if len(degs) != 1 or degs[0][1] != 1:
+            violations[P.class_id] = degs
+            continue
+        (h, H), = local.items()
+        entries[P.class_id] = (h, [int(m.a[0, 0]) for m in H.module.gen_mats])
+    return violations, entries
 
 
 # -- random generators ------------------------------------------------------------

@@ -3,10 +3,14 @@ homology dimensions, and the one pass of `endotrivial_report`.
 
 The oracle is the generic trace-quotient path: the same complex with its
 labels stripped goes through `brauer_quotient`, and both paths must give
-the same violations and the same invariant xi.  The paper's identities
-for shifts and twists are checked over the whole catalog.
+the same violations and the same invariant xi.  The local characters read
+off one cycle are checked against the homology modules, and the report is
+checked to be made once and kept on its frozen complex.  The paper's
+identities for tensor products, duals, shifts and twists are checked over
+the whole catalog and over tensor products of its entries.
 """
 
+import dataclasses
 import json
 import warnings
 
@@ -22,6 +26,7 @@ from permchain.complexes import (
     dual_complex,
     endotrivial_report,
     homology,
+    homology_at,
     homology_dims,
     module_complex,
     shift,
@@ -30,11 +35,19 @@ from permchain.complexes import (
     twist_complex,
     xi,
 )
-from permchain.constructions import all_entries, build_entries, catalog_names
+from permchain.constructions import (
+    abelian_generators,
+    all_entries,
+    build_entries,
+    catalog_names,
+    gamma_dihedral,
+)
 from permchain.errors import PermchainError
 from permchain.ffield import GF
-from permchain.groups import group_from_spec
+from permchain.groups import catalog, group_from_spec
 from permchain.modules import KgModule, all_characters, brauer_points, perm_module
+
+from helpers import homology_module_reading, per_generator_homology_action
 
 ENTRIES = all_entries()
 ENTRY_IDS = [e.name for e in ENTRIES]
@@ -83,6 +96,36 @@ def _class_reps(C):
 
 def assert_rank_dims(C: BoundedComplex):
     assert homology_dims(C) == {i: h.dim for i, h in homology(C).items() if h.dim}
+
+
+def assert_homology_module_reading(C: BoundedComplex):
+    """The report's violations, h-marks and one-cycle characters are those
+    the homology modules give at every p-subgroup class."""
+    violations, entries = homology_module_reading(C)
+    rep = endotrivial_report(C)
+    assert rep.violations == violations
+    if violations:
+        assert rep.xi is None
+        return
+    got = {cid: (e.h, list(e.character.values)) for cid, e in rep.xi.entries.items()}
+    assert got == entries
+
+
+def assert_shifted(base, moved, k: int):
+    for cid, e in base.entries.items():
+        assert moved.entries[cid].h == e.h + k
+        assert moved.entries[cid].character == e.character
+
+
+def assert_twisted(base, twisted, omega):
+    """Each local character is multiplied by omega's descent to N_G(P)/P:
+    omega's value on the lift of each quotient generator."""
+    f = base.field
+    for cid, e in base.entries.items():
+        lifts = e.ctx.quotient_generator_lifts()
+        want = [int(f.mul[v, omega.value_code(g)]) for v, g in zip(e.character.values, lifts)]
+        assert twisted.entries[cid].h == e.h
+        assert list(twisted.entries[cid].character.values) == want
 
 
 # -- labeled path against the trace-quotient oracle -----------------------------
@@ -180,12 +223,21 @@ def brauer_builds(monkeypatch):
     return built
 
 
+def copy_complex(C: BoundedComplex) -> BoundedComplex:
+    """The same modules and differentials in a new complex, with no report."""
+    return BoundedComplex(C.group, C.field, C.lo, C.mods, C.diffs)
+
+
 def test_verify_builds_each_class_once(brauer_builds):
+    """A fresh complex is examined once per class; its report is kept, so a
+    second verify builds nothing."""
     for e in build_entries("gamma-D8") + build_entries("abelian-V4"):
-        brauer_builds.clear()
-        rep, inv = e.verify()
-        assert rep["endotrivial"] and inv is not None
-        assert sorted(brauer_builds) == _class_reps(e.complex)
+        fresh = dataclasses.replace(e, complex=copy_complex(e.complex))
+        for want in (_class_reps(e.complex), []):
+            brauer_builds.clear()
+            rep, inv = fresh.verify()
+            assert rep["endotrivial"] and inv is not None
+            assert sorted(brauer_builds) == want
 
 
 def test_check_builds_each_class_once(tmp_path, capsys, brauer_builds):
@@ -215,24 +267,38 @@ def test_shift_adds_to_every_h_mark(entry):
     C = entry.complex
     base = xi(C)
     for k in (-2, 1, 3):
-        moved = xi(shift(C, k))
-        for cid, e in base.entries.items():
-            assert moved.entries[cid].h == e.h + k
-            assert moved.entries[cid].character == e.character
+        assert_shifted(base, xi(shift(C, k)), k)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
 def test_twist_multiplies_local_characters(entry):
-    C, f = entry.complex, entry.field
+    C = entry.complex
     base = xi(C)
-    for omega in all_characters(C.group, f):
-        twisted = xi(twist_complex(C, omega))
-        for cid, e in base.entries.items():
-            lifts = e.ctx.quotient_generator_lifts()
-            want = [int(f.mul[v, omega.value_code(g)]) for v, g in zip(e.character.values, lifts)]
-            assert twisted.entries[cid].h == e.h
-            assert list(twisted.entries[cid].character.values) == want
+    for omega in all_characters(C.group, entry.field):
+        assert_twisted(base, xi(twist_complex(C, omega)), omega)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+def test_dual_negates_xi(entry):
+    assert xi(dual_complex(entry.complex)) == -xi(entry.complex)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(TENSOR_POOL), st.sampled_from([-2, 1, 3]), st.data())
+def test_xi_identities_on_tensor_products(pair, k, data):
+    """xi(C (x) D) = xi(C) + xi(D), xi(T*) = -xi(T), and the shift and twist
+    rules on T = C (x) D."""
+    a, b = pair
+    T = tensor_complex(a.complex, b.complex)
+    base = xi(T)
+    assert base == xi(a.complex) + xi(b.complex)
+    assert xi(dual_complex(T)) == -base
+    assert_shifted(base, xi(shift(T, k)), k)
+    omega = data.draw(st.sampled_from(all_characters(T.group, T.field)))
+    assert_twisted(base, xi(twist_complex(T, omega)), omega)
 
 
 # -- the field-size warning --------------------------------------------------------
@@ -245,3 +311,105 @@ def test_xi_warns_once_when_field_is_small():
         xi(C)
     assert len(caught) == 1
     assert "may miss degree one characters" in str(caught[0].message)
+
+
+# -- the one-cycle character against the homology modules ----------------------
+
+
+def _twisted_c6_generators() -> list:
+    fld = GF(2, 2)
+    G = catalog("C6")
+    chars = [c for c in all_characters(G, fld) if not c.is_trivial()]
+    return [twist_complex(e.complex, ch) for e in abelian_generators(G, fld) for ch in chars]
+
+
+def _gamma_d8_products() -> list:
+    out = []
+    for fld in (GF(2, 2), GF(2, 3)):
+        g = gamma_dihedral(3, fld)
+        out += [tensor_complex(g, g), tensor_complex(g, dual_complex(g))]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+def test_one_cycle_character_on_catalog(entry):
+    for C in variants(entry.complex):
+        assert_homology_module_reading(C)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_one_cycle_character_off_endotrivial():
+    for C in permutation_complexes():
+        assert_homology_module_reading(C)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(TENSOR_POOL))
+def test_one_cycle_character_on_tensor_products(pair):
+    a, b = pair
+    assert_homology_module_reading(tensor_complex(a.complex, b.complex))
+
+
+@pytest.mark.parametrize(
+    "make", [_twisted_c6_generators, _gamma_d8_products], ids=["C6-twists-F4", "gD8-products-F4-F8"]
+)
+def test_one_cycle_character_over_extension_fields(make):
+    for C in make():
+        assert endotrivial_report(C).ok
+        assert_homology_module_reading(C)
+
+
+def assert_one_solve(C: BoundedComplex):
+    """`homology_at` solves for all generators at once; the matrices are those
+    of one solve per generator, in every degree of the complex and of its
+    local complex at every p-subgroup class."""
+    locals_ = [brauer_complex(C, P) for P in C.group.lattice().p_class_reps(C.field.p)]
+    for X in [C] + locals_:
+        for i in X.degrees():
+            assert list(homology_at(X, i).module.gen_mats) == per_generator_homology_action(X, i)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+def test_homology_action_in_one_solve(entry):
+    assert_one_solve(entry.complex)
+
+
+def test_homology_action_in_one_solve_off_endotrivial():
+    for C in permutation_complexes():
+        assert_one_solve(C)
+
+
+# -- the report kept on a frozen complex -----------------------------------------
+
+
+def test_report_is_made_once():
+    C = copy_complex(build_entries("gamma-D8")[0].complex)
+    assert endotrivial_report(C) is endotrivial_report(C)
+
+
+def test_xi_after_report_builds_nothing(brauer_builds):
+    C = copy_complex(build_entries("gamma-D8")[0].complex)
+    rep = endotrivial_report(C)
+    brauer_builds.clear()
+    assert xi(C) is rep.xi
+    assert brauer_builds == []
+
+
+def test_differentials_are_read_only():
+    C = build_entries("gamma-D8")[0].complex
+    for i in range(C.lo + 1, C.hi + 1):
+        with pytest.raises(ValueError):
+            C.diff_at(i).matrix.a[0, 0] = 1
+
+
+def test_complex_cannot_be_rebound():
+    C = build_entries("gamma-D8")[0].complex
+    for name in ("mods", "diffs", "lo", "_report"):
+        with pytest.raises(AttributeError):
+            setattr(C, name, getattr(C, name))
+    with pytest.raises(TypeError):
+        C.mods[0] = C.mods[1]
+    with pytest.raises(TypeError):
+        C.diffs[C.lo + 1] = C.diffs[C.lo + 2]

@@ -145,6 +145,16 @@ def test_product_exact_at_top_of_range():
     assert (C.a == 3).all()
 
 
+@pytest.mark.parametrize("k", [65, 66])
+def test_product_exact_either_side_of_float32(k):
+    """Sums of k terms 508^2 over F509: below 2^24 for k = 65 (float32),
+    above it for k = 66 (float64)."""
+    A = FqMatrix(F509, np.full((3, k), 508))
+    B = FqMatrix(F509, np.full((k, 2), 508))
+    assert (k * 508**2 < 2**24) == (k == 65)
+    assert A @ B == ref.matmul(A, B)
+
+
 def test_inexact_product_raises():
     assert _exact_bound(512, F509) == 512 * 508**2
     assert _exact_bound(4, GF(2, 9)) == 9 * 4
