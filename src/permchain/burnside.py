@@ -1,11 +1,12 @@
 """The Burnside ring of a finite group: marks, idempotents, units.
 
 Elements are integer (or rational) vectors over the conjugacy classes of
-subgroups, in the transitive basis [G/H].  The mark homomorphism counts
-fixed cosets.  Its inverse is never found by elimination: the primitive
+subgroups, in the transitive basis [G/H].  The marks count conjugates of
+K inside H.  Their inverse is never found by elimination: the primitive
 idempotent e_H has the marks of the class of H alone, so the idempotents
 are the columns of the inverse mark table, and Gluck's formula gives each
-from the lattice's Mobius matrix, with exact Fraction arithmetic.
+from the lattice's Mobius matrix, with exact Fraction arithmetic.  Units
+meet in the middle over two halves of the sign vectors.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import numpy as np
 
 from .errors import PermchainError, TooManyClasses
 from .groups import FiniteGroup, Subgroup, class_name
-from .modules import coset_list
 
 MAX_UNIT_SEARCH_CLASSES = 20
-_SIGN_BLOCK = 4096  # sign vectors tried per block in burnside_units
 
 
 @dataclass(frozen=True)
@@ -79,25 +78,21 @@ def basis_element(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
     return BurnsideElement(G, tuple(coeffs))
 
 
-def _fixed_coset_count(G: FiniteGroup, K: Subgroup, H: Subgroup) -> int:
-    """#{gH : KgH = gH}, i.e. cosets of H fixed under left translation by K."""
-    count = 0
-    for coset in coset_list(G, H):
-        cs = set(coset)
-        if all(G.mul(k, coset[0]) in cs for k in K.gens):
-            count += 1
-    return count
-
-
 def mark_table(G: FiniteGroup) -> np.ndarray:
-    """Rows indexed by the class K, columns by the class H: |(G/H)^K|."""
+    """Rows indexed by the class K, columns by the class H: |(G/H)^K|, the
+    gH with g^{-1} K g <= H.  That is |G| #{K' in cl(K) : K' <= H} over
+    |cl(K)| |H|, with no coset listed."""
     if G._mark_table is None:
-        reps = G.lattice().class_reps
-        c = len(reps)
-        tbl = np.zeros((c, c), dtype=np.int64)
-        for i, K in enumerate(reps):
-            for j, H in enumerate(reps):
-                tbl[i, j] = _fixed_coset_count(G, K, H)
+        L = G.lattice()
+        tbl = np.zeros((len(L.classes),) * 2, dtype=np.int64)
+        for i, members in enumerate(L.classes):
+            masks = [L.subgroups[k].mask for k in members]
+            for j, H in enumerate(L.class_reps):
+                inside = sum(m & H.mask == m for m in masks)
+                value, rest = divmod(G.order * inside, len(members) * H.order)
+                if rest:
+                    raise PermchainError(f"mark of class {j} at class {i} is not an integer")
+                tbl[i, j] = value
         G._mark_table = tbl
     return G._mark_table
 
@@ -151,9 +146,12 @@ def inverse_marks(G: FiniteGroup, v) -> BurnsideElement:
 def burnside_units(G: FiniteGroup) -> list:
     """All units: elements with every mark +-1 and integral preimage.
 
-    Exhaustive over sign tuples, _SIGN_BLOCK at a time; class counts stay
-    small at this scale.  A sign tuple's preimage is its product with the
-    inverse mark table, whose columns are the idempotents.
+    A sign vector's preimage is its product with the inverse mark table,
+    whose rows, times their common denominator `den`, are the idempotents.
+    Meet in the middle: the sign vectors of each half of the c positions,
+    times that half's rows, are reduced mod `den`; each second-half vector
+    whose negated residue matches first-half ones gives one unit per match,
+    from 2 * 2^(c/2) rows instead of 2^c.
     """
     L = G.lattice()
     c = len(L.class_reps)
@@ -162,12 +160,18 @@ def burnside_units(G: FiniteGroup) -> list:
     cols = [e.coeffs for e in idempotents(G)]
     den = math.lcm(*(x.denominator for col in cols for x in col))
     num = np.array([[int(x * den) for x in col] for col in cols], dtype=np.int64)
+
+    def half(rows):  # every sign vector over `rows`, times them
+        bits = np.arange(1 << len(rows))[:, None] >> np.arange(len(rows))[None, :]
+        return (1 - 2 * (bits & 1)) @ rows
+
+    first, second = half(num[: c // 2]), half(num[c // 2 :])
+    matches = {}
+    for a, row in zip(first, first % den):
+        matches.setdefault(row.tobytes(), []).append(a)
     out = []
-    for start in range(0, 1 << c, _SIGN_BLOCK):
-        rows = np.arange(start, min(start + _SIGN_BLOCK, 1 << c))
-        signs = 1 - 2 * ((rows[:, None] >> np.arange(c)[None, :]) & 1)  # rows of +-1
-        coeff_num = signs @ num  # candidate coefficients scaled by den
-        for row in coeff_num[np.all(coeff_num % den == 0, axis=1)]:
-            out.append(BurnsideElement(G, tuple(int(x) for x in row // den)))
+    for b, row in zip(second, -second % den):
+        for a in matches.get(row.tobytes(), ()):
+            out.append(BurnsideElement(G, tuple(int(x) for x in (a + b) // den)))
     out.sort(key=lambda u: u.coeffs)
     return out

@@ -114,29 +114,24 @@ def cmd_group_info(args) -> dict:
     G = group_from_spec(args.group)
     L = G.lattice()
     p = args.p or 2
-    classes = []
-    for cid, members in enumerate(L.classes):
-        rep = L.class_reps[cid]
-        classes.append(
-            {
-                "name": class_name(L, rep),
-                "order": rep.order,
-                "class_size": len(members),
-                "normal": rep.is_normal,
-            }
-        )
-    psub = [class_name(L, P) for P in L.p_class_reps(p)]
+    names = [class_name(L, rep) for rep in L.class_reps]
+    classes = [
+        {"name": names[cid], "order": rep.order, "class_size": len(members), "normal": rep.is_normal}
+        for cid, (rep, members) in enumerate(zip(L.class_reps, L.classes))
+    ]
+    psub = [names[P.class_id] for P in L.p_class_reps(p)]
     normalizers = {}
     for P in L.p_class_reps(p):
         n = L.normalizer(P).order
-        normalizers[class_name(L, P)] = {"normalizer_order": n, "quotient_order": n // P.order}
-    poset = L.normal_p_subgroups(p)
-    mu = mobius_matrix(poset)
+        normalizers[names[P.class_id]] = {"normalizer_order": n, "quotient_order": n // P.order}
+    poset = L.normal_p_subgroups(p)  # by increasing order: A <= B puts B at or after A
+    mu = mobius_matrix(poset).tolist()
+    masks = [A.mask for A in poset]
     mob = [
-        {"from": class_name(L, A), "to": class_name(L, B), "mu": int(mu[a, b])}
-        for a, A in enumerate(poset)
-        for b, B in enumerate(poset)
-        if B.contains(A)
+        {"from": names[poset[a].class_id], "to": names[poset[b].class_id], "mu": mu[a][b]}
+        for a, m in enumerate(masks)
+        for b in range(a, len(poset))
+        if m & masks[b] == m
     ]
     return {
         "group": G.describe(),
@@ -220,8 +215,8 @@ def cmd_burnside(args) -> dict:
     names = [class_name(L, H) for H in L.class_reps]
     tbl = mark_table(G)
     denoms = {
-        class_name(L, H): math.lcm(*(Fraction(c).denominator for c in e.coeffs))
-        for H, e in zip(L.class_reps, idempotents(G))
+        name: math.lcm(*(Fraction(c).denominator for c in e.coeffs))
+        for name, e in zip(names, idempotents(G))
     }
     return {
         "group": G.describe(),

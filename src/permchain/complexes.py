@@ -413,7 +413,7 @@ class XiInvariant:
         self.group = group
         self.field = field
         self.lattice = group.lattice()
-        self.entries = dict(entries)  # class_id -> XiEntry
+        self.entries = MappingProxyType(dict(entries))  # class_id -> XiEntry, read-only
 
     def class_reps(self):
         return [self.entries[c].subgroup for c in sorted(self.entries)]
@@ -477,7 +477,7 @@ class XiInvariant:
 @dataclass(frozen=True)
 class EndotrivialReport:
     ok: bool
-    violations: dict  # class_id -> list of (degree, dim) of nonzero homology
+    violations: MappingProxyType  # class_id -> tuple of (degree, dim) of nonzero homology
     xi: Optional[XiInvariant] = None  # set exactly when ok
 
     def __bool__(self):
@@ -496,7 +496,7 @@ def endotrivial_report(C: BoundedComplex) -> EndotrivialReport:
     for P in C.group.lattice().p_class_reps(C.field.p):
         bc = BrauerComplex(C, P)
         reds, dims = _reduce(bc.complex)
-        degs = list(dims.items())
+        degs = tuple(dims.items())
         if len(degs) != 1 or degs[0][1] != 1:
             violations[P.class_id] = degs
             continue
@@ -504,7 +504,7 @@ def endotrivial_report(C: BoundedComplex) -> EndotrivialReport:
         values = _line_character(bc.complex, h, reds)
         entries[P.class_id] = XiEntry(P, h, Character(bc.complex.group, C.field, values), bc.ctx)
     inv = None if violations else XiInvariant(C.group, C.field, entries)
-    object.__setattr__(C, "_report", EndotrivialReport(not violations, violations, inv))
+    object.__setattr__(C, "_report", EndotrivialReport(not violations, MappingProxyType(violations), inv))
     return C._report
 
 
@@ -516,7 +516,7 @@ def xi(C: BoundedComplex) -> XiInvariant:
     """h-marks and local homology characters across [s_p(G)], from the report."""
     rep = endotrivial_report(C)
     if not rep.ok:
-        raise NotEndotrivial("complex is not endotrivial", report=rep.violations)
+        raise NotEndotrivial("complex is not endotrivial", report=dict(rep.violations))
     return rep.xi
 
 

@@ -76,7 +76,7 @@ class CatalogEntry:
         rep = endotrivial_report(self.complex)
         result = {"name": self.name, "endotrivial": rep.ok}
         if not rep.ok:
-            result["violations"] = rep.violations
+            result["violations"] = dict(rep.violations)
             return result, None
         inv = rep.xi
         lat = self.group.lattice()

@@ -6,10 +6,12 @@ element indices through a cached multiplication table.  Every derived object
 (subgroup, conjugacy class, coset ordering, quotient) is deterministic so
 that repeated runs produce byte-identical output.
 
-A subgroup is the identity closed under right multiplication by its
-generators, which the lattice keeps.  Mobius values come from one inverse
-zeta matrix per poset (`mobius_matrix`); the lattice keeps its own, and
-each class name once first asked for.
+A subgroup carries a bitmask over element indices: containment is one AND,
+and the lattice looks subgroups up by mask.  It grows each subgroup H by
+one cyclic subgroup <x> at a time, K = <H, x> a union of right cosets H r.
+Mobius values come from one inverse zeta matrix per poset
+(`mobius_matrix`); the lattice keeps its own, and each class name once
+first asked for.
 """
 
 from __future__ import annotations
@@ -294,15 +296,16 @@ def _closure(G: FiniteGroup, gens) -> frozenset:
 
 
 class Subgroup:
-    """A subgroup as a sorted tuple of element indices of its parent, with
-    its place in the lattice's list and the generators the lattice found."""
+    """A subgroup as sorted element indices of its parent and their bitmask,
+    with its place in the lattice's list and the generators the lattice found."""
 
-    __slots__ = ("parent", "elems", "elemset", "index", "gens", "class_id", "is_normal", "conj_to_rep")
+    __slots__ = ("parent", "elems", "elemset", "mask", "index", "gens", "class_id", "is_normal", "conj_to_rep")
 
-    def __init__(self, parent, elems, index, gens, class_id=-1, is_normal=False, conj_to_rep=None):
+    def __init__(self, parent, elems, mask, index, gens, class_id=-1, is_normal=False, conj_to_rep=None):
         self.parent = parent
-        self.elems = tuple(sorted(elems))
+        self.elems = tuple(elems)
         self.elemset = frozenset(self.elems)
+        self.mask = mask
         self.index = index
         self.gens = gens
         self.class_id = class_id
@@ -314,17 +317,13 @@ class Subgroup:
         return len(self.elems)
 
     def contains(self, other: "Subgroup") -> bool:
-        return other.elemset <= self.elemset
+        return other.mask & self.mask == other.mask
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.parent is other.parent
-            and self.elems == other.elems
-        )
+        return isinstance(other, Subgroup) and self.parent is other.parent and self.mask == other.mask
 
     def __hash__(self):
-        return hash((id(self.parent), self.elems))
+        return hash((id(self.parent), self.mask))
 
     def __repr__(self):
         return f"Subgroup(order {self.order} of {self.parent.describe()})"
@@ -348,75 +347,79 @@ def minimal_generators(G: FiniteGroup, elems) -> list:
 class SubgroupLattice:
     """All subgroups of a finite group with conjugacy and containment data.
 
-    Subgroups are enumerated by extending each one found by the cyclic
-    subgroups it does not contain, closing its generators plus one more;
+    Each subgroup found, H, is extended by each cyclic subgroup <x> it does
+    not contain, skipping a union of masks already tried.  K = <H, x> grows
+    from H as a union of right cosets H r: r starts at 1, and each r g
+    outside K, for a kept generator g of K, adds the coset H (r g).
+    Classes are walked on masks by one conjugation table per generator;
     class representatives are the lexicographically least members.
-    Enumeration is feasible at the supported group sizes only - this is
-    desk-scale code.
+    Enumeration is feasible at the supported group sizes only.
     """
 
     def __init__(self, G: FiniteGroup):
         self.group = G
+        n, e = G.order, G.identity
+        right = G.mul_table.T.tolist()  # right[y][h] = h * y
+        bit = [1 << y for y in range(n)]
 
-        cyclic = {}
-        for x in range(G.order):
-            cyclic.setdefault(_closure(G, [x]), x)
-        cyc_list = sorted(cyclic.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        def elems(mask):
+            return [y for y in range(n) if mask & bit[y]]
 
-        trivial = frozenset({G.identity})
-        found = {trivial: ()}  # subgroup -> the generators it was found by
-        queue = [trivial]
-        while queue:
-            H = queue.pop(0)
-            for cset, x in cyc_list:
-                if x in H:
+        cyclic = {}  # mask -> the first element generating it
+        for x in range(n):
+            cyclic.setdefault(sum(bit[y] for y in _closure(G, [x])), x)
+        cyc_list = sorted(cyclic.items(), key=lambda kv: (kv[0].bit_count(), elems(kv[0])))
+
+        found = {bit[e]: ()}  # mask -> the generators it was found by
+        queue, tried = [bit[e]], set()
+        for hmask in queue:  # grows while walked: breadth first
+            helems = elems(hmask)
+            for cmask, x in cyc_list:
+                union = hmask | cmask
+                if union == hmask or union in tried:
                     continue
-                gens = found[H] + (x,)
-                new = _closure(G, gens)
-                if new not in found:
-                    found[new] = gens
-                    queue.append(new)
+                tried.add(union)
+                gens = found[hmask] + (x,)
+                kmask, reps = hmask, [e]
+                for r in reps:
+                    for g in gens:
+                        y = right[g][r]
+                        if not kmask & bit[y]:  # add the coset H y
+                            kmask |= sum(map(bit.__getitem__, map(right[y].__getitem__, helems)))
+                            reps.append(y)
+                if kmask not in found:
+                    found[kmask] = gens
+                    queue.append(kmask)
 
-        sets = sorted(found, key=lambda s: (len(s), sorted(s)))
-        set_index = {s: i for i, s in enumerate(sets)}
+        masks = sorted(found, key=lambda m: (m.bit_count(), elems(m)))
+        set_index = {m: i for i, m in enumerate(masks)}
+        elems_of = [elems(m) for m in masks]
 
         # conjugacy classes, walking each orbit from its representative
-        class_of = [-1] * len(sets)
-        conj_elem = [G.identity] * len(sets)
+        t, inv = G.mul_table, G.inv_table
+        conj_tabs = [(g, t[t[g], inv[g]].tolist()) for g in G.gen_indices]  # x -> g x g^{-1}
+        class_of = [-1] * len(masks)
+        conj_elem = [e] * len(masks)
         classes = []
-        for i, s in enumerate(sets):
+        for i in range(len(masks)):
             if class_of[i] != -1:
                 continue
-            cid = len(classes)
-            members = [i]
+            cid, members = len(classes), [i]
             class_of[i] = cid
-            frontier = [(s, G.identity)]
-            while frontier:
-                cur, via = frontier.pop(0)
-                for g in G.gen_indices:
-                    img = frozenset(G.conj(g, x) for x in cur)
-                    j = set_index[img]
+            for cur in members:  # grows while walked: breadth first
+                for g, ct in conj_tabs:
+                    j = set_index[sum(bit[ct[x]] for x in elems_of[cur])]
                     if class_of[j] == -1:
                         class_of[j] = cid
-                        conj_elem[j] = G.mul(g, via)
+                        conj_elem[j] = G.mul(g, conj_elem[cur])
                         members.append(j)
-                        frontier.append((img, G.mul(g, via)))
             classes.append(sorted(members))
 
-        self.subgroups = []
-        for i, s in enumerate(sets):
-            self.subgroups.append(
-                Subgroup(
-                    G,
-                    s,
-                    i,
-                    found[s],
-                    class_id=class_of[i],
-                    is_normal=len(classes[class_of[i]]) == 1,
-                    conj_to_rep=conj_elem[i],
-                )
-            )
-        self.by_elems = {H.elemset: H for H in self.subgroups}
+        self.subgroups = [
+            Subgroup(G, elems_of[i], m, i, found[m], class_of[i], len(classes[class_of[i]]) == 1, conj_elem[i])
+            for i, m in enumerate(masks)
+        ]
+        self.by_elems = {H.mask: H for H in self.subgroups}
         self.classes = classes  # lists of subgroup indices; [0] is the rep
         self.class_reps = [self.subgroups[c[0]] for c in classes]
         self.trivial = self.subgroups[0]
@@ -429,8 +432,7 @@ class SubgroupLattice:
     # -- lookups -------------------------------------------------------
 
     def subgroup(self, elems) -> Subgroup:
-        key = frozenset(elems)
-        H = self.by_elems.get(key)
+        H = self.by_elems.get(sum(1 << int(x) for x in set(elems)))
         if H is None:
             raise PermchainError("element set is not a subgroup")
         return H
@@ -474,13 +476,12 @@ class SubgroupLattice:
         return self._center
 
     def centralizer(self, H: Subgroup) -> Subgroup:
-        G = self.group
-        elems = [
-            g
-            for g in range(G.order)
-            if all(G.mul(g, x) == G.mul(x, g) for x in H.elems)
-        ]
-        return self.subgroup(elems)
+        """The g with g h = h g for each kept generator h of H."""
+        t = self.group.mul_table
+        keep = np.ones(self.group.order, dtype=bool)
+        for h in H.gens:
+            keep &= t[:, h] == t[h]  # row g: g h against h g
+        return self.subgroup(np.flatnonzero(keep).tolist())
 
     def conjugate(self, H: Subgroup, g: int) -> Subgroup:
         G = self.group
@@ -521,7 +522,7 @@ class SubgroupLattice:
 
     def as_group(self, H: Subgroup) -> FiniteGroup:
         """The subgroup as a FiniteGroup on the same permutation domain."""
-        if H.elemset == self.full.elemset:
+        if H.mask == self.full.mask:
             return self.group
         cached = self._as_group_cache.get(H.elems)
         if cached is None:

@@ -3,9 +3,11 @@
 The oracles here deliberately avoid the library code paths they are used to
 check: subgroup enumeration by pairwise closure, Mobius values by the
 defining recursion, the inverse mark table by Gauss-Jordan elimination,
-fixed-point dimensions by orbit counting, split detection by solving the
-splitting equation, naive matrix products by schoolbook scalar arithmetic,
-local characters from the homology modules `homology_at` builds.
+marks by counting fixed cosets, units by trying every sign vector,
+centralizers elementwise, fixed-point dimensions by orbit counting, split
+detection by solving the splitting equation, naive matrix products by
+schoolbook scalar arithmetic, local characters from the homology modules
+`homology_at` builds.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from permchain.burnside import mark_table
 from permchain.ffield import FqField, FqScalar
 from permchain.groups import FiniteGroup, Subgroup, pmul
 from permchain.linalg import FqMatrix, hstack, kernel_basis, rank, solve_matrix, vstack
@@ -23,6 +26,7 @@ from permchain.modules import (
     KgModule,
     ModuleMap,
     all_characters,
+    coset_list,
     direct_sum,
     perm_module,
     twist,
@@ -195,6 +199,41 @@ def elementwise_normalizer(L, H: Subgroup) -> frozenset:
     )
 
 
+def elementwise_centralizer(L, H: Subgroup) -> frozenset:
+    """C_G(H) by comparing g x with x g for every g in G and x in H."""
+    t = L.group.mul_table.tolist()
+    return frozenset(g for g in range(L.group.order) if all(t[g][x] == t[x][g] for x in H.elems))
+
+
+def coset_count_mark_table(G: FiniteGroup) -> np.ndarray:
+    """|(G/H)^K| as the number of cosets gH of each class representative H
+    that every element of K fixes under left translation."""
+    t = G.mul_table.tolist()
+    reps = G.lattice().class_reps
+    tbl = np.zeros((len(reps), len(reps)), dtype=np.int64)
+    for j, H in enumerate(reps):
+        cosets = [(c[0], set(c)) for c in coset_list(G, H)]
+        for i, K in enumerate(reps):
+            tbl[i, j] = sum(all(t[k][g] in cs for k in K.elems) for g, cs in cosets)
+    return tbl
+
+
+def exhaustive_units(G: FiniteGroup) -> list:
+    """The coefficient tuples of every unit of B(G), sorted: each of the 2^c
+    sign vectors, 4096 at a time, times the Gauss-Jordan inverse of the
+    mark table, kept when integral."""
+    num, den = rational_inverse(mark_table(G))
+    c = len(num)
+    out = []
+    for start in range(0, 1 << c, 4096):
+        rows = np.arange(start, min(start + 4096, 1 << c))
+        signs = 1 - 2 * ((rows[:, None] >> np.arange(c)[None, :]) & 1)  # rows of +-1
+        coeff_num = signs @ num.T  # candidate coefficients scaled by den
+        for row in coeff_num[np.all(coeff_num % den == 0, axis=1)]:
+            out.append(tuple(int(x) for x in row // den))
+    return sorted(out)
+
+
 def oracle_orbit_count(G: FiniteGroup, P: Subgroup, cosets) -> int:
     """Number of P-orbits on a list of cosets (each a tuple of elements)."""
     index_of = {}
@@ -307,7 +346,7 @@ def homology_module_reading(C: BoundedComplex):
     violations, entries = {}, {}
     for P in C.group.lattice().p_class_reps(C.field.p):
         local = {i: H for i, H in homology(brauer_complex(C, P)).items() if H.dim}
-        degs = [(i, H.dim) for i, H in local.items()]
+        degs = tuple((i, H.dim) for i, H in local.items())
         if len(degs) != 1 or degs[0][1] != 1:
             violations[P.class_id] = degs
             continue

@@ -136,9 +136,10 @@ def test_units_group_closure():
 
 
 def test_units_across_sign_blocks():
-    """C2^3 has 16 subgroup classes, so its 2^16 sign vectors are searched in
-    16 blocks.  Matsuda: an abelian group with 8 subgroups of index <= 2 has
-    2^8 units, and -1 (every mark -1) is the last sign vector searched."""
+    """C2^3 has 16 subgroup classes, so its 2^16 sign vectors meet as two
+    halves of 2^8 each.  Matsuda: an abelian group with 8 subgroups of
+    index <= 2 has 2^8 units, and -1 (every mark -1) joins the all-minus
+    vectors of both halves."""
     G = group_from_spec("(0 1);(2 3);(4 5)")
     L = G.lattice()
     units = burnside_units(G)

@@ -20,7 +20,7 @@ from permchain.complexes import (
     twist_complex,
     xi,
 )
-from permchain.constructions import build_entries, gamma_dihedral
+from permchain.constructions import CatalogEntry, build_entries, gamma_dihedral
 from permchain.errors import NotChainMap, NotEndotrivial, PermchainError
 from permchain.ffield import GF
 from permchain.groups import catalog
@@ -221,9 +221,40 @@ def test_single_free_module_not_endotrivial():
     assert not rep.ok
     full_cid = C2.lattice().full.class_id
     assert full_cid in rep.violations
-    assert rep.violations[full_cid] == []  # local complex has no homology at all
+    assert rep.violations[full_cid] == ()  # local complex has no homology at all
     with pytest.raises(NotEndotrivial):
         xi(C)
+
+
+def test_kept_report_is_read_only():
+    """The report kept on a complex hands out read-only mappings; callers
+    that may edit get plain copies, and the kept report stays as made."""
+    D8 = catalog("D8")
+    bad = module_complex(regular_module(D8, F2), 0)
+    rep = endotrivial_report(bad)
+    before = dict(rep.violations)
+    cid = next(iter(before))
+    with pytest.raises(TypeError):
+        rep.violations[cid] = ()
+    with pytest.raises(TypeError):
+        del rep.violations[cid]
+    with pytest.raises(NotEndotrivial) as err:
+        xi(bad)
+    err.value.report.clear()
+    result, inv = CatalogEntry("free-D8", D8, F2, bad).verify()
+    assert inv is None
+    result["violations"].clear()
+    again = endotrivial_report(bad)
+    assert again is rep and not again.ok and dict(again.violations) == before and before
+
+    good = build_entries("gamma-D8")[0].complex
+    x = xi(good)
+    entries = dict(x.entries)
+    with pytest.raises(TypeError):
+        x.entries[cid] = None
+    with pytest.raises(TypeError):
+        del x.entries[next(iter(entries))]
+    assert dict(endotrivial_report(good).xi.entries) == entries and entries
 
 
 # -- xi ---------------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """The group layer against the computations it replaced.
 
-Subgroups come from closing generators by rows of the multiplication table,
-mu from one inverse zeta matrix per poset, normalizers from the conjugates
-of kept generators, the inverse mark table from the idempotents, class
-names from a memo on the lattice.  Each is compared here with the direct
-computation in `helpers`: pairwise closure, the defining recursion of mu,
-conjugation of every element, Gauss-Jordan elimination over Fractions and
-a fresh name per call.  The groups are every catalog group up to order 64, plus S4,
-C2^4 and C2^5.
+Subgroups are bitmasks, found by closing cosets of the subgroups already
+found; mu comes from one inverse zeta matrix per poset, normalizers and
+centralizers from the kept generators, marks from counting conjugates
+inside each subgroup, the inverse mark table from the idempotents, units
+by meeting in the middle over the sign vectors, class names from a memo
+on the lattice.  Each is compared here with the direct computation in
+`helpers`: pairwise closure, the defining recursion of mu, conjugation or
+commutation of every element, counting fixed cosets, Gauss-Jordan
+elimination over Fractions, every sign vector and a fresh name per call.
+The groups are every catalog group up to order 64, plus S4, A5 (the one
+non-solvable group), C2^4 and C2^5.
 """
 
 import math
@@ -16,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permchain.burnside import idempotent, mark_table
+from permchain.burnside import MAX_UNIT_SEARCH_CLASSES, burnside_units, idempotent, mark_table
+from permchain.errors import TooManyClasses
 from permchain.groups import (
     catalog,
     class_name,
@@ -27,7 +31,10 @@ from permchain.groups import (
 )
 
 from helpers import (
+    coset_count_mark_table,
+    elementwise_centralizer,
     elementwise_normalizer,
+    exhaustive_units,
     pairwise_closure,
     pairwise_minimal_generators,
     pairwise_subgroup_sets,
@@ -51,7 +58,15 @@ def _elementary_abelian(r: int) -> str:
 
 
 SPECS = {name: name for name in CATALOG}
-SPECS.update({"S4": "(0 1 2 3);(0 1)", "C2^4": _elementary_abelian(4), "C2^5": _elementary_abelian(5)})
+SPECS.update(
+    {
+        "S4": "(0 1 2 3);(0 1)",
+        "A5": "(0 1 2 3 4);(0 1 2)",
+        "C2^4": _elementary_abelian(4),
+        "C2^5": _elementary_abelian(5),
+    }
+)
+S5 = "(0 1 2 3 4);(0 1)"
 NAMES = list(SPECS)
 
 
@@ -163,6 +178,51 @@ def test_normalizers_match_elementwise_conjugation(name):
     L = _group(name).lattice()
     for H in L.subgroups:
         assert L.normalizer(H).elemset == elementwise_normalizer(L, H)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_centralizers_match_elementwise_commutation(name):
+    """Commuting with H's kept generators decides membership in C_G(H)."""
+    L = _group(name).lattice()
+    for H in L.subgroups:
+        assert L.centralizer(H).elemset == elementwise_centralizer(L, H)
+
+
+@pytest.mark.parametrize("name", ["D64", "C2^4"])
+def test_masks_are_the_element_sets(name):
+    L = _group(name).lattice()
+    for H in L.subgroups:
+        assert H.mask == sum(1 << x for x in H.elems)
+        assert L.subgroup(H.elems) is H
+    for A in L.subgroups:
+        for B in L.subgroups:
+            assert B.contains(A) == (A.elemset <= B.elemset)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_mark_table_matches_coset_counts(name):
+    G = _group(name)
+    assert np.array_equal(mark_table(G), coset_count_mark_table(G))
+
+
+@pytest.mark.parametrize("spec", [SPECS[n] for n in NAMES] + [S5])
+def test_units_match_exhaustive_sign_search(spec):
+    """Every group within the class bound; the others are refused."""
+    G = group_from_spec(spec)
+    if len(G.lattice().class_reps) > MAX_UNIT_SEARCH_CLASSES:
+        with pytest.raises(TooManyClasses):
+            burnside_units(G)
+    else:
+        assert [u.coeffs for u in burnside_units(G)] == exhaustive_units(G)
+
+
+def test_units_with_one_and_two_classes():
+    """c = 1 leaves the first half of the sign positions empty."""
+    C1, C2 = _group("C1"), _group("C2")
+    assert len(C1.lattice().class_reps) == 1 and len(C2.lattice().class_reps) == 2
+    assert [u.coeffs for u in burnside_units(C1)] == [(-1,), (1,)] == exhaustive_units(C1)
+    units = [(-1, 1), (0, -1), (0, 1), (1, -1)]  # +-1 and +-(1 - [C2/1])
+    assert [u.coeffs for u in burnside_units(C2)] == units == exhaustive_units(C2)
 
 
 @pytest.mark.parametrize("name", NAMES)
