@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _esc
 
 from .burnside import burnside_units, idempotents, mark_table, marks
 from .complexes import endotrivial_report, xi
@@ -33,17 +33,96 @@ from .literals import complex_to_obj, format_element, load_complexes, load_eleme
 
 
 def _emit(report: dict, args) -> None:
-    """Write the report in batches of pieces: a large JSON report joined into
-    one string first holds every encoded entry at once."""
+    """Write the report to --out or stdout: as JSON (`_write_json`) with
+    --json or --out, as text otherwise, and a newline."""
     out = getattr(args, "out", None)
-    if getattr(args, "json", False) or out:
-        pieces = json.JSONEncoder(indent=2).iterencode(report)
-    else:
-        pieces = iter([_render_text(report)])
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        while batch := list(itertools.islice(pieces, 8192)):
-            fh.write("".join(batch))
+        if getattr(args, "json", False) or out:
+            _write_json(report, fh)
+        else:
+            fh.write(_render_text(report))
         fh.write("\n")
+
+
+_BATCH = 8192  # pieces held before a write
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return _esc(k)
+    if k is None or isinstance(k, (int, float)):  # bool is an int
+        return '"' + json.dumps(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write_json(obj, fh) -> None:
+    """Write `obj` to `fh` as the bytes of `json.dumps(obj, indent=2)`.
+
+    The pieces go out in batches of about `_BATCH`, also from inside a long
+    list: a complex's differentials are flat lists of up to 10^5 strings,
+    and joining a whole report, or one such list, before writing would hold
+    every encoded entry at once and raise the peak memory.  A list of
+    strings is joined a slice at a time; other strings and ints are written
+    inline; containers recurse, and the other scalars are `json.dumps`'s.
+    """
+    pieces = []
+    append = pieces.append
+
+    def flush():
+        fh.write("".join(pieces))
+        pieces.clear()
+
+    def put(v, pad):
+        if isinstance(v, dict):
+            if not v:
+                append("{}")
+                return
+            inner = pad + "  "
+            head = "{\n" + inner
+            for k, x in v.items():
+                k = _esc(k) if type(k) is str else _json_key(k)
+                t = type(x)
+                if t is str:
+                    append(head + k + ": " + _esc(x))
+                elif t is int:
+                    append(head + k + ": " + int.__repr__(x))
+                else:
+                    append(head + k + ": ")
+                    put(x, inner)
+                head = ",\n" + inner
+                if len(pieces) >= _BATCH:
+                    flush()
+            append("\n" + pad + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                append("[]")
+                return
+            inner = pad + "  "
+            head, sep = "[\n" + inner, ",\n" + inner
+            if all(type(x) is str for x in v):
+                for i in range(0, len(v), _BATCH):
+                    append(head + sep.join(map(_esc, v[i:i + _BATCH])))
+                    head = sep
+                    flush()
+            else:
+                for x in v:
+                    t = type(x)
+                    if t is str:
+                        append(head + _esc(x))
+                    elif t is int:
+                        append(head + int.__repr__(x))
+                    else:
+                        append(head)
+                        put(x, inner)
+                    head = sep
+                    if len(pieces) >= _BATCH:
+                        flush()
+            append("\n" + pad + "]")
+        else:  # bool, None, float, a subclass, or what JSON cannot hold (TypeError)
+            append(json.dumps(v))
+
+    put(obj, "")
+    flush()
 
 
 def _render_text(obj, indent=0) -> str:
@@ -122,16 +201,20 @@ def cmd_group_info(args) -> dict:
     psub = [names[P.class_id] for P in L.p_class_reps(p)]
     normalizers = {}
     for P in L.p_class_reps(p):
-        n = L.normalizer(P).order
+        n = G.order // len(L.classes[P.class_id])  # |G : N_G(P)| conjugates of P
         normalizers[names[P.class_id]] = {"normalizer_order": n, "quotient_order": n // P.order}
     poset = L.normal_p_subgroups(p)  # by increasing order: A <= B puts B at or after A
-    mu = mobius_matrix(poset).tolist()
     masks = [A.mask for A in poset]
+    rows, cols = [], []  # the comparable pairs
+    for a, m in enumerate(masks):
+        for b in range(a, len(poset)):
+            if m & masks[b] == m:
+                rows.append(a)
+                cols.append(b)
+    mu = mobius_matrix(poset)[rows, cols].tolist()
     mob = [
-        {"from": names[poset[a].class_id], "to": names[poset[b].class_id], "mu": mu[a][b]}
-        for a, m in enumerate(masks)
-        for b in range(a, len(poset))
-        if m & masks[b] == m
+        {"from": names[poset[a].class_id], "to": names[poset[b].class_id], "mu": v}
+        for a, b, v in zip(rows, cols, mu)
     ]
     return {
         "group": G.describe(),

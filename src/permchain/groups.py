@@ -2,9 +2,13 @@
 
 Groups are presented by permutations of {0..n-1}.  Elements are enumerated
 once, sorted lexicographically as image tuples, and all arithmetic is done on
-element indices through a cached multiplication table.  Every derived object
-(subgroup, conjugacy class, coset ordering, quotient) is deterministic so
-that repeated runs produce byte-identical output.
+element indices through a cached multiplication table.  The table is read
+off a base: points whose images tell the elements apart key each element,
+all n^2 products are composed on the base points only, and each product's
+key is looked up once; the inverse of x is where the identity sits in x's
+row.  Every derived object (subgroup, conjugacy class, coset ordering,
+quotient) is deterministic so that repeated runs produce byte-identical
+output.
 
 A subgroup carries a bitmask over element indices: containment is one AND,
 and the lattice looks subgroups up by mask.  It grows each subgroup H by
@@ -39,13 +43,6 @@ DEFAULT_MAX_ORDER = 500
 def pmul(a, b):
     """Compose permutations acting on the left: (a*b)(i) = a(b(i))."""
     return tuple(a[b[i]] for i in range(len(a)))
-
-
-def pinv(a):
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
 
 
 def perm_from_cycles(text: str, degree: int | None = None):
@@ -111,6 +108,10 @@ def perm_to_cycles(perm) -> str:
 class FiniteGroup:
     """A finite group presented by generating permutations.
 
+    `elements` are the sorted image tuples, `mul_table[i, j]` the index of
+    elements[i] o elements[j] and `inv_table[i]` that of the inverse, both
+    from `_product_tables`: keys by the images of a greedy base, one lookup
+    per product, the inverse where the identity sits in each row.
     Immutable after construction.  The subgroup lattice and the values
     listed at the end of `__init__` are computed on first use and kept on
     the group.
@@ -157,17 +158,7 @@ class FiniteGroup:
         self.name = name
         self.catalog_name = name
 
-        n = len(elements)
-        arr = np.array(elements, dtype=np.int32)
-        table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            prod = arr[i][arr]  # rows: elements[i] o elements[j]
-            table[i] = [self.index[tuple(row)] for row in prod]
-        self.mul_table = table
-        inv = np.empty(n, dtype=np.int32)
-        for i in range(n):
-            inv[i] = self.index[pinv(elements[i])]
-        self.inv_table = inv
+        self.mul_table, self.inv_table = _product_tables(elements, self.identity)
         self._lattice = None
         self._orders = None
         # values other modules derive from this group alone
@@ -268,6 +259,51 @@ class FiniteGroup:
         return f"FiniteGroup({self.describe()})"
 
 
+def _product_tables(elements, identity):
+    """`mul_table` and `inv_table` of the sorted permutations `elements`.
+
+    A greedy base (each point kept that tells apart elements the points
+    before it did not) keys each element by its images of the base.  Per
+    base point, one fancy index composes the images of all n^2 products,
+    and the pairs (key so far, image) are ranked again among those of the
+    elements, so keys stay below n and exact.  The final keys index the
+    elements; the inverse of x is where the identity sits in x's row.
+    """
+    arr = np.array(elements, dtype=np.intp)  # row j: the images of elements[j]
+    n, degree = arr.shape
+    key = np.zeros(n, dtype=np.intp)  # each element's images of the base so far, ranked
+    pkey = np.zeros((n, n), dtype=np.intp)  # [i, j]: the same for elements[i] o elements[j]
+    classes = 1
+    for b in range(degree):
+        if classes == n:
+            break
+        img = arr[:, b]
+        first = np.empty(classes, dtype=np.intp)
+        first[key] = img
+        if np.array_equal(first[key], img):  # b splits no class of the base so far
+            continue
+        orank, r = _ranks(img, degree)  # b's images ranked within its orbit
+        code = key * r + orank[img]
+        rank, classes = _ranks(code, classes * r)
+        key = rank[code]
+        pkey = rank[pkey * r + orank[arr[:, img]]]  # [i, j]: elements[i] applied to elements[j](b)
+    position = np.empty(n, dtype=np.int32)
+    position[key] = np.arange(n, dtype=np.int32)
+    mul = position[pkey]
+    return mul, np.nonzero(mul == identity)[1].astype(np.int32)
+
+
+def _ranks(values, size):
+    """(rank, count): rank[v] is the place of v among the distinct values
+    in `values` (ints below `size`), count how many there are."""
+    present = np.zeros(size, dtype=bool)
+    present[values] = True
+    taken = np.flatnonzero(present)
+    rank = np.empty(size, dtype=np.intp)
+    rank[taken] = np.arange(len(taken))
+    return rank, len(taken)
+
+
 def is_p_power(n: int, p: int) -> bool:
     """Whether n is a power of p (1 included): the order test of p-groups."""
     while n % p == 0:
@@ -348,9 +384,9 @@ class SubgroupLattice:
     """All subgroups of a finite group with conjugacy and containment data.
 
     Each subgroup found, H, is extended by each cyclic subgroup <x> it does
-    not contain, skipping a union of masks already tried.  K = <H, x> grows
-    from H as a union of right cosets H r: r starts at 1, and each r g
-    outside K, for a kept generator g of K, adds the coset H (r g).
+    not contain.  G is partitioned once into the right cosets of H, and
+    K = <H, x> grows from H as a union of them: r starts at 1, and each
+    r g outside K, for a kept generator g of K, adds the coset H (r g).
     Classes are walked on masks by one conjugation table per generator;
     class representatives are the lexicographically least members.
     Enumeration is feasible at the supported group sizes only.
@@ -371,21 +407,25 @@ class SubgroupLattice:
         cyc_list = sorted(cyclic.items(), key=lambda kv: (kv[0].bit_count(), elems(kv[0])))
 
         found = {bit[e]: ()}  # mask -> the generators it was found by
-        queue, tried = [bit[e]], set()
+        queue = [bit[e]]
         for hmask in queue:  # grows while walked: breadth first
-            helems = elems(hmask)
+            coset, helems = [0] * n, elems(hmask)  # coset[y]: the mask of H y
+            for y in range(n):
+                if not coset[y]:
+                    members = list(map(right[y].__getitem__, helems))
+                    m = sum(map(bit.__getitem__, members))
+                    for z in members:
+                        coset[z] = m
             for cmask, x in cyc_list:
-                union = hmask | cmask
-                if union == hmask or union in tried:
+                if cmask & hmask == cmask:
                     continue
-                tried.add(union)
                 gens = found[hmask] + (x,)
                 kmask, reps = hmask, [e]
                 for r in reps:
                     for g in gens:
                         y = right[g][r]
                         if not kmask & bit[y]:  # add the coset H y
-                            kmask |= sum(map(bit.__getitem__, map(right[y].__getitem__, helems)))
+                            kmask |= coset[y]
                             reps.append(y)
                 if kmask not in found:
                     found[kmask] = gens
@@ -581,14 +621,6 @@ def p_subgroups(L: SubgroupLattice, p: int) -> list:
     if not _is_prime(p):
         raise PermchainError(f"{p} is not prime")
     return L.p_class_reps(p)
-
-
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    return G.lattice().normalizer(H)
-
-
-def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    return G.lattice().centralizer(H)
 
 
 class Quotient:

@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles and random generators.
 
 The oracles here deliberately avoid the library code paths they are used to
-check: subgroup enumeration by pairwise closure, Mobius values by the
+check: multiplication tables by looking up each product's image tuple,
+subgroup enumeration by pairwise closure, Mobius values by the
 defining recursion, the inverse mark table by Gauss-Jordan elimination,
 marks by counting fixed cosets, units by trying every sign vector,
 centralizers elementwise, fixed-point dimensions by orbit counting, split
@@ -66,6 +67,29 @@ def oracle_subgroup_sets(G: FiniteGroup):
         for b in elems:
             found.add(close([a, b]))
     return found
+
+
+def pinv(a):
+    """The inverse permutation of the image tuple `a`."""
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
+def tuple_lookup_tables(elements, identity):
+    """`mul_table` and `inv_table` of the sorted permutations `elements`:
+    each product's whole image tuple looked up in a dict of the elements,
+    and each inverse permutation likewise.  (`identity` is unused; the
+    signature is that of `groups._product_tables`.)"""
+    index = {e: i for i, e in enumerate(elements)}
+    arr = np.array(elements, dtype=np.int32)
+    table = np.empty((len(elements), len(elements)), dtype=np.int32)
+    for i in range(len(elements)):
+        prod = arr[i][arr]  # rows: elements[i] o elements[j]
+        table[i] = [index[tuple(row)] for row in prod]
+    inv = np.array([index[pinv(e)] for e in elements], dtype=np.int32)
+    return table, inv
 
 
 def oracle_mobius(poset_sets, A, B):

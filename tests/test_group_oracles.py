@@ -1,16 +1,17 @@
 """The group layer against the computations it replaced.
 
-Subgroups are bitmasks, found by closing cosets of the subgroups already
+Multiplication tables are read off the images of a base; subgroups are bitmasks, found by closing cosets of the subgroups already
 found; mu comes from one inverse zeta matrix per poset, normalizers and
 centralizers from the kept generators, marks from counting conjugates
 inside each subgroup, the inverse mark table from the idempotents, units
 by meeting in the middle over the sign vectors, class names from a memo
 on the lattice.  Each is compared here with the direct computation in
-`helpers`: pairwise closure, the defining recursion of mu, conjugation or
+`helpers`: a dict lookup of every product's image tuple, pairwise closure, the defining recursion of mu, conjugation or
 commutation of every element, counting fixed cosets, Gauss-Jordan
 elimination over Fractions, every sign vector and a fresh name per call.
 The groups are every catalog group up to order 64, plus S4, A5 (the one
-non-solvable group), C2^4 and C2^5.
+non-solvable group), C2^4 and C2^5; the tables also S5 and C2^8 on 308
+points.
 """
 
 import math
@@ -22,6 +23,7 @@ import pytest
 from permchain.burnside import MAX_UNIT_SEARCH_CLASSES, burnside_units, idempotent, mark_table
 from permchain.errors import TooManyClasses
 from permchain.groups import (
+    FiniteGroup,
     catalog,
     class_name,
     group_from_spec,
@@ -41,6 +43,7 @@ from helpers import (
     percall_class_name,
     rational_inverse,
     recursive_mobius,
+    tuple_lookup_tables,
 )
 
 CATALOG = (
@@ -72,6 +75,26 @@ NAMES = list(SPECS)
 
 def _group(name):
     return group_from_spec(SPECS[name])
+
+
+# C2^8 moving the points 0-7 and 300-307: 308^8 is about 2^66, so keys in
+# mixed radix over the whole degree would overflow int64
+WIDE_C2_8 = ";".join(f"({i} {300 + i})" for i in range(8))
+
+
+@pytest.mark.parametrize("spec", [SPECS[n] for n in NAMES] + [S5, WIDE_C2_8])
+def test_tables_match_tuple_lookup(spec):
+    G = group_from_spec(spec)
+    mul, inv = tuple_lookup_tables(G.elements, G.identity)
+    assert G.mul_table.dtype == mul.dtype and G.inv_table.dtype == inv.dtype
+    assert np.array_equal(G.mul_table, mul)
+    assert np.array_equal(G.inv_table, inv)
+
+
+def test_tables_of_the_trivial_group():
+    for gens in ([(0,)], [(0, 1, 2)]):
+        G = FiniteGroup(gens)
+        assert G.mul_table.tolist() == [[0]] and G.inv_table.tolist() == [0]
 
 
 def _primes(n: int) -> list:

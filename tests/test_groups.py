@@ -17,12 +17,11 @@ from permchain.groups import (
     p_subgroups,
     perm_from_cycles,
     perm_to_cycles,
-    pinv,
     pmul,
     quotient,
 )
 
-from helpers import oracle_mobius, oracle_subgroup_sets
+from helpers import oracle_mobius, oracle_subgroup_sets, pinv
 
 
 def _elems_by_words(G, words):
