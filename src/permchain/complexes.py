@@ -46,8 +46,6 @@ from .modules import (
     ModuleMap,
     brauer_context,
     brauer_points,
-    brauer_quotient,
-    brauer_quotient_map,
     character_warning,
     direct_sum,
     dual,
@@ -111,13 +109,6 @@ class BoundedComplex:
     def length(self) -> int:
         degs = [i for i in self.degrees() if self.module_at(i).dim > 0]
         return (max(degs) - min(degs) + 1) if degs else 0
-
-    def has_labels(self) -> bool:
-        return all(
-            self.module_at(i).labels is not None
-            for i in self.degrees()
-            if self.module_at(i).dim > 0
-        )
 
     def __repr__(self):
         dims = " ".join(f"{i}:{self.module_at(i).dim}" for i in self.degrees())
@@ -364,28 +355,18 @@ def _line_character(C: BoundedComplex, h: int, reds) -> list:
 
 
 class BrauerComplex:
-    """Degreewise Brauer construction of a complex, over N_G(P)/P.
-
-    A labeled complex keeps the P-fixed basis points X_i^P of each term,
-    and its local differentials are the submatrices d_i[X_{i-1}^P, X_i^P].
-    Any other complex goes through `brauer_quotient`."""
+    """Degreewise Brauer construction of a complex of monomial modules, over
+    N_G(P)/P: the P-fixed basis points X_i^P of each term (`brauer_points`),
+    with the local differentials the submatrices d_i[X_{i-1}^P, X_i^P].  A
+    complex with a dense term raises."""
 
     def __init__(self, C: BoundedComplex, P: Subgroup):
         self.ctx = brauer_context(C.group, P)
-        inner = range(C.lo + 1, C.hi + 1)
-        if C.has_labels():
-            pts, mods = zip(*(brauer_points(C.module_at(i), P) for i in C.degrees()))
-            diffs = {}
-            for i in inner:
-                rows, cols = pts[i - 1 - C.lo], pts[i - C.lo]
-                diffs[i] = FqMatrix(C.field, C.diff_at(i).matrix.a[np.ix_(rows, cols)])
-        else:
-            datas = [brauer_quotient(C.module_at(i), P) for i in C.degrees()]
-            mods = [d.module for d in datas]
-            diffs = {
-                i: brauer_quotient_map(C.diff_at(i), P, datas[i - C.lo], datas[i - 1 - C.lo])
-                for i in inner
-            }
+        pts, mods = zip(*(brauer_points(C.module_at(i), P) for i in C.degrees()))
+        diffs = {
+            i: FqMatrix(C.field, C.diff_at(i).matrix.a[np.ix_(pts[i - 1 - C.lo], pts[i - C.lo])])
+            for i in range(C.lo + 1, C.hi + 1)
+        }
         self.complex = BoundedComplex(self.ctx.quotient_group, C.field, C.lo, mods, diffs)
 
 

@@ -62,8 +62,8 @@ class TrivialSourceElement:
                 self.add_term(char, sub, mult)
 
     def add_term(self, char: Character, sub: Subgroup, mult: int):
-        if char.group is not self.group or char.field != self.field:
-            raise IncompatibleHandles("term character over the wrong handles")
+        if char.group is not self.group or char.field != self.field or sub.parent is not self.group:
+            raise IncompatibleHandles("term character or subgroup over the wrong handles")
         key = (char._elem_values, sub.class_id)
         self.coeffs[key] = self.coeffs.get(key, 0) + int(mult)
         if self.coeffs[key] == 0:

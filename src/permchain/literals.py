@@ -216,22 +216,15 @@ def format_element(t: TrivialSourceElement) -> str:
 
 def _label_basis_order(M: KgModule) -> list:
     """For each summand in the order `format_module` writes them, the actual
-    basis index of each coset in the canonical coset order, chosen
-    equivariantly from a base point whose stabilizer is exactly the labeled
-    subgroup."""
+    basis index of each coset in the canonical coset order: the summand's
+    first point, whose stabilizer is the labeled subgroup, moved by each
+    coset's least member."""
     G = M.group
     eperms = M.element_perms()  # eperms[e, t]: the point element e sends t to
     out = []
     for s in (s for group in _grouped_summands(M) for s in group):
-        idx = np.asarray(s.indices)
-        in_sub = np.zeros(G.order, dtype=bool)
-        in_sub[list(s.subgroup.elems)] = True
-        fixed = eperms[:, idx] == idx
-        bases = idx[(fixed == in_sub[:, None]).all(axis=0)]
-        if bases.size == 0:
-            raise PermchainError("no base point matches the labeled stabilizer")
         reps = [coset[0] for coset in coset_list(G, s.subgroup)]
-        out += eperms[reps, bases[0]].tolist()
+        out += eperms[reps, s.indices[0]].tolist()
     return out
 
 

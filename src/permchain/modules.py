@@ -11,11 +11,11 @@ and scaled) and the action on a block of vectors.  Subquotients
 generator.  The dense matrices of a monomial module are built only when
 something asks for them.
 
-On a labeled basis X the Brauer construction at a p-subgroup P is k[X^P]:
-the points that P's permutations fix (`brauer_points`).  Unlabeled modules
-take M^P modulo the relative traces from the maximal subgroups of P, by
-linear algebra over F_q (`brauer_quotient`).  Syzygies, free summands and
-Hom spaces are in `syzygies`.
+On a monomial basis X the Brauer construction at a p-subgroup P is k[X^P]:
+the points that P's permutations fix (`brauer_points`).  `brauer_quotient`,
+M^P modulo relative traces by linear algebra, has no caller in the package;
+the tests build their reference construction on it.  Syzygies, free
+summands and Hom spaces are in `syzygies`.
 
 Direct-sum decompositions into twisted transitive permutation summands are
 construction provenance: they are attached when a constructor knows them
@@ -39,7 +39,6 @@ from .linalg import (
     image_basis,
     kernel_basis,
     quotient_space,
-    rank,
     solve_matrix,
     vstack,
 )
@@ -212,7 +211,13 @@ class KgModule:
     every operation on them (sums, twists, duals, tensors, restriction,
     inflation, Brauer points) have this form, and a labeled module is always
     monomial.  Dense: one matrix per generator, for modules that are only
-    subquotients (homology, syzygies, Brauer quotients).
+    subquotients (homology, syzygies, Brauer quotients); they have no Brauer
+    points.
+
+    With `check=True`, labels are rebuilt from the orbits of the
+    permutations (`_orbit_summands`): each summand must be one orbit in
+    increasing order, labeled by its first point's stabilizer and twisted
+    by its character's values.
 
     `gen_mats` and `elem_mat` give the matrices of either form.  On a
     monomial module they are built from the permutations only when asked
@@ -265,6 +270,8 @@ class KgModule:
                 raise PermchainError("summand labels do not cover the basis")
         if check:
             self._verify_relations()
+            if self.labels is not None:
+                self._verify_labels()
 
     @property
     def gen_mats(self) -> tuple:
@@ -293,6 +300,23 @@ class KgModule:
                     ok = all(map(np.array_equal, have, self.elem_monomial(G.mul(g, x))))
                 if not ok:
                     raise PermchainError("generator matrices violate the group relations")
+
+    def _verify_labels(self):
+        G = self.group
+        for s in self.labels:
+            if s.character.group is not G or s.subgroup.parent is not G:
+                raise IncompatibleHandles("summand label over another group")
+            idx = np.asarray(s.indices, dtype=np.intp)
+            if ((idx < 0) | (idx >= self.dim)).any():
+                raise PermchainError("summand indices outside the basis")
+            if any((c[idx] != v).any() for c, v in zip(self.twists, s.character.values)):
+                raise PermchainError("summand twists are not its character's values")
+        rebuilt = _orbit_summands(self, [(s.character, s.indices) for s in self.labels])
+        if [(r.subgroup, r.indices) for r in rebuilt] != [
+            (s.subgroup, tuple(s.indices)) for s in self.labels
+        ]:
+            raise PermchainError("summand labels are not orbits labeled by their stabilizers")
+        self.labels = tuple(rebuilt)
 
     def _gen_monomial(self, gi: int):
         return self.perms[gi], self.twists[gi]
@@ -386,6 +410,29 @@ def _move_rows(f: FqField, perm, tw, X: FqMatrix) -> FqMatrix:
     out = np.empty_like(X.a)
     out[perm] = rows
     return FqMatrix(f, out)
+
+
+def _orbit_summands(M: KgModule, parts) -> list:
+    """Summands of a monomial M from (character, indices) pairs: the indices
+    of each pair split into the orbits of M's permutations, one summand per
+    orbit, in increasing order and labeled by the stabilizer of its first
+    point.  Points of an orbit already found are skipped.  Orbits are sorted
+    in Python: the first `np.unique` imports `numpy.ma`, which raised the
+    peak memory of a catalog pass by about 0.9 MB."""
+    lat = M.group.lattice()
+    eperms = M.element_perms()
+    seen = np.zeros(M.dim, dtype=bool)
+    out = []
+    for char, indices in parts:
+        for t0 in indices:
+            if seen[t0]:
+                continue
+            images = eperms[:, t0]
+            seen[images] = True
+            images = images.tolist()
+            stab = [g for g, x in enumerate(images) if x == t0]
+            out.append(Summand(char, lat.subgroup(stab), tuple(sorted(set(images)))))
+    return out
 
 
 def _require_monomial(*mods):
@@ -538,8 +585,7 @@ def tensor(M: KgModule, N: KgModule) -> KgModule:
     the product permutation, with twists multiplied.
 
     If both factors carry labels, each pair of summands is split into the
-    orbits of the product permutation; the first point of an orbit is its
-    base point, and its stabilizer labels the orbit.
+    orbits of the product permutation (`_orbit_summands`).
     """
     if M.group is not N.group or M.field != N.field:
         raise IncompatibleHandles("tensor over mixed groups or fields")
@@ -548,36 +594,42 @@ def tensor(M: KgModule, N: KgModule) -> KgModule:
     perms = [(a[:, None] * n + b[None, :]).ravel() for a, b in zip(M.perms, N.perms)]
     twists = [f.mul[a[:, None], b[None, :]].ravel() for a, b in zip(M.twists, N.twists)]
     T = KgModule(G, f, perms=perms, twists=twists, check=False)
-    if M.labels is None or N.labels is None:
-        return T
-    lat = G.lattice()
-    eperms = T.element_perms()
-    seen = np.zeros(T.dim, dtype=bool)
-    labels = []
-    for s1 in M.labels:
-        for s2 in N.labels:
-            char = s1.character * s2.character
-            for t0 in (x * n + y for x in s1.indices for y in s2.indices):
-                if seen[t0]:
-                    continue
-                orbit = np.unique(eperms[:, t0])
-                seen[orbit] = True
-                stab = np.flatnonzero(eperms[:, t0] == t0).tolist()
-                labels.append(Summand(char, lat.subgroup(stab), tuple(orbit.tolist())))
-    return KgModule(G, f, perms=T.perms, twists=T.twists, labels=labels, check=False)
+    if M.labels is not None and N.labels is not None:
+        pairs = [
+            (s1.character * s2.character, [x * n + y for x in s1.indices for y in s2.indices])
+            for s1 in M.labels
+            for s2 in N.labels
+        ]
+        T.labels = tuple(_orbit_summands(T, pairs))
+    return T
 
 
-def _elements_acting(M: KgModule, H: FiniteGroup, elems, labels=None) -> KgModule:
-    """The module over H whose i-th generator acts as M's element elems[i]."""
+def _elements_acting(M: KgModule, H: FiniteGroup, elems) -> KgModule:
+    """The module over H whose i-th generator acts as M's element elems[i].
+
+    Labels are pulled back along the same map: each summand's character
+    takes the value of its elems[i] at generator i, and its points split
+    into H's orbits (`_orbit_summands`)."""
     if M.perms is None:
-        return KgModule(H, M.field, [M.elem_mat(x) for x in elems], labels=labels, check=False)
+        return KgModule(H, M.field, [M.elem_mat(x) for x in elems], check=False)
     mono = [M.elem_monomial(x) for x in elems]
-    perms, twists = [x for x, _ in mono], [c for _, c in mono]
-    return KgModule(H, M.field, perms=perms, twists=twists, labels=labels, check=False)
+    R = KgModule(H, M.field, perms=[x for x, _ in mono], twists=[c for _, c in mono], check=False)
+    if M.labels is not None:
+        parts = [
+            (Character(H, M.field, map(s.character.value_code, elems), check=False), s.indices)
+            for s in M.labels
+        ]
+        R.labels = tuple(_orbit_summands(R, parts))
+    return R
 
 
 def restrict(M: KgModule, H: Subgroup) -> KgModule:
-    """Restriction along H <= G; the result lives over H as its own group."""
+    """Restriction along H <= G; the result lives over H as its own group.
+
+    Labels follow Mackey: a summand w (x) k[G/K] splits into the H-orbits of
+    its points, each labeled by Res_H w and its stabilizer H n gKg^{-1}."""
+    if H.parent is not M.group:
+        raise IncompatibleHandles("restriction to a subgroup of another group")
     Hgrp = M.group.lattice().as_group(H)
     if Hgrp is M.group:
         return M
@@ -585,24 +637,11 @@ def restrict(M: KgModule, H: Subgroup) -> KgModule:
 
 
 def inflate(M: KgModule, quot: Quotient) -> KgModule:
-    """Inflation along the projection quot.source -> quot.group."""
+    """Inflation along the projection quot.source -> quot.group; a summand
+    stays one orbit, labeled by the preimage of its subgroup."""
     if M.group is not quot.group:
         raise IncompatibleHandles("module is not over the quotient group")
-    G = quot.source
-    labels = None
-    if M.labels is not None:
-        lat = G.lattice()
-        labels = []
-        for s in M.labels:
-            preimage = [x for x in range(G.order) if quot.project(x) in s.subgroup.elemset]
-            char = Character(
-                G,
-                M.field,
-                [s.character.value_code(quot.project(g)) for g in G.gen_indices],
-                check=False,
-            )
-            labels.append(Summand(char, lat.subgroup(preimage), s.indices))
-    return _elements_acting(M, G, [quot.project(g) for g in G.gen_indices], labels)
+    return _elements_acting(M, quot.source, [quot.project(g) for g in quot.source.gen_indices])
 
 
 def frobenius_twist_module(M: KgModule) -> KgModule:
@@ -620,10 +659,6 @@ def frobenius_twist_module(M: KgModule) -> KgModule:
 
 
 # -- fixed points, traces, Brauer construction ------------------------------
-
-
-def fixed_points(M: KgModule, P: Subgroup) -> FqMatrix:
-    return M.fixed_points(P)
 
 
 def trace_map(M: KgModule, Q: Subgroup, P: Subgroup) -> FqMatrix:
@@ -721,16 +756,6 @@ class BrauerData:
     proj: FqMatrix
     section: FqMatrix
 
-    def push(self, ambient_cols: FqMatrix) -> FqMatrix:
-        """Express ambient vectors lying in M^P in quotient coordinates."""
-        coords = solve_matrix(self.fixed, ambient_cols)
-        if coords is None:
-            raise PermchainError("vector not fixed by P")
-        return self.proj @ coords
-
-    def lift(self, quotient_cols: FqMatrix) -> FqMatrix:
-        return self.fixed @ (self.section @ quotient_cols)
-
 
 def brauer_quotient(M: KgModule, P: Subgroup) -> BrauerData:
     """M^P modulo all relative traces from maximal subgroups of P, as a
@@ -764,19 +789,20 @@ def brauer_quotient(M: KgModule, P: Subgroup) -> BrauerData:
 
 
 def brauer_points(M: KgModule, P: Subgroup):
-    """The Brauer construction of a labeled module by picking coordinates.
+    """The Brauer construction of a monomial module by picking coordinates.
 
-    On a twisted permutation basis X, M(P) = k[X^P]: traces from proper
-    subgroups of P kill the orbit sums of non-fixed points, and a degree
-    one character is trivial on a p-group, so the P-fixed points are the
-    basis indices that the permutation of every generator of P fixes.
-    N_G(P) permutes them; returns them and k[X^P] as a monomial module over
-    N_G(P)/P.  Non-p-subgroups give no points.
+    On a monomial basis X, M(P) = k[X^P] (Broue): a p-group has no
+    nontrivial homomorphism into k^x, so P fixes the lines of the points it
+    fixes, and each orbit it moves spans k[P/Q], whose fixed vectors are
+    traces from Q < P.  N_G(P) permutes the points every generator of P
+    fixes; returns them and k[X^P] as a monomial module over N_G(P)/P.
+    Non-p-subgroups give no points; a dense module raises.
     """
-    if M.dim and M.labels is None:
-        raise PermchainError("Brauer points need a labeled module")
+    if P.parent is not M.group:
+        raise IncompatibleHandles("Brauer points at a subgroup of another group")
+    _require_monomial(M)
     fixed = np.full(M.dim, is_p_power(P.order, M.field.p))
-    for g in minimal_generators(M.group, P.elems):
+    for g in P.gens:
         fixed &= M.elem_monomial(g)[0] == np.arange(M.dim)
     pts = np.flatnonzero(fixed)
     local = np.zeros(M.dim, dtype=np.intp)
@@ -790,50 +816,3 @@ def brauer_points(M: KgModule, P: Subgroup):
         twists=[c[pts] for _, c in lifts],
         check=False,
     )
-
-
-def brauer_quotient_map(fmap: ModuleMap, P: Subgroup, src: BrauerData = None, dst: BrauerData = None) -> ModuleMap:
-    """The induced map M(P) -> N(P); functorial in the map."""
-    if src is None:
-        src = brauer_quotient(fmap.source, P)
-    if dst is None:
-        dst = brauer_quotient(fmap.target, P)
-    if src.module.dim == 0 or dst.module.dim == 0:
-        return ModuleMap(
-            src.module,
-            dst.module,
-            FqMatrix.zeros(fmap.source.field, dst.module.dim, src.module.dim),
-        )
-    carried = fmap.matrix @ src.lift(FqMatrix.identity(fmap.source.field, src.module.dim))
-    return ModuleMap(src.module, dst.module, dst.push(carried))
-
-
-def is_split_injective(fmap: ModuleMap) -> bool:
-    """Split injectivity via injectivity of every induced local map."""
-    p = fmap.source.field.p
-    lat = fmap.source.group.lattice()
-    for P in lat.p_class_reps(p):
-        g = brauer_quotient_map(fmap, P)
-        if rank(g.matrix) != g.source.dim:
-            return False
-    return True
-
-
-def is_split_surjective(fmap: ModuleMap) -> bool:
-    p = fmap.source.field.p
-    lat = fmap.source.group.lattice()
-    for P in lat.p_class_reps(p):
-        g = brauer_quotient_map(fmap, P)
-        if rank(g.matrix) != g.target.dim:
-            return False
-    return True
-
-
-def vertex_classes(M: KgModule) -> list:
-    """Class representatives P with M(P) nonzero."""
-    lat = M.group.lattice()
-    return [
-        P
-        for P in lat.p_class_reps(M.field.p)
-        if brauer_quotient(M, P).module.dim != 0
-    ]

@@ -363,13 +363,14 @@ def per_generator_homology_action(C: BoundedComplex, i: int) -> list:
     return [proj @ solve_matrix(Z, Mi.act(gi, witness)) for gi in range(len(C.group.generators))]
 
 
-def homology_module_reading(C: BoundedComplex):
+def homology_module_reading(C: BoundedComplex, local_complex=brauer_complex):
     """(violations, {class_id: (h, character values)}) of the local homology
     at every p-subgroup class, from the homology modules: the character is
-    the action on a 1x1 homology module."""
+    the action on a 1x1 homology module.  The local complexes are built by
+    `local_complex(C, P)`."""
     violations, entries = {}, {}
     for P in C.group.lattice().p_class_reps(C.field.p):
-        local = {i: H for i, H in homology(brauer_complex(C, P)).items() if H.dim}
+        local = {i: H for i, H in homology(local_complex(C, P)).items() if H.dim}
         degs = tuple((i, H.dim) for i, H in local.items())
         if len(degs) != 1 or degs[0][1] != 1:
             violations[P.class_id] = degs

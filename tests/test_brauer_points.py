@@ -1,13 +1,18 @@
 """The Brauer construction by fixed basis points, the rank form of the
 homology dimensions, and the one pass of `endotrivial_report`.
 
-The oracle is the generic trace-quotient path: the same complex with its
-labels stripped goes through `brauer_quotient`, and both paths must give
-the same violations and the same invariant xi.  The local characters read
-off one cycle are checked against the homology modules, and the report is
-checked to be made once and kept on its frozen complex.  The paper's
-identities for tensor products, duals, shifts and twists are checked over
-the whole catalog and over tensor products of its entries.
+The package has one Brauer construction: `BrauerComplex` picks the P-fixed
+basis points of every monomial term, labeled or not.  The oracle is the
+trace-quotient construction of `module_reference`: every term's
+`brauer_quotient` and every differential's induced map, with the local
+homology read from homology modules.  Both must give the same violations
+and the same invariant xi, on the catalog, on restrictions and local
+complexes of it (which carry no labels), and on tensor products; a dense
+complex has no Brauer points and raises.  The local characters read off one
+cycle are checked against the homology modules, and the report is checked
+to be made once and kept on its frozen complex.  The paper's identities
+for tensor products, duals, shifts and twists are checked over the whole
+catalog and over tensor products of its entries.
 """
 
 import dataclasses
@@ -29,6 +34,7 @@ from permchain.complexes import (
     homology_at,
     homology_dims,
     module_complex,
+    restrict_complex,
     shift,
     tensor_complex,
     trivial_complex,
@@ -45,21 +51,13 @@ from permchain.constructions import (
 from permchain.errors import PermchainError
 from permchain.ffield import GF
 from permchain.groups import catalog, group_from_spec
-from permchain.modules import KgModule, all_characters, brauer_points, perm_module
+from permchain.modules import all_characters, brauer_points, perm_module
 
 from helpers import homology_module_reading, per_generator_homology_action
+from module_reference import dense_copy, trace_quotient_complex
 
 ENTRIES = all_entries()
 ENTRY_IDS = [e.name for e in ENTRIES]
-
-
-def strip_labels(C: BoundedComplex) -> BoundedComplex:
-    mods = [
-        KgModule(C.group, C.field, C.module_at(i).gen_mats, labels=None, check=False)
-        for i in C.degrees()
-    ]
-    diffs = {i: C.diff_at(i).matrix for i in range(C.lo + 1, C.hi + 1)}
-    return BoundedComplex(C.group, C.field, C.lo, mods, diffs)
 
 
 def variants(C: BoundedComplex) -> list:
@@ -82,12 +80,15 @@ def permutation_complexes() -> list:
 
 
 def assert_paths_agree(C: BoundedComplex):
-    plain = strip_labels(C)
-    assert C.has_labels() and not plain.has_labels()
-    by_points, by_traces = endotrivial_report(C), endotrivial_report(plain)
-    assert by_points.violations == by_traces.violations
-    assert by_points.xi == by_traces.xi
-    assert (by_points.xi is not None) == by_points.ok
+    """The report, built on picked coordinates, reads what the homology of
+    the trace-quotient complexes gives at every p-subgroup class."""
+    by_points = endotrivial_report(C)
+    violations, entries = homology_module_reading(C, trace_quotient_complex)
+    assert by_points.violations == violations
+    assert (by_points.xi is not None) == by_points.ok == (not violations)
+    if by_points.ok:
+        got = {cid: (e.h, list(e.character.values)) for cid, e in by_points.xi.entries.items()}
+        assert got == entries
 
 
 def _class_reps(C):
@@ -147,22 +148,49 @@ def test_points_match_trace_quotients_off_endotrivial():
 
 
 def test_points_match_trace_quotients_at_every_subgroup():
-    """Both paths agree on the local complexes at every subgroup class,
-    non-p-subgroups (where both are zero) included."""
+    """Both constructions agree on the local complexes at every subgroup
+    class, non-p-subgroups (where both are zero) included."""
     for e in build_entries("abelian-C6") + build_entries("gamma-D8"):
         C = e.complex
         p_classes = _class_reps(C)
         for H in C.group.lattice().class_reps:
             by_points = brauer_complex(C, H)
-            assert by_points.dims() == brauer_complex(strip_labels(C), H).dims()
+            assert by_points.dims() == trace_quotient_complex(C, H).dims()
             if H.elems not in p_classes:
                 assert set(by_points.dims().values()) == {0}
 
 
-def test_points_need_labels():
-    M = strip_labels(build_entries("trunc-C2")[0].complex).module_at(1)
-    with pytest.raises(PermchainError):
+def restrictions_and_local_complexes() -> list:
+    """Every catalog complex restricted to each proper subgroup class, and
+    its local complex at each nontrivial p-subgroup class: monomial
+    complexes over other groups, the local ones without labels."""
+    out = []
+    for e in ENTRIES:
+        C = e.complex
+        lat = C.group.lattice()
+        out += [restrict_complex(C, H) for H in lat.class_reps if H != lat.full]
+        out += [brauer_complex(C, P) for P in lat.p_class_reps(e.field.p) if P != lat.trivial]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_points_match_trace_quotients_on_restrictions_and_local_complexes():
+    cases = restrictions_and_local_complexes()
+    assert len(cases) == 172
+    assert any(C.mods[0].labels is None for C in cases)
+    for C in cases:
+        assert_paths_agree(C)
+
+
+def test_dense_complex_has_no_brauer_points():
+    C = build_entries("trunc-C2")[0].complex
+    diffs = {i: d.matrix for i, d in C.diffs.items()}
+    C = BoundedComplex(C.group, C.field, C.lo, [dense_copy(M) for M in C.mods], diffs)
+    M = C.module_at(1)
+    with pytest.raises(PermchainError, match="monomial"):
         brauer_points(M, M.group.lattice().trivial)
+    with pytest.raises(PermchainError, match="monomial"):
+        endotrivial_report(C)
 
 
 def _tensor_pool(max_dim=400):

@@ -1,6 +1,7 @@
 """Import hygiene of the package: every name a module imports is used in
 that module.  Names a package re-exports through its `__all__` count as
-used.  The names the benchmark's tracer hooks into exist."""
+used.  The names the benchmark's tracer hooks into exist, and only
+`modules` names the trace-quotient Brauer construction among them."""
 
 import ast
 import importlib.util
@@ -52,3 +53,30 @@ def test_benchmark_trace_hooks_exist():
     from permchain import cli
 
     assert callable(cli.__dict__.get("group_from_spec"))
+
+
+# The Brauer construction by traces, kept in `modules` because the benchmark's
+# tracer names it; the package picks coordinates (`brauer_points`) instead.
+BRAUER_BY_TRACES = {"brauer_quotient", "trace_map", "fixed_points"}
+
+
+def names_in(path: Path) -> set:
+    """Every name, attribute, imported name and definition in a module."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "modules.py"], ids=lambda p: p.name
+)
+def test_one_brauer_construction(path):
+    assert sorted(names_in(path) & BRAUER_BY_TRACES) == []

@@ -4,20 +4,22 @@ import pytest
 from permchain.burnside import marks
 from permchain.complexes import (
     module_complex,
+    restrict_complex,
     shift,
     tensor_complex,
     trivial_complex,
     xi,
 )
-from permchain.constructions import a4_frobenius_example, build_entries
+from permchain.constructions import a4_frobenius_example, all_entries, build_entries
 from permchain.errors import (
+    IncompatibleHandles,
     NonCharacterTrace,
     NotUnitDimension,
     PGroupOnly,
     UnlabeledComponent,
 )
 from permchain.ffield import GF
-from permchain.groups import catalog
+from permchain.groups import catalog, is_p_power
 from permchain.invariants import (
     TrivialSourceElement,
     beta_direct,
@@ -32,7 +34,10 @@ from permchain.invariants import (
 )
 from permchain.modules import (
     all_characters,
+    brauer_points,
     one_dim_module,
+    regular_module,
+    restrict,
     trivial_character,
 )
 
@@ -85,6 +90,50 @@ def test_lefschetz_unlabeled_rejected():
     H = homology_at(e.complex, 2).module  # carries no labels
     with pytest.raises(UnlabeledComponent):
         lefschetz(module_complex(H, 0))
+
+
+P_GROUP_ENTRIES = [e for e in all_entries() if is_p_power(e.group.order, e.field.p)]
+
+
+def fixed_point_marks(C, L) -> int:
+    """sum_i (-1)^i |X_i^L|: the basis points of each term that every
+    element of L fixes."""
+    total = 0
+    for i in C.degrees():
+        M = C.module_at(i)
+        if M.dim:
+            eperms = M.element_perms()[list(L.elems)]
+            total += (-1) ** (i % 2) * int((eperms == np.arange(M.dim)).all(axis=0).sum())
+    return total
+
+
+@pytest.mark.parametrize("entry", P_GROUP_ENTRIES, ids=[e.name for e in P_GROUP_ENTRIES])
+def test_restriction_keeps_lefschetz_marks(entry):
+    """Restriction keeps labels by Mackey: for every subgroup K, the mark of
+    Lambda(Res_K C) at L <= K is the mark of Lambda(C) at L's image in G,
+    and both count the L-fixed basis points."""
+    C = entry.complex
+    G, lat = C.group, C.group.lattice()
+    big = marks(lefschetz(C).to_burnside())
+    for K in lat.subgroups:
+        R = restrict_complex(C, K)
+        small = marks(lefschetz(R).to_burnside())
+        for L in R.group.lattice().class_reps:
+            image = lat.subgroup(G.index[R.group.elements[x]] for x in L.elems)
+            assert small[L.class_id] == big[image.class_id] == fixed_point_marks(R, L)
+
+
+def test_subgroup_of_another_group_is_rejected():
+    """A subgroup of C4 handed to a module or element over V4 fails at once,
+    before its element indices are read as elements of V4."""
+    V4, C4 = catalog("V4"), catalog("C4")
+    N2 = next(H for H in C4.lattice().subgroups if H.order == 2)
+    with pytest.raises(IncompatibleHandles):
+        brauer_points(regular_module(V4, F2), N2)
+    with pytest.raises(IncompatibleHandles):
+        restrict(regular_module(V4, F2), N2)
+    with pytest.raises(IncompatibleHandles):
+        TrivialSourceElement(V4, F2).add_term(trivial_character(V4, F2), N2, 1)
 
 
 # -- orthogonal units ----------------------------------------------------------------

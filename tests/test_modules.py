@@ -11,16 +11,12 @@ from permchain.modules import (
     ModuleMap,
     all_characters,
     brauer_quotient,
-    brauer_quotient_map,
     coset_list,
     direct_sum,
     dual,
-    fixed_points,
     free_module,
     frobenius_twist_module,
     inflate,
-    is_split_injective,
-    is_split_surjective,
     one_dim_module,
     perm_module,
     regular_module,
@@ -30,12 +26,18 @@ from permchain.modules import (
     trivial_character,
     trivial_module,
     twist,
-    vertex_classes,
 )
 from permchain.syzygies import free_rank, hom_space_basis, omega, relative_syzygy, split_free_summand
 
 from helpers import oracle_orbit_count, random_hom, random_labeled_module
-from module_reference import module_check_labels
+from module_reference import (
+    brauer_quotient_map,
+    fixed_points,
+    is_split_injective,
+    is_split_surjective,
+    module_check_labels,
+    vertex_classes,
+)
 
 F2 = GF(2)
 F3 = GF(3)

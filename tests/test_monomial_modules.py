@@ -5,7 +5,9 @@ twist codes per generator.  On drawn catalog groups and fields F2, F3, F4,
 F8 and F9, the dense matrices built from them (`gen_mats`, `elem_mat`), the
 Brauer points and the labels must equal what the dense constructions of
 `module_reference` give, and the monomial commutation check of `ModuleMap`
-must accept and reject exactly the matrices the dense check does.
+must accept and reject exactly the matrices the dense check does.  The
+label check of `KgModule` must accept exactly the labels the dense label
+oracle accepts, on constructor labels with one summand changed.
 """
 
 import numpy as np
@@ -13,13 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permchain.errors import PermchainError
+from permchain.errors import IncompatibleHandles, PermchainError
 from permchain.ffield import GF
 from permchain.groups import catalog, is_p_power, minimal_generators, quotient
 from permchain.linalg import FqMatrix
+from permchain.complexes import module_complex
+from permchain.invariants import lefschetz
 from permchain.modules import (
     KgModule,
     ModuleMap,
+    Summand,
     all_characters,
     brauer_context,
     brauer_points,
@@ -31,6 +36,7 @@ from permchain.modules import (
     perm_module,
     restrict,
     tensor,
+    trivial_character,
     twist,
 )
 from permchain.syzygies import hom_space_basis
@@ -147,7 +153,8 @@ def test_restrictions(data):
     H = data.draw(st.sampled_from(lat.class_reps))
     R = restrict(M, H)
     assert_matches(R, restrict_mats(M, lat.as_group(H)))
-    assert R.labels is None or R is M
+    assert R.labels is not None  # Mackey: one summand per H-orbit, checked above
+    assert_brauer_points(R)
 
 
 @EXAMPLES
@@ -161,6 +168,88 @@ def test_inflations(data):
     M = inflate(Mbar, q)
     assert_matches(M, inflate_mats(Mbar, q))
     assert_brauer_points(M)
+
+
+RELABELINGS = ["keep", "conjugate", "subgroup", "character", "split", "merge", "repeat"]
+
+
+@st.composite
+def relabeled(draw, M: KgModule, how: str) -> list:
+    """M's labels, kept or with one summand changed: its subgroup replaced
+    by a conjugate or by any subgroup, its character by another, its indices
+    split in two, merged with the next summand's, or put in place of the
+    next summand of the same size."""
+    labels = list(M.labels)
+    lat = M.group.lattice()
+    k = draw(st.integers(0, len(labels) - 1))
+    s = labels[k]
+    if how == "conjugate":
+        labels[k] = s._replace(subgroup=lat.conjugate(s.subgroup, draw(st.integers(0, M.group.order - 1))))
+    elif how == "subgroup":
+        labels[k] = s._replace(subgroup=draw(st.sampled_from(lat.subgroups)))
+    elif how == "character":
+        others = [c for c in all_characters(M.group, M.field) if c != s.character]
+        if others:
+            labels[k] = s._replace(character=draw(st.sampled_from(others)))
+    elif how == "split" and len(s.indices) > 1:
+        cut = draw(st.integers(1, len(s.indices) - 1))
+        labels[k : k + 1] = [s._replace(indices=s.indices[:cut]), s._replace(indices=s.indices[cut:])]
+    elif how == "merge" and k + 1 < len(labels):
+        labels[k : k + 2] = [s._replace(indices=s.indices + labels[k + 1].indices)]
+    elif how == "repeat" and k + 1 < len(labels) and len(labels[k + 1].indices) == len(s.indices):
+        labels[k + 1] = s
+    return labels
+
+
+def label_verdict(M: KgModule, labels) -> bool:
+    try:
+        KgModule(M.group, M.field, perms=M.perms, twists=M.twists, labels=labels)
+    except PermchainError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_label_check_matches_oracle(data):
+    """`check=True` accepts exactly the labels the dense oracle accepts, on
+    labels of sums, tensors and restrictions with one summand changed."""
+    how = data.draw(st.sampled_from(RELABELINGS))
+    pairs = group_field()
+    if how == "character":  # a group and field with a second character
+        pairs = pairs.filter(lambda gf: len(all_characters(*gf)) > 1)
+    G, fld = data.draw(pairs)
+    M = direct_sum(data.draw(labeled_module(G, fld, max_dim=12)))
+    kind = data.draw(st.sampled_from(["sum", "tensor", "restriction"]))
+    if kind == "tensor":
+        M = tensor(M, direct_sum(data.draw(labeled_module(G, fld, max_dim=4))))
+    elif kind == "restriction":
+        M = restrict(M, data.draw(st.sampled_from(G.lattice().subgroups)))
+    labels = data.draw(relabeled(M, how))
+    unchecked = KgModule(M.group, fld, perms=M.perms, twists=M.twists, labels=labels, check=False)
+    assert label_verdict(M, labels) == module_check_labels(unchecked)
+
+
+def test_labels_are_checked():
+    """Each summand must be one orbit, labeled by its first point's
+    stabilizer and twisted by its character.  Labeling the regular module
+    kC2 as [G/1] on point 0 plus [G/G] on point 1 is refused; unchecked, its
+    Lefschetz invariant would read 1*[G/1] + 1*[G/G]."""
+    C2, V4, F2, F3 = catalog("C2"), catalog("V4"), GF(2), GF(3)
+    lat, triv = C2.lattice(), trivial_character(C2, F2)
+    swap = {"perms": [[1, 0]], "twists": [[1, 1]]}
+    with pytest.raises(PermchainError, match="orbits"):
+        KgModule(C2, F2, **swap, labels=(Summand(triv, lat.trivial, (0,)), Summand(triv, lat.full, (1,))))
+    with pytest.raises(PermchainError, match="orbits"):
+        KgModule(C2, F2, **swap, labels=(Summand(triv, lat.full, (0, 1)),))
+    sign = next(c for c in all_characters(C2, F3) if not c.is_trivial())
+    with pytest.raises(PermchainError, match="character"):
+        KgModule(C2, F3, **swap, labels=(Summand(sign, lat.trivial, (0, 1)),))
+    with pytest.raises(IncompatibleHandles):
+        KgModule(C2, F2, **swap, labels=(Summand(triv, V4.lattice().trivial, (0, 1)),))
+    M = KgModule(C2, F2, **swap, labels=(Summand(triv, lat.trivial, [0, 1]),))
+    assert M.labels == (Summand(triv, lat.trivial, (0, 1)),)
+    assert repr(lefschetz(module_complex(M))) == "1*[G/1]"
 
 
 def induced_module(G, H, chi) -> KgModule:
