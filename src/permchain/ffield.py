@@ -6,9 +6,11 @@ the modulus root.  `GF` builds q x q addition and multiplication tables and
 the negation, inverse and Frobenius tables; scalar arithmetic and entrywise
 matrix operations look codes up in them.  The kernels in linalg mostly do
 not: row reduction works on packed bits over F2 and on integers mod p over
-prime fields, and uses the tables only over extension fields; products are
-float64 BLAS products, split into coefficient planes and reduced with the
-`power_basis` rows over extension fields.
+prime fields and on F_q matrices whose codes all lie in the prime subfield
+(the codes below p), and uses the tables only on the others.  Products are
+BLAS products in float32 while every sum stays below 2^24 and in float64
+past that, split into coefficient planes and reduced with the `power_basis`
+rows when a code lies outside the prime subfield.
 
 Scalars are written as text by `format` (the canonical form) and read by
 `parse`, which also accepts other spellings.  `GF` keeps the scalar codec as

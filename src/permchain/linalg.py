@@ -4,7 +4,9 @@ Entries are stored as integer codes (see ffield) in a 2-D numpy int16 array.
 `rref` returns the reduced row echelon form with its rank and pivot columns.
 The RREF of a matrix is unique, so every basis this module builds from it is
 bit-identical across runs, whichever kernel computed it.  The kernel is
-chosen by the field:
+chosen by the smallest field that holds the codes: the prime subfield F_p
+is the set of codes below p, and an F_p matrix inside F_q has the same
+RREF, products and Kronecker products over both fields.
 
 * F2: rows are packed into Python integers and reduced a strip of up to
   eight columns at a time.  The pivot rows of a strip are combined into a
@@ -15,12 +17,15 @@ chosen by the field:
   integer arithmetic mod p; extension fields use the field's tables, and in
   characteristic 2 adding two codes is XOR.
 
-A matrix product is one BLAS product reduced mod p at the end.  Over
-extension fields the codes are split into coefficient planes: one product
-gives every pair of planes, and the power basis of the modulus reduces their
-convolution.  Each entry is a sum of at most n * k products below p^2: the
-product runs in float32 while that bound is below 2^24, at half the memory,
-else in float64 up to 2^53; a product past that bound raises.
+A matrix product is one BLAS product reduced mod p at the end.  When a code
+of either factor lies outside F_p, the codes are split into coefficient
+planes: one product gives every pair of planes, and the power basis of the
+modulus reduces their convolution.  Each entry is a sum of at most n * k
+products below p^2: the product runs in float32 while that bound is below
+2^24, at half the memory, else in float64 up to 2^53; a product past that
+bound raises.  A Kronecker product with a factor of codes 0 and 1 is an
+integer one, since 0 * x = 0 and 1 * x = x; others look products up in the
+field's table.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldMismatch, NotSubspace
-from .ffield import FqField, FqScalar
+from .ffield import GF, FqField, FqScalar
 
 
 class FqMatrix:
@@ -111,7 +116,7 @@ class FqMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         bound = _exact_bound(self.cols, f)
         dt = np.float32 if bound < 2 ** 24 else np.float64  # both hold every sum exactly
-        if n == 1:
+        if n == 1 or (_below(self.a, p) and _below(other.a, p)):
             prod = self.a.astype(dt) @ other.a.astype(dt)
             return FqMatrix(f, _mod_p(prod, p, bound).astype(np.int16))
         r, c = self.rows, other.cols
@@ -134,6 +139,8 @@ class FqMatrix:
         self._check(other)
         f = self.field
         A, B = self.a, other.a
+        if _below(A, 2) or _below(B, 2):
+            return FqMatrix(f, np.kron(A, B))
         out = f.mul[A[:, None, :, None], B[None, :, None, :]]
         return FqMatrix(f, out.reshape(self.rows * other.rows, self.cols * other.cols))
 
@@ -187,6 +194,12 @@ def block_diag(field: FqField, mats) -> FqMatrix:
 _FLOAT_EXACT = 2 ** 53
 
 
+def _below(a: np.ndarray, c: int) -> bool:
+    """Whether every code of a is below c; for c = p, whether a lies in the
+    prime subfield."""
+    return a.max(initial=0) < c
+
+
 def _exact_bound(k: int, field: FqField) -> int:
     """A bound on the entries of a float64 product with inner dimension k:
     sums of at most n * k products of plane values below p.  Raises when
@@ -209,13 +222,14 @@ def rref(M: FqMatrix):
 
     Returns (R, rank, pivot_cols).  The pivot columns are the first nonzero
     column of each row of R; R is unique, so the kernel that computes it does
-    not change it.
+    not change it: a matrix with every code below p is reduced over F_p.
     """
     f = M.field
-    if f.q == 2:
+    kf = GF(f.p) if f.n > 1 and _below(M.a, f.p) else f
+    if kf.q == 2:
         top, pivots = _rref_f2(M.a)
     else:
-        top, pivots = _rref_fq(f, M.a)
+        top, pivots = _rref_fq(kf, M.a)
     R = np.zeros(M.shape, dtype=np.int16)
     R[: len(pivots)] = top
     return FqMatrix(f, R), len(pivots), pivots

@@ -357,12 +357,14 @@ class KgModule:
 
     def act_right(self, X: FqMatrix, gi: int) -> FqMatrix:
         """X times the matrix of generator gi: column j of the product is
-        column perms[gi][j] of X scaled by twists[gi][j]."""
+        column perms[gi][j] of X scaled by twists[gi][j], a unit code; if
+        the largest is 1, the columns are only moved."""
         if self.perms is None:
             return X @ self._gen_mats[gi]
         cols = X.a[:, self.perms[gi]]
-        if self.field.q > 2:
-            cols = self.field.mul[cols, self.twists[gi][None, :]]
+        tw = self.twists[gi]
+        if self.field.q > 2 and tw.max(initial=1) > 1:
+            cols = self.field.mul[cols, tw[None, :]]
         return FqMatrix(self.field, cols)
 
     def apply(self, i: int, X: FqMatrix) -> FqMatrix:
@@ -405,8 +407,8 @@ def _monomial_matrix(f: FqField, perm, tw) -> FqMatrix:
 
 def _move_rows(f: FqField, perm, tw, X: FqMatrix) -> FqMatrix:
     """The monomial matrix (perm, tw) times X: row j of X, scaled by tw[j],
-    becomes row perm[j]."""
-    rows = f.mul[tw[:, None], X.a] if f.q > 2 else X.a
+    becomes row perm[j]; unscaled if every twist is 1."""
+    rows = f.mul[tw[:, None], X.a] if f.q > 2 and tw.max(initial=1) > 1 else X.a
     out = np.empty_like(X.a)
     out[perm] = rows
     return FqMatrix(f, out)

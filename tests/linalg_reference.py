@@ -1,12 +1,12 @@
 """Reference linear algebra: the table-lookup kernels, kept as the oracle.
 
 Every step goes through the field's q x q lookup tables, on the whole
-matrix: each pivot of `rref` does two table lookups over every entry, and
+matrix: each pivot of `rref` does two table lookups over every entry,
 `matmul` splits codes into coefficient planes multiplied with integer
-(non-BLAS) matmul.  The functions built on top (`kernel_basis` and the
-rest) are the per-entry loops they replaced.  Slow, but simple enough to
-read off as correct; property tests compare the library's field kernels
-with it.
+(non-BLAS) matmul, and `kron` scales one block at a time.  The functions
+built on top (`kernel_basis` and the rest) are the per-entry loops they
+replaced.  Slow, but simple enough to read off as correct; property tests
+compare the library's field kernels with it.
 """
 
 from __future__ import annotations
@@ -70,6 +70,17 @@ def matmul(A: FqMatrix, B: FqMatrix) -> FqMatrix:
                 planes[i] += ck * int(basis[k, i])
     code = sum((planes[i] % p) * (p ** i) for i in range(n))
     return FqMatrix(f, code.astype(np.int16))
+
+
+def kron(A: FqMatrix, B: FqMatrix) -> FqMatrix:
+    """Block (i, j) is B scaled by A[i, j], one table lookup per entry."""
+    f = A.field
+    r, c = B.rows, B.cols
+    out = np.zeros((A.rows * r, A.cols * c), dtype=np.int16)
+    for i in range(A.rows):
+        for j in range(A.cols):
+            out[i * r : (i + 1) * r, j * c : (j + 1) * c] = f.mul[int(A.a[i, j]), B.a]
+    return FqMatrix(f, out)
 
 
 def kernel_basis(M: FqMatrix) -> FqMatrix:

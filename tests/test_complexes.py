@@ -1,6 +1,10 @@
+import functools
+import sys
+
 import numpy as np
 import pytest
 
+from permchain import linalg
 from permchain.complexes import (
     BoundedComplex,
     ChainMap,
@@ -20,7 +24,12 @@ from permchain.complexes import (
     twist_complex,
     xi,
 )
-from permchain.constructions import CatalogEntry, build_entries, gamma_dihedral
+from permchain.constructions import (
+    CatalogEntry,
+    build_entries,
+    gamma_dihedral,
+    truncated_periodic_resolution,
+)
 from permchain.errors import NotChainMap, NotEndotrivial, PermchainError
 from permchain.ffield import GF
 from permchain.groups import catalog
@@ -396,3 +405,61 @@ def test_endotriviality_preserved_by_functors():
     assert is_endotrivial(brauer_complex(C, L.generated_by([C.group.element_by_word("b")])))
     assert is_endotrivial(restrict_complex(C, L.generated_by([C.group.element_by_word("a")])))
     assert is_endotrivial(tensor_complex(C, C))
+
+
+# -- work over extension fields ------------------------------------------------
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Calls of `linalg.rref` and `FqMatrix.__matmul__`, counted by wrappers
+    bound wherever the originals are: rref in every permchain module that
+    holds it, the product on the class."""
+    counts = {"rref": 0, "matmul": 0}
+
+    def counted(fn, key):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    rref = linalg.rref
+    wrapped = counted(rref, "rref")
+    for name, mod in list(sys.modules.items()):
+        if name == "permchain" or name.startswith("permchain."):
+            for attr, val in list(vars(mod).items()):
+                if val is rref:
+                    monkeypatch.setattr(mod, attr, wrapped)
+    monkeypatch.setattr(linalg.FqMatrix, "__matmul__", counted(linalg.FqMatrix.__matmul__, "matmul"))
+    return counts
+
+
+def _gamma_d8_squared(fld):
+    g = gamma_dihedral(3, fld)
+    return tensor_complex(g, g)
+
+
+def _trunc_c8_squared(fld):
+    t = truncated_periodic_resolution(catalog("C8"), fld)
+    return tensor_complex(t, t)
+
+
+def _trunc_q8(fld):
+    return truncated_periodic_resolution(catalog("Q8"), fld)
+
+
+@pytest.mark.parametrize("build", [_gamma_d8_squared, _trunc_c8_squared, _trunc_q8])
+def test_report_work_does_not_depend_on_field(linalg_calls, build):
+    """A complex over F2, read over F4 and F8: the report makes the same
+    row reductions and products and finds the same h-marks."""
+    seen = []
+    for fld in (F2, GF(2, 2), GF(2, 3)):
+        C = build(fld)
+        before = dict(linalg_calls)
+        rep = endotrivial_report(C)
+        calls = tuple(linalg_calls[k] - before[k] for k in ("rref", "matmul"))
+        seen.append((calls, {cid: e.h for cid, e in rep.xi.entries.items()}))
+    assert min(seen[0][0]) > 0
+    assert seen[1] == seen[0] and seen[2] == seen[0]

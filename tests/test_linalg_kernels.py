@@ -5,6 +5,10 @@ reference returns: the same R (as int16 codes), rank and pivot columns, and
 the same bases built from them.  Matrices are dense, sparse or of low rank,
 with 0 to 64 rows and columns, over prime fields, extension fields of
 characteristic 2 and 3, and the largest fields supported (q = 509, 512).
+Over the extension fields some matrices have every code in the prime
+subfield, which linalg reduces and multiplies with the F_p kernels, and
+some have one code planted outside it, which sends them back to the F_q
+kernels.
 """
 
 import numpy as np
@@ -29,13 +33,24 @@ from permchain.linalg import (
 F2 = GF(2)
 F509 = GF(509)
 FIELDS = [F2, GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2), F509, GF(2, 9)]
+EXTENSIONS = [f for f in FIELDS if f.n > 1]
 KINDS = ("dense", "sparse", "low-rank")
+SUBFIELD_KINDS = ("subfield", "subfield+1")
 DIMS = st.integers(0, 64)
 EXAMPLES = settings(max_examples=150, deadline=None)
 
 
 def _codes(f, rows, cols, seed, kind):
+    """Codes of a rows x cols matrix of the given kind.  "subfield" is a
+    matrix of one of the other kinds over F_p, read as codes of f;
+    "subfield+1" is the same with one code outside F_p planted in it."""
     rng = np.random.default_rng(seed)
+    if kind in SUBFIELD_KINDS:
+        codes = _codes(GF(f.p), rows, cols, seed, KINDS[seed % len(KINDS)])
+        if kind == "subfield+1" and codes.size and f.q > f.p:
+            i, j = int(rng.integers(0, rows)), int(rng.integers(0, cols))
+            codes[i, j] = rng.integers(f.p, f.q)
+        return codes
     if kind == "low-rank":
         k = int(rng.integers(0, 4))
         A = FqMatrix(f, rng.integers(0, f.q, (rows, k)))
@@ -48,18 +63,31 @@ def _codes(f, rows, cols, seed, kind):
 
 
 @st.composite
-def matrix(draw, field=None, rows=None, cols=None):
-    f = field or draw(st.sampled_from(FIELDS))
+def matrix(draw, field=None, rows=None, cols=None, kinds=KINDS + SUBFIELD_KINDS):
+    kind = draw(st.sampled_from(kinds))
+    if field is None:
+        field = draw(st.sampled_from(EXTENSIONS if kind in SUBFIELD_KINDS else FIELDS))
     rows = draw(DIMS) if rows is None else rows
     cols = draw(DIMS) if cols is None else cols
     seed = draw(st.integers(0, 2**32 - 1))
-    return FqMatrix(f, _codes(f, rows, cols, seed, draw(st.sampled_from(KINDS))))
+    return FqMatrix(field, _codes(field, rows, cols, seed, kind))
 
 
 @st.composite
-def product(draw):
-    A = draw(matrix())
-    return A, draw(matrix(field=A.field, rows=A.cols))
+def product(draw, kinds=KINDS + SUBFIELD_KINDS):
+    A = draw(matrix(kinds=kinds))
+    return A, draw(matrix(field=A.field, rows=A.cols, kinds=kinds))
+
+
+def test_subfield_kinds():
+    """A "subfield" matrix has every code below p; "subfield+1" has exactly
+    one code outside F_p."""
+    for f in EXTENSIONS:
+        sub = _codes(f, 9, 7, 5, "subfield")
+        assert sub.max() < f.p
+        planted = _codes(f, 9, 7, 5, "subfield+1")
+        assert ((planted >= f.p) == (planted != sub)).all()
+        assert (planted >= f.p).sum() == 1
 
 
 @EXAMPLES
@@ -92,6 +120,55 @@ def test_matmul_matches_reference(AB):
 
 
 @EXAMPLES
+@given(product(kinds=SUBFIELD_KINDS))
+def test_subfield_matmul_matches_reference(AB):
+    """Both factors in F_p take the prime field's product; one code outside
+    it in either factor takes the coefficient planes."""
+    A, B = AB
+    assert A @ B == ref.matmul(A, B)
+
+
+@st.composite
+def kron_pair(draw):
+    """Two matrices of 1 x 1 up to 8 x 8 over one field.  Either factor may
+    have only codes 0 and 1; otherwise, over q > 2, each factor gets a code
+    above 1 planted in it."""
+    f = draw(st.sampled_from(FIELDS))
+    dims = st.integers(1, 8)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A, B = (
+        FqMatrix(f, _codes(f, draw(dims), draw(dims), seed + k, draw(st.sampled_from(KINDS))))
+        for k in range(2)
+    )
+    unit = draw(st.sampled_from(("none", "left", "right")))
+    if unit != "none":
+        X = A if unit == "left" else B
+        X.a[...] = rng.integers(0, 2, X.shape)
+    elif f.q > 2:
+        for X in (A, B):
+            X.a[tuple(rng.integers(0, X.shape))] = rng.integers(2, f.q)
+    return A, B
+
+
+@EXAMPLES
+@given(kron_pair())
+def test_kron_matches_reference(AB):
+    A, B = AB
+    K = A.kron(B)
+    assert K.a.dtype == np.int16
+    assert K == ref.kron(A, B)
+
+
+@pytest.mark.parametrize("shapes", [((0, 3), (2, 2)), ((2, 0), (3, 1)), ((2, 3), (0, 4))])
+def test_kron_with_an_empty_factor(shapes):
+    f = GF(2, 2)
+    A, B = (FqMatrix(f, np.full(shape, 3)) for shape in shapes)
+    assert A.kron(B) == ref.kron(A, B)
+    assert A.kron(B).shape == (A.rows * B.rows, A.cols * B.cols)
+
+
+@EXAMPLES
 @given(matrix())
 def test_kernel_and_image_match_reference(M):
     assert kernel_basis(M) == ref.kernel_basis(M)
@@ -112,14 +189,16 @@ def test_solve_matrix_matches_reference(MX, consistent):
 
 
 @EXAMPLES
-@given(matrix(), st.integers(0, 2**32 - 1), st.booleans())
-def test_quotient_space_matches_reference(M, seed, inside):
+@given(
+    matrix(), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(("dense", "subfield"))
+)
+def test_quotient_space_matches_reference(M, seed, inside, kind):
     V = ref.image_basis(M)
     f = V.field
     if inside:
-        W = ref.matmul(V, FqMatrix(f, _codes(f, V.cols, seed % 6, seed, "dense")))
+        W = ref.matmul(V, FqMatrix(f, _codes(f, V.cols, seed % 6, seed, kind)))
     else:
-        W = FqMatrix(f, _codes(f, V.rows, 1 + seed % 3, seed, "dense"))
+        W = FqMatrix(f, _codes(f, V.rows, 1 + seed % 3, seed, kind))
     try:
         want = ref.quotient_space(V, W)
     except NotSubspace:

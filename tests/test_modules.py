@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permchain.errors import NotNested, PermchainError, PGroupOnly
 from permchain.ffield import GF
@@ -29,7 +31,13 @@ from permchain.modules import (
 )
 from permchain.syzygies import free_rank, hom_space_basis, omega, relative_syzygy, split_free_summand
 
-from helpers import oracle_orbit_count, random_hom, random_labeled_module
+from helpers import (
+    oracle_orbit_count,
+    oracle_split_injective,
+    oracle_split_surjective,
+    random_hom,
+    random_labeled_module,
+)
 from module_reference import (
     brauer_quotient_map,
     fixed_points,
@@ -339,6 +347,37 @@ def test_summand_inclusion_split():
     incl.a[: M.dim, :] = np.eye(M.dim, dtype=np.int16)
     f = ModuleMap(M, S, incl)
     assert is_split_injective(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["C2", "C4", "V4"]),
+    st.sampled_from([F2, F4]),
+    st.sampled_from(["map", "graph", "retraction"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_split_detection_matches_splitting_equation(name, fld, shape, seed):
+    """Split detection by local ranks against solving f s f = f, on maps
+    between sums of permutation modules: a random map f: M -> N, its graph
+    (1, f): M -> M + N, always split injective, and a map (1 g): M + N -> M,
+    always split surjective."""
+    rng = np.random.default_rng(seed)
+    G = catalog(name)
+    M = random_labeled_module(rng, G, fld, max_summands=2)
+    N = random_labeled_module(rng, G, fld, max_summands=2)
+    if shape == "map":
+        f = random_hom(rng, M, N)
+    elif shape == "graph":
+        a = np.vstack([np.eye(M.dim, dtype=np.int16), random_hom(rng, M, N).matrix.a])
+        f = ModuleMap(M, direct_sum([M, N]), FqMatrix(fld, a))
+    else:
+        a = np.hstack([np.eye(M.dim, dtype=np.int16), random_hom(rng, N, M).matrix.a])
+        f = ModuleMap(direct_sum([M, N]), M, FqMatrix(fld, a))
+    injective, surjective = is_split_injective(f), is_split_surjective(f)
+    assert injective == oracle_split_injective(f)
+    assert surjective == oracle_split_surjective(f)
+    assert injective or shape != "graph"
+    assert surjective or shape != "retraction"
 
 
 # -- syzygies ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ twist codes per generator.  On drawn catalog groups and fields F2, F3, F4,
 F8 and F9, the dense matrices built from them (`gen_mats`, `elem_mat`), the
 Brauer points and the labels must equal what the dense constructions of
 `module_reference` give, and the monomial commutation check of `ModuleMap`
-must accept and reject exactly the matrices the dense check does.  The
+must accept and reject exactly the matrices the dense check does, also on
+modules whose twists are all 1, where rows and columns are only moved.  The
 label check of `KgModule` must accept exactly the labels the dense label
 oracle accepts, on constructor labels with one summand changed.
 """
@@ -41,6 +42,7 @@ from permchain.modules import (
 )
 from permchain.syzygies import hom_space_basis
 
+import linalg_reference as ref
 from module_reference import (
     brauer_points_dense,
     commutes_dense,
@@ -365,3 +367,48 @@ def test_monomial_input_is_checked():
     assert ok.dim == 2 and ok.gen_mats[0] == FqMatrix(F4, [[0, 1], [1, 0]])
     with pytest.raises(PermchainError, match="monomial"):
         dual(KgModule(G, F4, [FqMatrix(F4, [[1, 1], [0, 1]])]))
+
+
+SHORTCUT_CASES = [("C6", (2, 2)), ("A4", (2, 2)), ("D8", (2, 2))]
+SHORTCUT_CASES += [("C4", (3, 2)), ("C6", (3, 2)), ("C9", (3, 2))]
+
+
+@pytest.mark.parametrize(
+    "name,pn", SHORTCUT_CASES, ids=[f"{g}-F{p ** n}" for g, (p, n) in SHORTCUT_CASES]
+)
+def test_actions_match_reference_products(name, pn):
+    """On kG + k, whose twists are all 1, and on its twists by every
+    nontrivial character, `act`, `act_right` and `apply` are the reference
+    products with the dense generator and element matrices."""
+    G, fld = catalog(name), GF(*pn)
+    lat = G.lattice()
+    plain = direct_sum([perm_module(G, lat.trivial, fld), perm_module(G, lat.full, fld)])
+    twisted = [twist(plain, c) for c in all_characters(G, fld) if not c.is_trivial()]
+    assert all(c.max() == 1 for c in plain.twists)
+    assert all(any(c.max() > 1 for c in M.twists) for M in twisted)
+    rng = np.random.default_rng(G.order * fld.q)
+    for M in [plain, *twisted]:
+        X = FqMatrix(fld, rng.integers(0, fld.q, (M.dim, 5)))
+        Y = FqMatrix(fld, rng.integers(0, fld.q, (5, M.dim)))
+        for gi, A in enumerate(M.gen_mats):
+            assert M.act(gi, X) == ref.matmul(A, X)
+            assert M.act_right(Y, gi) == ref.matmul(Y, A)
+        for i in range(G.order):
+            assert M.apply(i, X) == ref.matmul(M.elem_mat(i), X)
+
+
+def test_untwisted_map_check_rejects_over_f4():
+    """Between modules with every twist 1 over F4, a map with entries
+    outside F2 is accepted, and one changed entry, inside F2 or not, makes
+    it fail both checks."""
+    fld, G = GF(2, 2), catalog("C4")
+    M = perm_module(G, G.lattice().trivial, fld)
+    assert all(c.max() == 1 for c in M.twists)
+    F = FqMatrix(fld, 2 * np.eye(M.dim, dtype=np.int16))  # w times the identity
+    assert assert_same_verdict(M, M, F)
+    for code in (1, 3):
+        bad = F.copy()
+        bad.a[0, 1] = code
+        assert not assert_same_verdict(M, M, bad)
+        with pytest.raises(PermchainError, match="does not commute"):
+            ModuleMap(M, M, bad)
