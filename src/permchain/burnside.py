@@ -108,9 +108,10 @@ def marks(x: BurnsideElement):
 
 def idempotent(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
     """The primitive rational idempotent supported at the class of H:
-    (1/|N_G(H)|) sum over K <= H of |K| mu(K, H) [G/K]."""
+    (1/|N_G(H)|) sum over K <= H of |K| mu(K, H) [G/K], where
+    |N_G(H)| = |G| / |cl(H)|."""
     L = G.lattice()
-    nh = L.normalizer(H).order
+    nh = G.order // len(L.classes[H.class_id])
     coeffs = [Fraction(0)] * len(L.class_reps)
     for K in L.subgroups_of(H):
         mu = L.mobius(K, H)

@@ -20,7 +20,7 @@ from .burnside import burnside_units, idempotents, mark_table, marks
 from .complexes import endotrivial_report, xi
 from .constructions import a4_frobenius_example, build_entries, catalog_names
 from .errors import ParseError, PermchainError
-from .ffield import field_from_q
+from .ffield import field_from_q, is_prime
 from .groups import class_name, group_from_spec, is_p_power, mobius_matrix, perm_to_cycles
 from .invariants import (
     beta_direct,
@@ -190,9 +190,11 @@ def _beta_json(b) -> list:
 
 
 def cmd_group_info(args) -> dict:
+    p = args.p
+    if not is_prime(p):
+        raise PermchainError(f"-p {p} is not a prime")
     G = group_from_spec(args.group)
     L = G.lattice()
-    p = args.p or 2
     names = [class_name(L, rep) for rep in L.class_reps]
     classes = [
         {"name": names[cid], "order": rep.order, "class_size": len(members), "normal": rep.is_normal}
@@ -350,11 +352,10 @@ def cmd_catalog(args) -> dict:
 
 def cmd_frobenius(args) -> dict:
     if args.file == "a4-example":
-        q = args.q or 4
-        u, beta, stable = a4_frobenius_example(field_from_q(q))
+        u, beta, stable = a4_frobenius_example(field_from_q(4 if args.q is None else args.q))
     else:
         u = load_element(args.file)
-        if args.q and args.q != u.field.q:
+        if args.q is not None and args.q != u.field.q:
             raise ParseError(f"element file field F{u.field.q} does not match -q {args.q}")
         beta = beta_direct(u)
         stable = is_frobenius_stable(beta)
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group-info", help="subgroup lattice and p-local data")
     p.add_argument("group", help="catalog name or ';'-separated cycle generators")
-    p.add_argument("-p", type=int, default=None, help="prime (default 2)")
+    p.add_argument("-p", type=int, default=2, help="prime (default 2)")
     common(p)
     p.set_defaults(func=cmd_group_info)
 
@@ -418,7 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frobenius", help="local characters and stability of an element")
     p.add_argument("file", help="element file or 'a4-example'")
-    p.add_argument("-q", type=int, default=None, help="field size for the example")
+    p.add_argument(
+        "-q", type=int, default=None,
+        help="field size: of the example (default 4), or that of the element file",
+    )
     common(p)
     p.set_defaults(func=cmd_frobenius)
     return ap

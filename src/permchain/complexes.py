@@ -5,13 +5,16 @@ checked eagerly at construction, as are the chain-map conditions - silent
 nonsense is worse than a loud failure in exact arithmetic.
 
 Homology dimensions come from ranks: dim C_i - rank d_i - rank d_{i+1}.
-A homology module (`homology_at`) carries explicit subquotient witnesses,
-so group actions on homology are computed exactly, never up to
-isomorphism.  `endotrivial_report` is the one pass over the p-subgroup
-classes, made once per complex: it reduces each local differential once.
-The ranks give the homology dimensions, and in the single nonzero degree
-the same reduction gives the cycles; the invariant's character is read off
-one cycle outside the boundaries, with no homology module built.
+`reduce_differentials` reduces each differential once and keeps the
+reductions, so a caller reads ranks and kernels off the same `rref`.  A
+homology module (`homology_at`) is the subquotient cycles/boundaries that
+`syzygies.subquotient` builds, with explicit witnesses, so group actions
+on homology are computed exactly, never up to isomorphism.
+`endotrivial_report` is the one pass over the p-subgroup classes, made
+once per complex: it reduces each local differential once.  The ranks give
+the homology dimensions, and in the single nonzero degree the same
+reduction gives the cycles; the invariant's character is read off one
+cycle outside the boundaries, with no homology module built.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     kernel_from_rref,
-    quotient_space,
     rref,
-    solve_matrix,
 )
 from .modules import (
     Character,
@@ -53,6 +54,7 @@ from .modules import (
     twist,
     zero_module,
 )
+from .syzygies import subquotient
 
 
 class BoundedComplex:
@@ -298,26 +300,13 @@ class HomologyData:
 
 
 def homology_at(C: BoundedComplex, i: int) -> HomologyData:
-    G, f = C.group, C.field
     Mi = C.module_at(i)
     if Mi.dim == 0:
-        z = zero_module(G, f)
-        e = FqMatrix.zeros(f, 0, 0)
-        return HomologyData(z, e, e, e)
+        e = FqMatrix.zeros(C.field, 0, 0)
+        return HomologyData(zero_module(C.group, C.field), e, e, e)
     Z = kernel_basis(C.diff_at(i).matrix)
-    B = C.diff_at(i + 1).matrix
-    Bb = image_basis(B) if B.cols else FqMatrix.zeros(f, Mi.dim, 0)
-    W = solve_matrix(Z, Bb)
-    if W is None:
-        raise PermchainError("boundaries are not cycles")
-    section, proj = quotient_space(FqMatrix.identity(f, Z.cols), W)
-    witness = Z @ section
-    coords = solve_matrix(Z, hstack([Mi.act(gi, witness) for gi in range(len(G.generators))]))
-    if coords is None:
-        raise PermchainError("action does not preserve cycles")
-    mats = [FqMatrix(f, a) for a in np.hsplit((proj @ coords).a, len(G.generators))]
-    mod = KgModule(G, f, mats, labels=None, check=False)
-    return HomologyData(mod, witness, Z, proj)
+    sq = subquotient(Mi, Z, image_basis(C.diff_at(i + 1).matrix))
+    return HomologyData(sq.module, sq.witness, Z, sq.projection)
 
 
 def homology(C: BoundedComplex) -> Dict[int, HomologyData]:
@@ -326,11 +315,12 @@ def homology(C: BoundedComplex) -> Dict[int, HomologyData]:
 
 def homology_dims(C: BoundedComplex) -> dict:
     """Nonzero dim H_i = dim C_i - rank d_i - rank d_{i+1}, by degree."""
-    return _reduce(C)[1]
+    return reduce_differentials(C)[1]
 
 
-def _reduce(C: BoundedComplex):
-    """The `rref` of each differential and the nonzero homology dims by rank."""
+def reduce_differentials(C: BoundedComplex):
+    """The `rref` of each differential, by degree, and the nonzero homology
+    dims by rank; a caller that needs a kernel reads it off the first."""
     reds = {i: rref(d.matrix) for i, d in C.diffs.items()}
     rk = {i: r[1] for i, r in reds.items()}
     dims = {i: C.module_at(i).dim - rk.get(i, 0) - rk.get(i + 1, 0) for i in C.degrees()}
@@ -476,7 +466,7 @@ def endotrivial_report(C: BoundedComplex) -> EndotrivialReport:
     violations = {}
     for P in C.group.lattice().p_class_reps(C.field.p):
         bc = BrauerComplex(C, P)
-        reds, dims = _reduce(bc.complex)
+        reds, dims = reduce_differentials(bc.complex)
         degs = tuple(dims.items())
         if len(degs) != 1 or degs[0][1] != 1:
             violations[P.class_id] = degs

@@ -21,6 +21,7 @@ from .complexes import (
     inflate_complex,
     mapping_cone,
     module_complex,
+    reduce_differentials,
     tensor_complex,
     trivial_complex,
 )
@@ -40,13 +41,11 @@ from .invariants import (
     cached_quotient,
     is_frobenius_stable,
 )
-from .linalg import FqMatrix, kernel_basis, rank, solve_matrix
+from .linalg import FqMatrix, kernel_from_rref, rank
 from .modules import (
     Character,
-    KgModule,
     ModuleMap,
     all_characters,
-    coset_list,
     direct_sum,
     free_module,
     one_dim_module,
@@ -55,7 +54,7 @@ from .modules import (
     trivial_character,
     trivial_module,
 )
-from .syzygies import free_generators, omega, relative_syzygy
+from .syzygies import free_generators, omega, orbit_map, relative_syzygy, subquotient
 
 MAX_PERIOD_SEARCH = 4
 
@@ -169,26 +168,14 @@ def gamma_dihedral(i: int, fld: FqField) -> BoundedComplex:
     H2 = lat.generated_by([G.element_by_word("a*b")])
     kG = regular_module(G, fld)
     M1 = perm_module(G, H1, fld)
-    M2 = perm_module(G, H2, fld)
-    mid = direct_sum([M1, M2])
+    mid = direct_sum([M1, perm_module(G, H2, fld)])
     k = trivial_module(G, fld)
-    pos1 = {}
-    for idx, c in enumerate(coset_list(G, H1)):
-        for x in c:
-            pos1[x] = idx
-    pos2 = {}
-    for idx, c in enumerate(coset_list(G, H2)):
-        for x in c:
-            pos2[x] = idx
-    d2 = FqMatrix.zeros(fld, mid.dim, kG.dim)
-    for x in range(G.order):
-        d2.a[pos1[x], x] = 1
-        d2.a[M1.dim + pos2[x], x] = 1
+    cosets = FqMatrix.zeros(fld, mid.dim, 1)  # e_{H1} + e_{H2}: each coset basis starts at H
+    cosets.a[[0, M1.dim], 0] = 1
+    d2 = orbit_map(mid, cosets)
     d1 = FqMatrix.zeros(fld, 1, mid.dim)
-    for j in range(M1.dim):
-        d1.a[0, j] = 1
-    for j in range(M2.dim):
-        d1.a[0, M1.dim + j] = int(fld.neg[1])
+    d1.a[0, : M1.dim] = 1
+    d1.a[0, M1.dim :] = int(fld.neg[1])
     return BoundedComplex(G, fld, 0, [k, mid, kG], {1: d1, 2: d2})
 
 
@@ -247,30 +234,20 @@ def gamma_semidihedral(n: int, fld: FqField) -> BoundedComplex:
     if set(hd) != {2}:
         raise ConstructionFailure(f"three-term stage has homology {hd}")
     D = tensor_complex(C, C)
-    hdD = homology_dims(D)
+    reds, hdD = reduce_differentials(D)
     if set(hdD) != {4}:
         raise ConstructionFailure(f"tensor-square stage has homology {hdD}")
     d4 = D.diff_at(4).matrix
-    K = kernel_basis(d4)
+    K = kernel_from_rref(*reds[4])
     D4 = D.module_at(4)
-    kermats = []
-    for gi in range(len(G.generators)):
-        coords = solve_matrix(K, D4.act(gi, K))
-        if coords is None:
-            raise ConstructionFailure("top kernel is not a submodule")
-        kermats.append(coords)
-    Kmod = KgModule(G, fld, kermats, labels=None, check=False)
+    Kmod = subquotient(D4, K).module
     chosen, _ = free_generators(Kmod)
     r = len(chosen)
     if Kmod.dim != 1 + r * G.order:
         raise ConstructionFailure(
             f"top kernel has dimension {Kmod.dim}, expected 1 + {r}*{G.order}"
         )
-    incl = FqMatrix.zeros(fld, D4.dim, r * G.order)
-    for i, j in enumerate(chosen):
-        w = K.col(j)
-        for g in range(G.order):
-            incl.a[:, i * G.order + g] = D4.apply(g, w).a[:, 0]
+    incl = orbit_map(D4, K.take_cols(chosen))
     if rank(incl) != r * G.order:
         raise ConstructionFailure("free part failed to embed freely")
     if not (d4 @ incl).is_zero():
@@ -282,10 +259,9 @@ def gamma_semidihedral(n: int, fld: FqField) -> BoundedComplex:
         components={4: ModuleMap(Pp, D4, incl)},
     )
     Gam = mapping_cone(iota)
-    if homology_dims(Gam) != {4: 1}:
-        raise ConstructionFailure(
-            f"cone stage has homology {homology_dims(Gam)}, expected k in degree 4"
-        )
+    hg = homology_dims(Gam)
+    if hg != {4: 1}:
+        raise ConstructionFailure(f"cone stage has homology {hg}, expected k in degree 4")
     return Gam
 
 

@@ -41,7 +41,7 @@ _FIXED_MODULI = {
 _MAX_Q = 512
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -285,7 +285,7 @@ def GF(p: int, n: int = 1) -> FqField:
     fld = _FIELDS.get((p, n))
     if fld is not None:
         return fld
-    if not _is_prime(p):
+    if not is_prime(p):
         raise PermchainError(f"{p} is not prime")
     if n < 1 or p ** n > _MAX_Q:
         raise PermchainError(f"field size p^n = {p ** n} out of supported range")
@@ -312,7 +312,7 @@ def GF(p: int, n: int = 1) -> FqField:
 def field_from_q(q: int) -> FqField:
     """Field of order q for CLI-style '-q' arguments (q a prime power)."""
     for p in range(2, q + 1):
-        if not _is_prime(p):
+        if not is_prime(p):
             continue
         n, acc = 0, 1
         while acc < q:

@@ -32,7 +32,7 @@ from .errors import (
     PermchainError,
     UnknownCatalogName,
 )
-from .ffield import _is_prime
+from .ffield import is_prime
 
 DEFAULT_MAX_ORDER = 500
 
@@ -305,8 +305,8 @@ def _ranks(values, size):
 
 
 def is_p_power(n: int, p: int) -> bool:
-    """Whether n is a power of p (1 included): the order test of p-groups."""
-    while n % p == 0:
+    """Whether n is a power of p (1 included; only 1 when p < 2)."""
+    while p > 1 and n % p == 0:
         n //= p
     return n == 1
 
@@ -618,7 +618,7 @@ def enumerate_subgroups(G: FiniteGroup) -> SubgroupLattice:
 
 
 def p_subgroups(L: SubgroupLattice, p: int) -> list:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise PermchainError(f"{p} is not prime")
     return L.p_class_reps(p)
 
@@ -745,7 +745,7 @@ def catalog(name: str) -> FiniteGroup:
     m = re.fullmatch(r"CpxCp(\d+)", name)
     if m:
         p = int(m.group(1))
-        if not _is_prime(p) or p * p > DEFAULT_MAX_ORDER:
+        if not is_prime(p) or p * p > DEFAULT_MAX_ORDER:
             raise UnknownCatalogName(f"bad elementary abelian spec: {name}")
         a = tuple([(i + 1) % p for i in range(p)] + [p + i for i in range(p)])
         b = tuple(list(range(p)) + [p + (i + 1) % p for i in range(p)])

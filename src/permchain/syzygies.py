@@ -1,11 +1,17 @@
 """Syzygies, free summands and Hom spaces of kG-modules.
 
+`subquotient(M, V, W)` is the only way to build a dense subquotient
+span(V)/span(W) of a module: the syzygies, the complements of free
+summands and the homology modules (`complexes.homology_at`) are all built
+by it.  `orbit_map(M, W)` is the only way to build a map out of a free
+module kG^r, the one sending the i-th free generator to W[:, i]: the
+projective covers and the inclusions of free summands.
+
 Over a p-group the group algebra is local and self-injective, with the
 norm element spanning the socle of the regular module.  `omega` takes the
 kernel of a projective cover, `split_free_summand` splits off kG^r by the
 symmetrizing form, and `relative_syzygy` is the kernel of k[G/H] -> k.
-These are subquotients, so their modules are dense.  `hom_space_basis`
-solves the equivariance equations of Hom_kG(M, N).
+`hom_space_basis` solves the equivariance equations of Hom_kG(M, N).
 """
 
 from __future__ import annotations
@@ -23,11 +29,52 @@ from .linalg import (
     hstack,
     image_basis,
     kernel_basis,
+    kernel_from_rref,
+    quotient_space,
     rank,
+    rref,
     solve_matrix,
     vstack,
 )
 from .modules import KgModule, ModuleMap, free_module, perm_module
+
+
+# -- subquotients and maps out of free modules --------------------------------
+
+
+class Subquotient(NamedTuple):
+    module: KgModule      # span(V)/span(W), dense
+    witness: FqMatrix     # M-coordinates of representatives of its basis
+    projection: FqMatrix  # V-coordinates -> quotient coordinates
+
+
+def subquotient(M: KgModule, V: FqMatrix, W: FqMatrix = None) -> Subquotient:
+    """The module span(V)/span(W) for G-stable column spans W <= V of M,
+    V independent; W empty or omitted gives span(V) itself, with the
+    identity projection.  One solve gives every generator's action."""
+    G, f = M.group, M.field
+    quotient = W is not None and W.cols > 0
+    if quotient:
+        section, proj = quotient_space(V, W)
+        witness = V @ section
+    else:
+        witness, proj = V, FqMatrix.identity(f, V.cols)
+    gens = range(len(G.generators))
+    coords = solve_matrix(V, hstack([M.act(gi, witness) for gi in gens]))
+    if coords is None:
+        raise PermchainError("the span is not a submodule")
+    if quotient:
+        coords = proj @ coords
+    mats = [FqMatrix(f, a) for a in np.hsplit(coords.a, len(gens))]
+    return Subquotient(KgModule(G, f, mats, labels=None, check=False), witness, proj)
+
+
+def orbit_map(M: KgModule, W: FqMatrix) -> FqMatrix:
+    """The matrix of the kG-map kG^r -> M sending the i-th free generator
+    to W[:, i]: column i*|G| + g is g.W[:, i]."""
+    G = M.group
+    moved = np.stack([M.apply(g, W).a for g in range(G.order)], axis=2)
+    return FqMatrix(M.field, moved.reshape(M.dim, W.cols * G.order))
 
 
 # -- p-group syzygy machinery ----------------------------------------------
@@ -52,35 +99,21 @@ class OmegaData(NamedTuple):
 
 
 def omega(M: KgModule) -> OmegaData:
-    """Kernel of the projective cover kG^n -> M, n = dim M/rad M."""
+    """Kernel of the projective cover kG^n -> M, n = dim M/rad M; one
+    reduction of the cover gives its rank and its kernel."""
     G, f = M.group, M.field
     _require_p_group(G, f)
     if M.dim == 0:
         raise PermchainError("omega of the zero module")
-    rad = radical_basis(M)
-    head_idx = complete_to_basis(rad)
-    n = len(head_idx)
-    free = free_module(G, f, n)
-    cols = []
-    for j in head_idx:
-        target = FqMatrix.zeros(f, M.dim, G.order)
-        for g in range(G.order):
-            target.a[:, g] = M.elem_mat(g).a[:, j]
-        cols.append(target)
-    cover_mat = hstack(cols)
+    head_idx = complete_to_basis(radical_basis(M))
+    free = free_module(G, f, len(head_idx))
+    cover_mat = orbit_map(M, FqMatrix.identity(f, M.dim).take_cols(head_idx))
     cover = ModuleMap(free, M, cover_mat)
-    if rank(cover_mat) != M.dim:
+    R, rk, pivots = rref(cover_mat)
+    if rk != M.dim:
         raise PermchainError("cover is not surjective")
-    K = kernel_basis(cover_mat)
-    mats = []
-    for gi in range(len(G.generators)):
-        moved = free.act(gi, K)
-        coords = solve_matrix(K, moved)
-        if coords is None:
-            raise PermchainError("kernel is not a submodule")
-        mats.append(coords)
-    kernel_mod = KgModule(G, f, mats, labels=None, check=False)
-    return OmegaData(kernel_mod, cover, K)
+    K = kernel_from_rref(R, rk, pivots)
+    return OmegaData(subquotient(free, K).module, cover, K)
 
 
 def norm_matrix(M: KgModule) -> FqMatrix:
@@ -109,19 +142,13 @@ class SplitFree(NamedTuple):
 
 
 def free_generators(M: KgModule):
-    """Vectors w with norm(w) jointly independent; each generates a free
-    rank-one summand since every nonzero submodule of kG meets the socle."""
-    f = M.field
+    """The pivot columns j of the norm matrix, and the norm images
+    norm . e_j at them.  The images are independent, and each e_j generates
+    a free rank-one summand, since every nonzero submodule of kG meets the
+    socle; they are the columns a greedy search for rank increases keeps."""
     nm = norm_matrix(M)
-    chosen = []
-    images = FqMatrix.zeros(f, M.dim, 0)
-    for j in range(M.dim):
-        cand = nm.col(j)
-        trial = hstack([images, cand])
-        if rank(trial) > images.cols:
-            images = image_basis(trial)
-            chosen.append(j)
-    return chosen, images
+    pivots = rref(nm)[2]
+    return pivots, nm.take_cols(pivots)
 
 
 def split_free_summand(M: KgModule) -> SplitFree:
@@ -134,7 +161,7 @@ def split_free_summand(M: KgModule) -> SplitFree:
     """
     G, f = M.group, M.field
     _require_p_group(G, f)
-    chosen, _ = free_generators(M)
+    chosen, U = free_generators(M)
     r = len(chosen)
     free = free_module(G, f, r)
     if r == 0:
@@ -146,36 +173,21 @@ def split_free_summand(M: KgModule) -> SplitFree:
             FqMatrix.identity(f, M.dim),
             FqMatrix.zeros(f, 0, M.dim),
         )
-    incl = FqMatrix.zeros(f, M.dim, r * G.order)
-    for i, j in enumerate(chosen):
-        for g in range(G.order):
-            incl.a[:, i * G.order + g] = M.elem_mat(g).a[:, j]
-    nm = norm_matrix(M)
-    U = nm.take_cols(chosen)  # independent columns
+    incl = orbit_map(M, FqMatrix.identity(f, M.dim).take_cols(chosen))
     lam = solve_matrix(U.T, FqMatrix.identity(f, r))
     if lam is None:
         raise PermchainError("failed to dualize the norm images")
     lamT = lam.T  # r x dim with lamT @ U = I_r
-    rho = FqMatrix.zeros(f, r * G.order, M.dim)
-    for g in range(G.order):
-        row_block = lamT @ M.elem_mat(G.inv(g))
-        for i in range(r):
-            rho.a[i * G.order + g, :] = row_block.a[i, :]
+    # row i*|G| + g of rho is row i of lamT g^{-1}
+    blocks = [(lamT @ M.elem_mat(G.inv(g))).a for g in range(G.order)]
+    rho = FqMatrix(f, np.stack(blocks, axis=1).reshape(r * G.order, M.dim))
     S = rho @ incl
     Sinv = solve_matrix(S, FqMatrix.identity(f, r * G.order))
     if Sinv is None:
         raise PermchainError("free summand retraction is singular")
     retraction = Sinv @ rho
     C = kernel_basis(retraction)
-    cmats = []
-    for gi in range(len(G.generators)):
-        moved = M.act(gi, C)
-        coords = solve_matrix(C, moved)
-        if coords is None:
-            raise PermchainError("complement is not a submodule")
-        cmats.append(coords)
-    comp = KgModule(G, f, cmats, labels=None, check=False)
-    return SplitFree(r, free, incl, comp, C, retraction)
+    return SplitFree(r, free, incl, subquotient(M, C).module, C, retraction)
 
 
 class SyzygyData(NamedTuple):
@@ -187,15 +199,8 @@ class SyzygyData(NamedTuple):
 def relative_syzygy(G: FiniteGroup, H: Subgroup, field: FqField) -> SyzygyData:
     """Kernel of the augmentation k[G/H] -> k."""
     M = perm_module(G, H, field)
-    aug = FqMatrix(field, np.ones((1, M.dim), dtype=np.int16))
-    K = kernel_basis(aug)
-    mats = []
-    for gi in range(len(G.generators)):
-        coords = solve_matrix(K, M.act(gi, K))
-        if coords is None:
-            raise PermchainError("syzygy is not a submodule")
-        mats.append(coords)
-    return SyzygyData(KgModule(G, field, mats, labels=None, check=False), K, M)
+    K = kernel_basis(FqMatrix(field, np.ones((1, M.dim), dtype=np.int16)))
+    return SyzygyData(subquotient(M, K).module, K, M)
 
 
 # -- hom spaces --------------------------------------------------------------

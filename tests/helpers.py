@@ -8,7 +8,10 @@ marks by counting fixed cosets, units by trying every sign vector,
 centralizers elementwise, fixed-point dimensions by orbit counting, split
 detection by solving the splitting equation, naive matrix products by
 schoolbook scalar arithmetic, local characters from the homology modules
-`homology_at` builds.
+`homology_at` builds.  The syzygy layer's loops from before `subquotient`
+and `orbit_map` are here too: one solve per generator for a subquotient's
+action, one column per element and generator image for a map out of a free
+module, and one rank per column for the free generators.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from permchain.modules import (
     perm_module,
     twist,
 )
-from permchain.syzygies import hom_space_basis
+from permchain.syzygies import hom_space_basis, norm_matrix
 from permchain.complexes import BoundedComplex, brauer_complex, homology
 from permchain.linalg import image_basis, quotient_space
 
-from module_reference import scale
+from module_reference import elem_mats, scale
 
 
 # -- independent group-theory oracles ----------------------------------------
@@ -353,14 +356,8 @@ def _splitting_exists(fmap: ModuleMap) -> bool:
 def per_generator_homology_action(C: BoundedComplex, i: int) -> list:
     """The matrices of the generators on H_i(C), one solve per generator, on
     the homology basis `homology_at` picks."""
-    f = C.field
-    Mi = C.module_at(i)
     Z = kernel_basis(C.diff_at(i).matrix)
-    B = C.diff_at(i + 1).matrix
-    Bb = image_basis(B) if B.cols else FqMatrix.zeros(f, Mi.dim, 0)
-    section, proj = quotient_space(FqMatrix.identity(f, Z.cols), solve_matrix(Z, Bb))
-    witness = Z @ section
-    return [proj @ solve_matrix(Z, Mi.act(gi, witness)) for gi in range(len(C.group.generators))]
+    return per_generator_subquotient(C.module_at(i), Z, image_basis(C.diff_at(i + 1).matrix))[0]
 
 
 def homology_module_reading(C: BoundedComplex, local_complex=brauer_complex):
@@ -378,6 +375,52 @@ def homology_module_reading(C: BoundedComplex, local_complex=brauer_complex):
         (h, H), = local.items()
         entries[P.class_id] = (h, [int(m.a[0, 0]) for m in H.module.gen_mats])
     return violations, entries
+
+
+# -- syzygy-layer oracles ----------------------------------------------------------
+
+
+def per_generator_subquotient(M: KgModule, V: FqMatrix, W: FqMatrix):
+    """(generator matrices, witness, projection) of span(V)/span(W): W in
+    V-coordinates, the quotient of the coordinate space by it, and one solve
+    per generator; the identity projection when W is empty."""
+    f = M.field
+    eye = FqMatrix.identity(f, V.cols)
+    section, proj = (eye, eye) if not W.cols else quotient_space(eye, solve_matrix(V, W))
+    witness = V @ section
+    mats = []
+    for gi in range(len(M.group.generators)):
+        coords = solve_matrix(V, M.act(gi, witness))
+        if coords is None:
+            raise ValueError("the span is not a submodule")
+        mats.append(proj @ coords)
+    return mats, witness, proj
+
+
+def per_element_orbit_map(M: KgModule, W: FqMatrix) -> FqMatrix:
+    """Column i*|G| + g is g.W[:, i], one column at a time, with the element
+    matrices built along the BFS words."""
+    G = M.group
+    mats = elem_mats(M)
+    out = FqMatrix.zeros(M.field, M.dim, W.cols * G.order)
+    for i in range(W.cols):
+        for g in range(G.order):
+            out.a[:, i * G.order + g] = (mats[g] @ W.col(i)).a[:, 0]
+    return out
+
+
+def greedy_free_generators(M: KgModule):
+    """Columns j of the norm matrix kept while norm . e_j raises the rank of
+    the images kept so far, and those images: one rank per column."""
+    nm = norm_matrix(M)
+    chosen = []
+    images = FqMatrix.zeros(M.field, M.dim, 0)
+    for j in range(M.dim):
+        trial = hstack([images, nm.col(j)])
+        if rank(trial) > images.cols:
+            images = image_basis(trial)
+            chosen.append(j)
+    return chosen, images
 
 
 # -- random generators ------------------------------------------------------------

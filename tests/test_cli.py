@@ -242,6 +242,57 @@ def test_frobenius_element_file(tmp_path, capsys):
     assert rep["frobenius_stable"] is False
 
 
+def test_frobenius_element_file_rejects_other_q(tmp_path, capsys):
+    obj = {"group": "A4", "field": {"p": 2, "n": 2}, "element": "[G/G]"}
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["frobenius", str(path), "-q", "0", "--json"], capsys)
+    assert code == 2 and out == ""
+    assert "does not match -q 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group-info", "D8", "-p", "1"],
+        ["group-info", "D8", "-p", "0"],
+        ["group-info", "D8", "-p", "4"],
+        ["group-info", "C3", "-p", "9"],
+        ["group-info", "D8", "-p", "-2"],
+    ],
+)
+def test_group_info_rejects_a_p_that_is_not_prime(argv):
+    """In a fresh interpreter with a time limit, so that a check that loops
+    (is_p_power with p = 1 once did) fails instead of hanging the suite."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "permchain.cli", *argv, "--json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: -p {argv[3]} is not a prime\n"
+
+
+def test_group_info_p_defaults_to_two(capsys):
+    code, out, _ = run_cli(["group-info", "D8", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["p"] == 2
+
+
+@pytest.mark.parametrize("q", ["0", "1", "6"])
+def test_frobenius_example_rejects_a_q_that_is_not_a_prime_power(q, capsys):
+    code, out, err = run_cli(["frobenius", "a4-example", "-q", q], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {q} is not a prime power\n"
+
+
+def test_frobenius_example_q_defaults_to_four(capsys):
+    code, out, _ = run_cli(["frobenius", "a4-example", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["field"] == "F4"
+
+
 def test_deterministic_output(capsys):
     code1, out1, _ = run_cli(["burnside", "D8", "--json"], capsys)
     code2, out2, _ = run_cli(["burnside", "D8", "--json"], capsys)

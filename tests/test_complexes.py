@@ -1,10 +1,6 @@
-import functools
-import sys
-
 import numpy as np
 import pytest
 
-from permchain import linalg
 from permchain.complexes import (
     BoundedComplex,
     ChainMap,
@@ -408,32 +404,6 @@ def test_endotriviality_preserved_by_functors():
 
 
 # -- work over extension fields ------------------------------------------------
-
-
-@pytest.fixture
-def linalg_calls(monkeypatch):
-    """Calls of `linalg.rref` and `FqMatrix.__matmul__`, counted by wrappers
-    bound wherever the originals are: rref in every permchain module that
-    holds it, the product on the class."""
-    counts = {"rref": 0, "matmul": 0}
-
-    def counted(fn, key):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    rref = linalg.rref
-    wrapped = counted(rref, "rref")
-    for name, mod in list(sys.modules.items()):
-        if name == "permchain" or name.startswith("permchain."):
-            for attr, val in list(vars(mod).items()):
-                if val is rref:
-                    monkeypatch.setattr(mod, attr, wrapped)
-    monkeypatch.setattr(linalg.FqMatrix, "__matmul__", counted(linalg.FqMatrix.__matmul__, "matmul"))
-    return counts
 
 
 def _gamma_d8_squared(fld):

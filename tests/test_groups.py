@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from permchain.errors import (
@@ -13,6 +16,7 @@ from permchain.groups import (
     class_name,
     enumerate_subgroups,
     group_from_spec,
+    is_p_power,
     mobius_of_poset,
     p_subgroups,
     perm_from_cycles,
@@ -323,3 +327,21 @@ def test_commutators_and_abelianization():
     assert G.abelianization_order() == 4
     assert catalog("A4").abelianization_order() == 3
     assert catalog("C9").abelianization_order() == 9
+
+
+@pytest.mark.parametrize(
+    "n, p, want",
+    [(8, 2, True), (1, 3, True), (12, 2, False), (16, 4, True),
+     (1, 0, True), (8, 0, False), (8, -2, False)],
+)
+def test_is_p_power(n, p, want):
+    """Only 1 is a power of a p below 2; p = 0 must not divide by zero."""
+    assert is_p_power(n, p) is want
+
+
+def test_is_p_power_ends_at_p_one():
+    """In a fresh interpreter with a time limit: dividing out p = 1 once
+    looped forever, and a hang must fail the test, not stop the suite."""
+    code = "from permchain.groups import is_p_power; print(is_p_power(8, 1), is_p_power(1, 1))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False True\n"

@@ -1,7 +1,8 @@
 """Import hygiene of the package: every name a module imports is used in
-that module.  Names a package re-exports through its `__all__` count as
-used.  The names the benchmark's tracer hooks into exist, and only
-`modules` names the trace-quotient Brauer construction among them."""
+that module, and no module imports another's private (underscore) name.
+Names a package re-exports through its `__all__` count as used.  The names
+the benchmark's tracer hooks into exist, and only `modules` names the
+trace-quotient Brauer construction among them."""
 
 import ast
 import importlib.util
@@ -35,6 +36,30 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def private_imports(source: str) -> list:
+    """Underscore names imported from a permchain module, relative or not,
+    anywhere in the source (function-level imports included)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "permchain":
+            continue
+        out += [f"{a.name} (line {node.lineno})" for a in node.names if a.name.startswith("_")]
+    return sorted(out)
+
+
+def test_private_imports_are_found():
+    src = "import json\nfrom json import _x\ndef f():\n    from .ffield import _y\nfrom permchain.linalg import _z, rref\n"
+    assert private_imports(src) == ["_y (line 4)", "_z (line 5)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
 
 
 def test_benchmark_trace_hooks_exist():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permchain.complexes import BoundedComplex
-from permchain.ffield import GF, FqField, _is_prime
+from permchain.ffield import GF, FqField, is_prime
 from permchain.groups import catalog
 from permchain.linalg import FqMatrix
 from permchain.literals import complex_from_obj, complex_to_obj
@@ -25,7 +25,7 @@ FIXED = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (509, 1), (2, 9)]  # F2 ... F51
 
 # every (p, n) with p^n <= 512: 97 primes and 20 proper prime powers
 ALL_PN = [
-    (p, n) for p in range(2, 513) if _is_prime(p) for n in range(1, 10) if p ** n <= 512
+    (p, n) for p in range(2, 513) if is_prime(p) for n in range(1, 10) if p ** n <= 512
 ]
 
 
