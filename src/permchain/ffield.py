@@ -23,6 +23,7 @@ entry; `parse` is the fallback for the spellings they do not hold.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -310,17 +311,18 @@ def GF(p: int, n: int = 1) -> FqField:
 
 
 def field_from_q(q: int) -> FqField:
-    """Field of order q for CLI-style '-q' arguments (q a prime power)."""
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        n, acc = 0, 1
-        while acc < q:
-            acc *= p
-            n += 1
-        if acc == q:
-            return GF(p, n)
-    raise PermchainError(f"{q} is not a prime power")
+    """Field of order q for CLI-style '-q' arguments (q a prime power).
+
+    A prime power is a power of its least prime factor, found by trial
+    division up to sqrt(q)."""
+    p = next((d for d in range(2, math.isqrt(max(q, 0)) + 1) if q % d == 0), q)
+    n, acc = 0, 1
+    while 1 < p and acc < q:
+        acc *= p
+        n += 1
+    if q < 2 or acc != q:
+        raise PermchainError(f"{q} is not a prime power")
+    return GF(p, n)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ quotient) is deterministic so that repeated runs produce byte-identical
 output.
 
 A subgroup carries a bitmask over element indices: containment is one AND,
-and the lattice looks subgroups up by mask.  It grows each subgroup H by
-one cyclic subgroup <x> at a time, K = <H, x> a union of right cosets H r.
+and the lattice looks subgroups up by mask.  It extends one subgroup H per
+conjugacy class by one x per right coset H x, K = <H, x> a union of right
+cosets H r, and takes each new K's class with it.
 Mobius values come from one inverse zeta matrix per poset
 (`mobius_matrix`); the lattice keeps its own, and each class name once
 first asked for.
@@ -20,6 +21,7 @@ first asked for.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 
@@ -333,20 +335,25 @@ def _closure(G: FiniteGroup, gens) -> frozenset:
 
 class Subgroup:
     """A subgroup as sorted element indices of its parent and their bitmask,
-    with its place in the lattice's list and the generators the lattice found."""
+    with its place in the lattice's list and some generating set of it.
+    The mask is the membership test (bit x is set for each element x);
+    `elemset` is derived from `elems` on each call."""
 
-    __slots__ = ("parent", "elems", "elemset", "mask", "index", "gens", "class_id", "is_normal", "conj_to_rep")
+    __slots__ = ("parent", "elems", "mask", "index", "gens", "class_id", "is_normal", "conj_to_rep")
 
     def __init__(self, parent, elems, mask, index, gens, class_id=-1, is_normal=False, conj_to_rep=None):
         self.parent = parent
         self.elems = tuple(elems)
-        self.elemset = frozenset(self.elems)
         self.mask = mask
         self.index = index
         self.gens = gens
         self.class_id = class_id
         self.is_normal = is_normal
         self.conj_to_rep = conj_to_rep  # g with self = g . rep . g^{-1}
+
+    @property
+    def elemset(self) -> frozenset:
+        return frozenset(self.elems)
 
     @property
     def order(self) -> int:
@@ -383,30 +390,67 @@ def minimal_generators(G: FiniteGroup, elems) -> list:
 class SubgroupLattice:
     """All subgroups of a finite group with conjugacy and containment data.
 
-    Each subgroup found, H, is extended by each cyclic subgroup <x> it does
-    not contain.  G is partitioned once into the right cosets of H, and
-    K = <H, x> grows from H as a union of them: r starts at 1, and each
-    r g outside K, for a kept generator g of K, adds the coset H (r g).
-    Classes are walked on masks by one conjugation table per generator;
-    class representatives are the lexicographically least members.
-    Enumeration is feasible at the supported group sizes only.
+    Cyclic extension up to conjugacy (Neubuser): the first-found member H
+    of each class is extended by one x per right coset H x outside H (one
+    per cyclic subgroup <x> among them), K = <H, x> growing from H as a
+    union of right cosets: r starts at 1, and each r g outside K, for a
+    generator g of K, adds the coset H (r g).  A new K brings its class,
+    walked on masks by one conjugation table per noncentral generator, each
+    conjugate with the conjugated generators; `gens` is some generating set.
+
+    The search is complete.  Any K > H holds some x outside H with
+    <H, x> <= K, so K = <H, x> for H maximal in K and any such x; that
+    extension depends only on the coset H x (<H, x> = <H, h x>) and on <x>;
+    and conjugation carries the extensions of one class member to those of
+    all the others.  By induction on the order, every class is found.
+
+    Subgroups are listed by (order, elements); a class's representative is
+    its first member there, and `conj_to_rep` comes from walking the class
+    from it.  Enumeration is feasible at the supported group sizes only.
     """
 
     def __init__(self, G: FiniteGroup):
         self.group = G
         n, e = G.order, G.identity
-        right = G.mul_table.T.tolist()  # right[y][h] = h * y
+        t, inv = G.mul_table, G.inv_table
+        right = t.T.tolist()  # right[y][h] = h * y
         bit = [1 << y for y in range(n)]
 
         def elems(mask):
             return [y for y in range(n) if mask & bit[y]]
 
-        cyclic = {}  # mask -> the first element generating it
-        for x in range(n):
-            cyclic.setdefault(sum(bit[y] for y in _closure(G, [x])), x)
-        cyc_list = sorted(cyclic.items(), key=lambda kv: (kv[0].bit_count(), elems(kv[0])))
+        # x -> g x g^{-1} for each generator g outside the centre
+        conj = [(g, ct) for g in G.gen_indices if (ct := t[t[g], inv[g]].tolist()) != list(range(n))]
 
-        found = {bit[e]: ()}  # mask -> the generators it was found by
+        # the generators of each cyclic subgroup <x>: x^k for the k prime to |x|
+        cyc_gens = [None] * n
+        for x in range(n):
+            if cyc_gens[x] is None:
+                powers, y = [e], x
+                while y != e:
+                    powers.append(y)
+                    y = right[x][y]
+                same = [y for k, y in enumerate(powers) if math.gcd(k, len(powers)) == 1]
+                for y in same:
+                    cyc_gens[y] = same
+
+        found = {}  # mask -> the generators it was found by
+        conjugates = {}  # mask -> its conjugates by the `conj` generators
+
+        def add_class(kmask, gens):
+            found[kmask] = gens
+            orbit = [kmask]
+            for cur in orbit:  # grows while walked: breadth first
+                cur_elems = elems(cur) if conj else ()
+                out = conjugates[cur] = []
+                for _, ct in conj:
+                    c = sum(bit[ct[x]] for x in cur_elems)
+                    out.append(c)
+                    if c not in found:
+                        found[c] = tuple(ct[h] for h in found[cur])
+                        orbit.append(c)
+
+        add_class(bit[e], ())
         queue = [bit[e]]
         for hmask in queue:  # grows while walked: breadth first
             coset, helems = [0] * n, elems(hmask)  # coset[y]: the mask of H y
@@ -416,10 +460,13 @@ class SubgroupLattice:
                     m = sum(map(bit.__getitem__, members))
                     for z in members:
                         coset[z] = m
-            for cmask, x in cyc_list:
-                if cmask & hmask == cmask:
+            hgens, done = found[hmask], hmask  # done: the cosets already tried
+            for x in range(n):
+                if done & bit[x]:
                     continue
-                gens = found[hmask] + (x,)
+                for y in cyc_gens[x]:
+                    done |= coset[y]
+                gens = hgens + (x,)
                 kmask, reps = hmask, [e]
                 for r in reps:
                     for g in gens:
@@ -428,16 +475,14 @@ class SubgroupLattice:
                             kmask |= coset[y]
                             reps.append(y)
                 if kmask not in found:
-                    found[kmask] = gens
+                    add_class(kmask, gens)
                     queue.append(kmask)
 
-        masks = sorted(found, key=lambda m: (m.bit_count(), elems(m)))
+        elems_of = {m: elems(m) for m in found}
+        masks = sorted(found, key=lambda m: (m.bit_count(), elems_of[m]))
         set_index = {m: i for i, m in enumerate(masks)}
-        elems_of = [elems(m) for m in masks]
 
         # conjugacy classes, walking each orbit from its representative
-        t, inv = G.mul_table, G.inv_table
-        conj_tabs = [(g, t[t[g], inv[g]].tolist()) for g in G.gen_indices]  # x -> g x g^{-1}
         class_of = [-1] * len(masks)
         conj_elem = [e] * len(masks)
         classes = []
@@ -447,8 +492,8 @@ class SubgroupLattice:
             cid, members = len(classes), [i]
             class_of[i] = cid
             for cur in members:  # grows while walked: breadth first
-                for g, ct in conj_tabs:
-                    j = set_index[sum(bit[ct[x]] for x in elems_of[cur])]
+                for (g, _), c in zip(conj, conjugates[masks[cur]]):
+                    j = set_index[c]
                     if class_of[j] == -1:
                         class_of[j] = cid
                         conj_elem[j] = G.mul(g, conj_elem[cur])
@@ -456,7 +501,7 @@ class SubgroupLattice:
             classes.append(sorted(members))
 
         self.subgroups = [
-            Subgroup(G, elems_of[i], m, i, found[m], class_of[i], len(classes[class_of[i]]) == 1, conj_elem[i])
+            Subgroup(G, elems_of[m], m, i, found[m], class_of[i], len(classes[class_of[i]]) == 1, conj_elem[i])
             for i, m in enumerate(masks)
         ]
         self.by_elems = {H.mask: H for H in self.subgroups}

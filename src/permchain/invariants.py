@@ -301,9 +301,7 @@ def _image_subgroup(quot: Quotient, X: Subgroup) -> Subgroup:
 
 def _preimage_subgroup(quot: Quotient, Xbar: Subgroup) -> Subgroup:
     lat = quot.source.lattice()
-    return lat.subgroup(
-        [x for x in range(quot.source.order) if quot.project(x) in Xbar.elemset]
-    )
+    return lat.subgroup([x for x in range(quot.source.order) if Xbar.mask >> quot.project(x) & 1])
 
 
 def faithful_project(x: XiInvariant):

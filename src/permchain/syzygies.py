@@ -31,7 +31,6 @@ from .linalg import (
     kernel_basis,
     kernel_from_rref,
     quotient_space,
-    rank,
     rref,
     solve_matrix,
     vstack,
@@ -124,23 +123,6 @@ def norm_matrix(M: KgModule) -> FqMatrix:
     return total
 
 
-def free_rank(M: KgModule) -> int:
-    """Rank of the norm element's action; the multiplicity of kG in M."""
-    _require_p_group(M.group, M.field)
-    if M.dim == 0:
-        return 0
-    return rank(norm_matrix(M))
-
-
-class SplitFree(NamedTuple):
-    rank: int
-    free: KgModule            # kG^rank
-    free_inclusion: FqMatrix  # columns: basis of the free summand in M
-    complement: KgModule
-    complement_inclusion: FqMatrix
-    retraction: FqMatrix      # M -> free coordinates, identity on the summand
-
-
 def free_generators(M: KgModule):
     """The pivot columns j of the norm matrix, and the norm images
     norm . e_j at them.  The images are independent, and each e_j generates
@@ -149,45 +131,6 @@ def free_generators(M: KgModule):
     nm = norm_matrix(M)
     pivots = rref(nm)[2]
     return pivots, nm.take_cols(pivots)
-
-
-def split_free_summand(M: KgModule) -> SplitFree:
-    """M = kG^r (+) complement with the complement free-rank zero.
-
-    The retraction is built from the symmetrizing form of kG: a linear
-    functional L with L(norm . w_j) = delta_ij spreads to the kG-map
-    m -> sum_g L(g^{-1} m) g, and the head of the composite with the
-    inclusion is exactly that delta matrix, so the composite is invertible.
-    """
-    G, f = M.group, M.field
-    _require_p_group(G, f)
-    chosen, U = free_generators(M)
-    r = len(chosen)
-    free = free_module(G, f, r)
-    if r == 0:
-        return SplitFree(
-            0,
-            free,
-            FqMatrix.zeros(f, M.dim, 0),
-            M,
-            FqMatrix.identity(f, M.dim),
-            FqMatrix.zeros(f, 0, M.dim),
-        )
-    incl = orbit_map(M, FqMatrix.identity(f, M.dim).take_cols(chosen))
-    lam = solve_matrix(U.T, FqMatrix.identity(f, r))
-    if lam is None:
-        raise PermchainError("failed to dualize the norm images")
-    lamT = lam.T  # r x dim with lamT @ U = I_r
-    # row i*|G| + g of rho is row i of lamT g^{-1}
-    blocks = [(lamT @ M.elem_mat(G.inv(g))).a for g in range(G.order)]
-    rho = FqMatrix(f, np.stack(blocks, axis=1).reshape(r * G.order, M.dim))
-    S = rho @ incl
-    Sinv = solve_matrix(S, FqMatrix.identity(f, r * G.order))
-    if Sinv is None:
-        raise PermchainError("free summand retraction is singular")
-    retraction = Sinv @ rho
-    C = kernel_basis(retraction)
-    return SplitFree(r, free, incl, subquotient(M, C).module, C, retraction)
 
 
 class SyzygyData(NamedTuple):

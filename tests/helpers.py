@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library code paths they are used to
 check: multiplication tables by looking up each product's image tuple,
-subgroup enumeration by pairwise closure, Mobius values by the
-defining recursion, the inverse mark table by Gauss-Jordan elimination,
+subgroup enumeration by pairwise closure and by extending every subgroup
+by every cyclic subgroup, Mobius values by the defining recursion, the inverse mark table by Gauss-Jordan elimination,
 marks by counting fixed cosets, units by trying every sign vector,
 centralizers elementwise, fixed-point dimensions by orbit counting, split
 detection by solving the splitting equation, naive matrix products by
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,6 +145,88 @@ def pairwise_subgroup_sets(G: FiniteGroup) -> list:
                     found.add(new)
                     queue.append(new)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+class LatticeReading(NamedTuple):
+    masks: list        # subgroup bitmasks, sorted by (order, members)
+    gens: list         # the generators each was found by
+    classes: list      # lists of indices into `masks`; [0] is the rep
+    class_id: list     # index -> class
+    is_normal: list    # index -> whether its class has one member
+    conj_to_rep: list  # index -> g with masks[i] = g . rep . g^{-1}
+
+
+def every_cyclic_extension_lattice(G: FiniteGroup) -> LatticeReading:
+    """The subgroup lattice as `SubgroupLattice` first found it: every
+    subgroup found extended by every cyclic subgroup it misses, K = <H, x>
+    grown from H as a union of right cosets H r, then each class walked
+    on masks by one conjugation table per generator."""
+    n, e = G.order, G.identity
+    right = G.mul_table.T.tolist()  # right[y][h] = h * y
+    bit = [1 << y for y in range(n)]
+
+    def elems(mask):
+        return [y for y in range(n) if mask & bit[y]]
+
+    cyclic = {}  # mask -> the first element generating it
+    for x in range(n):
+        cyclic.setdefault(sum(bit[y] for y in pairwise_closure(G, {x})), x)
+    cyc_list = sorted(cyclic.items(), key=lambda kv: (kv[0].bit_count(), elems(kv[0])))
+
+    found = {bit[e]: ()}  # mask -> the generators it was found by
+    queue = [bit[e]]
+    for hmask in queue:  # grows while walked: breadth first
+        coset, helems = [0] * n, elems(hmask)  # coset[y]: the mask of H y
+        for y in range(n):
+            if not coset[y]:
+                members = [right[y][h] for h in helems]
+                m = sum(bit[z] for z in members)
+                for z in members:
+                    coset[z] = m
+        for cmask, x in cyc_list:
+            if cmask & hmask == cmask:
+                continue
+            gens = found[hmask] + (x,)
+            kmask, reps = hmask, [e]
+            for r in reps:
+                for g in gens:
+                    y = right[g][r]
+                    if not kmask & bit[y]:  # add the coset H y
+                        kmask |= coset[y]
+                        reps.append(y)
+            if kmask not in found:
+                found[kmask] = gens
+                queue.append(kmask)
+
+    masks = sorted(found, key=lambda m: (m.bit_count(), elems(m)))
+    set_index = {m: i for i, m in enumerate(masks)}
+    elems_of = [elems(m) for m in masks]
+    t, inv = G.mul_table, G.inv_table
+    conj_tabs = [(g, t[t[g], inv[g]].tolist()) for g in G.gen_indices]  # x -> g x g^{-1}
+    class_of = [-1] * len(masks)
+    conj_elem = [e] * len(masks)
+    classes = []
+    for i in range(len(masks)):
+        if class_of[i] != -1:
+            continue
+        cid, members = len(classes), [i]
+        class_of[i] = cid
+        for cur in members:  # grows while walked: breadth first
+            for g, ct in conj_tabs:
+                j = set_index[sum(bit[ct[x]] for x in elems_of[cur])]
+                if class_of[j] == -1:
+                    class_of[j] = cid
+                    conj_elem[j] = G.mul(g, conj_elem[cur])
+                    members.append(j)
+        classes.append(sorted(members))
+    return LatticeReading(
+        masks,
+        [found[m] for m in masks],
+        classes,
+        class_of,
+        [len(classes[c]) == 1 for c in class_of],
+        conj_elem,
+    )
 
 
 def pairwise_minimal_generators(G: FiniteGroup, elems) -> list:

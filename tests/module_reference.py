@@ -12,16 +12,24 @@ relative traces (`permchain.modules.brauer_quotient`), the maps it induces,
 split detection and vertices read off it, and the local complex built from
 it term by term.  The package picks coordinates instead (`brauer_points`).
 The property tests compare the monomial code against all of these.
+
+The free rank and the splitting kG^r (+) complement of a module over a
+p-group are here as oracles for the syzygy layer, which finds free
+summands from `free_generators` alone.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from permchain.complexes import BoundedComplex
-from permchain.errors import PermchainError
-from permchain.linalg import FqMatrix, block_diag, rank, solve_matrix
-from permchain.modules import BrauerData, KgModule, ModuleMap, brauer_context, brauer_quotient
+from permchain.errors import PermchainError, PGroupOnly
+from permchain.groups import is_p_power
+from permchain.linalg import FqMatrix, block_diag, kernel_basis, rank, solve_matrix
+from permchain.modules import BrauerData, KgModule, ModuleMap, brauer_context, brauer_quotient, free_module
+from permchain.syzygies import free_generators, norm_matrix, orbit_map, subquotient
 
 
 def scale(A: FqMatrix, code: int) -> FqMatrix:
@@ -231,3 +239,67 @@ def trace_quotient_complex(C: BoundedComplex, P) -> BoundedComplex:
     }
     group = brauer_context(C.group, P).quotient_group
     return BoundedComplex(group, C.field, C.lo, [d.module for d in datas], diffs)
+
+
+# -- free summands over a p-group ---------------------------------------------
+
+
+def _require_p_group(M: KgModule):
+    if not is_p_power(M.group.order, M.field.p):
+        raise PGroupOnly("operation defined for p-groups in characteristic p only")
+
+
+def free_rank(M: KgModule) -> int:
+    """Rank of the norm element's action; the multiplicity of kG in M."""
+    _require_p_group(M)
+    if M.dim == 0:
+        return 0
+    return rank(norm_matrix(M))
+
+
+class SplitFree(NamedTuple):
+    rank: int
+    free: KgModule            # kG^rank
+    free_inclusion: FqMatrix  # columns: basis of the free summand in M
+    complement: KgModule
+    complement_inclusion: FqMatrix
+    retraction: FqMatrix      # M -> free coordinates, identity on the summand
+
+
+def split_free_summand(M: KgModule) -> SplitFree:
+    """M = kG^r (+) complement with the complement free-rank zero.
+
+    The retraction is built from the symmetrizing form of kG: a linear
+    functional L with L(norm . w_j) = delta_ij spreads to the kG-map
+    m -> sum_g L(g^{-1} m) g, and the head of the composite with the
+    inclusion is exactly that delta matrix, so the composite is invertible.
+    """
+    G, f = M.group, M.field
+    _require_p_group(M)
+    chosen, U = free_generators(M)
+    r = len(chosen)
+    free = free_module(G, f, r)
+    if r == 0:
+        return SplitFree(
+            0,
+            free,
+            FqMatrix.zeros(f, M.dim, 0),
+            M,
+            FqMatrix.identity(f, M.dim),
+            FqMatrix.zeros(f, 0, M.dim),
+        )
+    incl = orbit_map(M, FqMatrix.identity(f, M.dim).take_cols(chosen))
+    lam = solve_matrix(U.T, FqMatrix.identity(f, r))
+    if lam is None:
+        raise PermchainError("failed to dualize the norm images")
+    lamT = lam.T  # r x dim with lamT @ U = I_r
+    # row i*|G| + g of rho is row i of lamT g^{-1}
+    blocks = [(lamT @ M.elem_mat(G.inv(g))).a for g in range(G.order)]
+    rho = FqMatrix(f, np.stack(blocks, axis=1).reshape(r * G.order, M.dim))
+    S = rho @ incl
+    Sinv = solve_matrix(S, FqMatrix.identity(f, r * G.order))
+    if Sinv is None:
+        raise PermchainError("free summand retraction is singular")
+    retraction = Sinv @ rho
+    C = kernel_basis(retraction)
+    return SplitFree(r, free, incl, subquotient(M, C).module, C, retraction)

@@ -280,11 +280,26 @@ def test_group_info_p_defaults_to_two(capsys):
     assert json.loads(out)["p"] == 2
 
 
-@pytest.mark.parametrize("q", ["0", "1", "6"])
+@pytest.mark.parametrize("q", ["0", "1", "6", "1000"])
 def test_frobenius_example_rejects_a_q_that_is_not_a_prime_power(q, capsys):
     code, out, err = run_cli(["frobenius", "a4-example", "-q", q], capsys)
     assert code == 2 and out == ""
     assert err == f"error: {q} is not a prime power\n"
+
+
+@pytest.mark.parametrize("q", ["1024", "1000003"])
+def test_frobenius_example_rejects_a_large_q_quickly(q):
+    """The prime 1000003 once took seconds of trial division before the
+    range check; `test_field_from_q_fails_fast` bounds the time, the limit
+    here only keeps a hang from stalling the suite."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "permchain.cli", "frobenius", "a4-example", "-q", q],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: field size p^n = {q} out of supported range\n"
 
 
 def test_frobenius_example_q_defaults_to_four(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +114,31 @@ def test_field_from_q():
         field_from_q(6)
     with pytest.raises(PermchainError):
         GF(4, 1)
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (0, "0 is not a prime power"),
+        (1, "1 is not a prime power"),
+        (9, None),
+        (512, None),
+        (1000, "1000 is not a prime power"),
+        (1024, "field size p^n = 1024 out of supported range"),
+        (1000003, "field size p^n = 1000003 out of supported range"),
+    ],
+)
+def test_field_from_q_fails_fast(q, message):
+    """A prime power is found through its least prime factor, so a large
+    prime q is rejected after trial division up to sqrt(q), not up to q."""
+    start = time.perf_counter()
+    if message is None:
+        assert field_from_q(q).q == q
+    else:
+        with pytest.raises(PermchainError) as err:
+            field_from_q(q)
+        assert str(err.value) == message
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("pn", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 9), (509, 1)])

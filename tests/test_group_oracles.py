@@ -1,17 +1,20 @@
 """The group layer against the computations it replaced.
 
-Multiplication tables are read off the images of a base; subgroups are bitmasks, found by closing cosets of the subgroups already
-found; mu comes from one inverse zeta matrix per poset, normalizers and
-centralizers from the kept generators, marks from counting conjugates
+Multiplication tables are read off the images of a base; subgroups are
+bitmasks, found by extending one subgroup per conjugacy class once per
+right coset; mu comes from one inverse zeta matrix per poset, normalizers
+and centralizers from the kept generators, marks from counting conjugates
 inside each subgroup, the inverse mark table from the idempotents, units
 by meeting in the middle over the sign vectors, class names from a memo
 on the lattice.  Each is compared here with the direct computation in
-`helpers`: a dict lookup of every product's image tuple, pairwise closure, the defining recursion of mu, conjugation or
-commutation of every element, counting fixed cosets, Gauss-Jordan
-elimination over Fractions, every sign vector and a fresh name per call.
+`helpers`: a dict lookup of every product's image tuple, pairwise closure
+and every subgroup extended by every cyclic subgroup, the defining
+recursion of mu, conjugation or commutation of every element, counting
+fixed cosets, Gauss-Jordan elimination over Fractions, every sign vector
+and a fresh name per call.
 The groups are every catalog group up to order 64, plus S4, A5 (the one
 non-solvable group), C2^4 and C2^5; the tables also S5 and C2^8 on 308
-points.
+points, the lattice also S5 and groups on at most 7 points.
 """
 
 import math
@@ -19,11 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from permchain.burnside import MAX_UNIT_SEARCH_CLASSES, burnside_units, idempotent, mark_table
-from permchain.errors import TooManyClasses
+from permchain.errors import GroupTooLarge, TooManyClasses
 from permchain.groups import (
     FiniteGroup,
+    Subgroup,
     catalog,
     class_name,
     group_from_spec,
@@ -36,6 +42,7 @@ from helpers import (
     coset_count_mark_table,
     elementwise_centralizer,
     elementwise_normalizer,
+    every_cyclic_extension_lattice,
     exhaustive_units,
     pairwise_closure,
     pairwise_minimal_generators,
@@ -115,6 +122,61 @@ def test_lattice_matches_pairwise_closure(name):
         for A in L.class_reps:
             for B in L.class_reps:
                 assert L.join(A, B).elemset == pairwise_closure(G, A.elemset | B.elemset)
+
+
+def _assert_lattice_matches_every_cyclic_extension(G):
+    """Masks in the same order, the same classes, class ids, normality and
+    conjugating elements as the reference search, each X = c rep c^{-1}
+    for its c = conj_to_rep, and each `gens` generating its subgroup."""
+    L, ref = G.lattice(), every_cyclic_extension_lattice(G)
+    assert [H.mask for H in L.subgroups] == ref.masks
+    assert L.classes == ref.classes
+    assert [H.class_id for H in L.subgroups] == ref.class_id
+    assert [H.is_normal for H in L.subgroups] == ref.is_normal
+    assert [H.conj_to_rep for H in L.subgroups] == ref.conj_to_rep
+    table = G.mul_table.tolist()
+    for H in L.subgroups:
+        rep, c = L.rep_of(H), H.conj_to_rep
+        assert frozenset(G.conj(c, x) for x in rep.elems) == H.elemset
+        assert pairwise_closure(G, set(H.gens), table) == H.elemset
+
+
+@pytest.mark.parametrize("spec", [SPECS[n] for n in NAMES] + [S5])
+def test_lattice_matches_every_cyclic_extension(spec):
+    _assert_lattice_matches_every_cyclic_extension(group_from_spec(spec))
+
+
+def _perm(points):
+    return st.permutations(list(range(points))).map(tuple)
+
+
+@st.composite
+def _small_perm_groups(draw, max_order=168):
+    """A group generated by one to three permutations of at most 7 points,
+    of order at most `max_order`; A5, S5 and GL(3,2) are among them."""
+    degree = draw(st.integers(1, 7))
+    gens = draw(st.lists(_perm(degree), min_size=1, max_size=3))
+    try:
+        return FiniteGroup(gens, max_order=max_order)
+    except GroupTooLarge:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_perm_groups())
+@example(FiniteGroup([(1, 2, 3, 4, 5, 6, 0), (0, 1, 3, 2, 6, 5, 4)]))  # GL(3,2), order 168
+@example(FiniteGroup([(1, 2, 3, 4, 0, 5), (5, 4, 2, 3, 1, 0)]))  # PSL(2,5) = A5 on 6 points
+def test_lattice_matches_every_cyclic_extension_on_small_perm_groups(G):
+    _assert_lattice_matches_every_cyclic_extension(G)
+
+
+def test_subgroups_hold_no_element_sets():
+    """Membership is the mask; `elemset` is worked out from `elems`."""
+    G = group_from_spec(S5)
+    assert "elemset" not in Subgroup.__slots__
+    for H in G.lattice().subgroups:
+        assert H.elemset == frozenset(H.elems)
+        assert [x for x in range(G.order) if H.mask >> x & 1] == list(H.elems)
 
 
 def _recursion_matrix(poset) -> np.ndarray:

@@ -19,9 +19,10 @@ from permchain.errors import (
     UnlabeledComponent,
 )
 from permchain.ffield import GF
-from permchain.groups import catalog, is_p_power
+from permchain.groups import catalog, group_from_spec, is_p_power, quotient
 from permchain.invariants import (
     TrivialSourceElement,
+    _preimage_subgroup,
     beta_direct,
     beta_from_xi,
     faithful_assemble,
@@ -334,3 +335,20 @@ def test_faithful_with_torsion_characters():
     x = xi(e.complex)
     parts = faithful_project(x)
     assert faithful_assemble(parts) == x
+
+
+@pytest.mark.parametrize("spec", ["D16", "Q16", "SD16", "A4", "(0 1 2 3);(0 1)"])
+def test_preimage_subgroup_matches_elementwise_preimage(spec):
+    """The preimage of each subgroup of G/N, read off the mask of the
+    subgroup below, is the set of x whose coset lies in it."""
+    G = group_from_spec(spec)
+    L = G.lattice()
+    for N in L.subgroups:
+        if not N.is_normal:
+            continue
+        quot = quotient(G, N)
+        for Xbar in quot.group.lattice().subgroups:
+            P = _preimage_subgroup(quot, Xbar)
+            below = set(Xbar.elems)
+            assert P.elems == tuple(x for x in range(G.order) if quot.project(x) in below)
+            assert P.order == Xbar.order * N.order and P.contains(N)

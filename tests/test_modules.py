@@ -29,7 +29,7 @@ from permchain.modules import (
     trivial_module,
     twist,
 )
-from permchain.syzygies import free_rank, hom_space_basis, omega, relative_syzygy, split_free_summand
+from permchain.syzygies import hom_space_basis, omega, relative_syzygy
 
 from helpers import (
     oracle_orbit_count,
@@ -41,9 +41,11 @@ from helpers import (
 from module_reference import (
     brauer_quotient_map,
     fixed_points,
+    free_rank,
     is_split_injective,
     is_split_surjective,
     module_check_labels,
+    split_free_summand,
     vertex_classes,
 )
 

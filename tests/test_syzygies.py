@@ -24,14 +24,7 @@ from permchain.modules import (
     tensor,
     trivial_module,
 )
-from permchain.syzygies import (
-    free_generators,
-    free_rank,
-    omega,
-    orbit_map,
-    split_free_summand,
-    subquotient,
-)
+from permchain.syzygies import free_generators, omega, orbit_map, subquotient
 
 from helpers import (
     greedy_free_generators,
@@ -39,7 +32,7 @@ from helpers import (
     per_generator_subquotient,
     random_matrix,
 )
-from module_reference import dense_copy
+from module_reference import dense_copy, free_rank, split_free_summand
 
 GROUPS = ["C4", "V4", "D8", "Q8"]
 FIELDS = [(2, 1), (3, 1), (2, 2)]
