@@ -12,13 +12,15 @@ integer coefficients ('2*[G/1] - [G/G]').
 A complex file is a JSON object with the group, the field, the module
 literal per degree and each differential as a row-major list of scalar
 strings; a file may also hold several, as {"complexes": [...]}.  A
-differential is written by indexing the field's table of canonical scalar
-strings (`FqField.strings`) with its code array, and read back with one
-lookup per entry in the inverse table (`FqField.code_of`).  Entries the
-table does not hold - other spellings such as ' 1 + w', 'w+1', '-1' or an
-unreduced '5' over F3, and JSON integers - go through `FqField.parse`, so
-every spelling it accepts is accepted.  Parsing validates eagerly, the
-shape of the object included, and reports the offending location.
+differential is written in one step: an object array of the field's
+canonical scalar strings (`FqField.strings`) indexed by the re-ordered code
+array, listed once.  It is read back, after every literal is parsed and
+every entry count checked against the literals' dimensions, with one lookup
+per entry in a plain copy of the inverse table (`FqField.code_of`).  Other
+spellings such as ' 1 + w', 'w+1', '-1' or an unreduced '5' over F3, and
+JSON integers, go through `FqField.parse`, so every spelling it accepts is
+accepted.  Parsing validates eagerly, the shape of the object included, and
+reports the offending location.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .linalg import FqMatrix
 from .modules import (
     Character,
     KgModule,
-    coset_list,
+    coset_basis,
     direct_sum,
     perm_module,
     trivial_character,
@@ -116,28 +118,38 @@ def _split_terms(text: str):
     return terms
 
 
-def parse_module_literal(G: FiniteGroup, fld: FqField, text: str, where: str = "") -> KgModule:
-    """A direct sum of twisted transitive permutation modules."""
-    parts = []
+def _terms(G: FiniteGroup, fld: FqField, text: str, where: str, kind: str) -> list:
+    """(coefficient, character, subgroup, multiplicity) per term of a literal;
+    terms of a module literal have neither signs nor coefficients."""
+    out = []
     for sign, term in _split_terms(text):
-        if sign < 0:
+        if kind == "module" and sign < 0:
             raise ParseError("module literals cannot have negative terms", where)
         m = _TERM_RE.match(term)
         if not m:
-            raise ParseError(f"bad module term {term.strip()!r}", where)
-        if m.group("coeff"):
+            raise ParseError(f"bad {kind} term {term.strip()!r}", where)
+        if kind == "module" and m.group("coeff"):
             raise ParseError("module terms use '^' for multiplicity", where)
-        char = (
-            parse_character(G, fld, m.group("char"), where)
-            if m.group("char")
-            else trivial_character(G, fld)
-        )
+        spec = m.group("char")
+        char = parse_character(G, fld, spec, where) if spec else trivial_character(G, fld)
         sub = parse_subgroup(G, m.group("sub"), where)
-        mult = int(m.group("mult") or 1)
-        parts += [twist(perm_module(G, sub, fld), char)] * mult
-    if not parts:
+        out.append((sign * int(m.group("coeff") or 1), char, sub, int(m.group("mult") or 1)))
+    if kind == "module" and not out:
         raise ParseError("empty module literal", where)
+    return out
+
+
+def _terms_module(G: FiniteGroup, fld: FqField, terms) -> KgModule:
+    parts = []
+    for _, char, sub, mult in terms:
+        M = perm_module(G, sub, fld)
+        parts += [M if char.is_trivial() else twist(M, char)] * mult
     return direct_sum(parts)
+
+
+def parse_module_literal(G: FiniteGroup, fld: FqField, text: str, where: str = "") -> KgModule:
+    """A direct sum of twisted transitive permutation modules."""
+    return _terms_module(G, fld, _terms(G, fld, text, where, "module"))
 
 
 def _grouped_summands(M: KgModule) -> list:
@@ -157,57 +169,31 @@ def format_module(M: KgModule) -> str:
     """Canonical literal for a labeled module (summands grouped)."""
     terms = []
     for group in _grouped_summands(M):
-        s = group[0]
-        t = ""
-        if not s.character.is_trivial():
-            t += format_character(s.character) + "*"
-        t += f"[G/{format_subgroup(s.subgroup)}]"
-        if len(group) > 1:
-            t += f"^{len(group)}"
-        terms.append(t)
+        t = _term_body(group[0].character, group[0].subgroup)
+        terms.append(t + f"^{len(group)}" if len(group) > 1 else t)
     return " + ".join(terms)
+
+
+def _term_body(char: Character, sub: Subgroup) -> str:
+    twisted = "" if char.is_trivial() else format_character(char) + "*"
+    return f"{twisted}[G/{format_subgroup(sub)}]"
 
 
 def parse_element_literal(
     G: FiniteGroup, fld: FqField, text: str, where: str = ""
 ) -> TrivialSourceElement:
     out = TrivialSourceElement(G, fld)
-    for sign, term in _split_terms(text):
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ParseError(f"bad element term {term.strip()!r}", where)
-        coeff = sign * int(m.group("coeff") or 1)
-        if m.group("mult"):
-            coeff *= int(m.group("mult"))
-        char = (
-            parse_character(G, fld, m.group("char"), where)
-            if m.group("char")
-            else trivial_character(G, fld)
-        )
-        sub = parse_subgroup(G, m.group("sub"), where)
-        out.add_term(char, sub, coeff)
+    for coeff, char, sub, mult in _terms(G, fld, text, where, "element"):
+        out.add_term(char, sub, coeff * mult)
     return out
 
 
 def format_element(t: TrivialSourceElement) -> str:
     parts = []
     for char, sub, c in t.items():
-        body = ""
-        if not char.is_trivial():
-            body += format_character(char) + "*"
-        body += f"[G/{format_subgroup(sub)}]"
-        if c == 1:
-            term = body
-        elif c == -1:
-            term = "-" + body
-        else:
-            term = f"{c}*{body}"
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
-            parts.append("- " + term[1:])
-        else:
-            parts.append(term)
+        term = _term_body(char, sub) if abs(c) == 1 else f"{abs(c)}*{_term_body(char, sub)}"
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + term)
     return " ".join(parts) if parts else "0"
 
 
@@ -219,21 +205,18 @@ def _label_basis_order(M: KgModule) -> list:
     basis index of each coset in the canonical coset order: the summand's
     first point, whose stabilizer is the labeled subgroup, moved by each
     coset's least member."""
-    G = M.group
     eperms = M.element_perms()  # eperms[e, t]: the point element e sends t to
     out = []
     for s in (s for group in _grouped_summands(M) for s in group):
-        reps = [coset[0] for coset in coset_list(G, s.subgroup)]
-        out += eperms[reps, s.indices[0]].tolist()
+        out += eperms[coset_basis(s.subgroup).reps, s.indices[0]].tolist()
     return out
 
 
 def complex_to_obj(C: BoundedComplex) -> dict:
     """JSON-ready form of a labeled complex, in the canonical label basis."""
     fld = C.field
-    group_spec = C.group.catalog_name
-    if group_spec is None:
-        group_spec = ";".join(perm_to_cycles(g) for g in C.group.generators)
+    group_spec = C.group.catalog_name or ";".join(perm_to_cycles(g) for g in C.group.generators)
+    strings = np.array(fld.strings, dtype=object)
     orders = {}
     modules = {}
     for i in C.degrees():
@@ -246,11 +229,8 @@ def complex_to_obj(C: BoundedComplex) -> dict:
     for i in range(C.lo + 1, C.hi + 1):
         if i not in orders or (i - 1) not in orders:
             continue
-        D = C.diff_at(i).matrix
-        re_rows = np.array(orders[i - 1], dtype=int)
-        re_cols = np.array(orders[i], dtype=int)
-        perm = D.a[np.ix_(re_rows, re_cols)]
-        diffs[str(i)] = list(map(fld.strings.__getitem__, perm.ravel().tolist()))
+        codes = C.diff_at(i).matrix.a[np.ix_(orders[i - 1], orders[i])]
+        diffs[str(i)] = strings[codes.ravel()].tolist()
     return {
         "group": group_spec,
         "field": {"p": fld.p, "n": fld.n},
@@ -300,21 +280,29 @@ def _scalar_code(fld: FqField, v, where: str) -> int:
         raise ParseError(str(e), where)
 
 
-def complex_from_obj(obj: dict) -> BoundedComplex:
+def _group_and_field(obj, where: str, keys):
+    """The group and the field of a complex or element object holding `keys`."""
     if not isinstance(obj, dict):
-        raise ParseError(f"expected an object, got {_json_type(obj)}", "complex")
-    for key in ("group", "field", "modules"):
+        raise ParseError(f"expected an object, got {_json_type(obj)}", where)
+    for key in keys:
         if key not in obj:
-            raise ParseError(f"missing key {key!r}", "complex")
+            raise ParseError(f"missing key {key!r}", where)
     try:
         G = group_from_spec(str(obj["group"]))
     except PermchainError as e:
-        raise ParseError(str(e), "complex.group")
+        raise ParseError(str(e), f"{where}.group")
     fspec = obj["field"]
     try:
         fld = GF(int(fspec["p"]), int(fspec.get("n", 1)))
     except Exception as e:
-        raise ParseError(str(e), "complex.field")
+        raise ParseError(f"missing key {e}" if isinstance(e, KeyError) else str(e), f"{where}.field")
+    return G, fld
+
+
+def complex_from_obj(obj: dict) -> BoundedComplex:
+    """A complex from its JSON object.  Every literal is parsed, and every
+    differential counted against their dimensions, before modules are built."""
+    G, fld = _group_and_field(obj, "complex", ("group", "field", "modules"))
     mods_raw = _by_degree(obj["modules"], "complex.modules")
     degrees = sorted(mods_raw)
     if not degrees:
@@ -322,12 +310,14 @@ def complex_from_obj(obj: dict) -> BoundedComplex:
     lo = _integer(obj.get("lo", degrees[0]), "complex.lo")
     if degrees != list(range(degrees[0], degrees[-1] + 1)) or degrees[0] != lo:
         raise ParseError("module degrees must be consecutive from lo", "complex.modules")
-    mods = []
+    terms = []
     for d in degrees:
         where = f"complex.modules.{d}"
         if not isinstance(mods_raw[d], str):
             raise ParseError(f"expected a module literal, got {_json_type(mods_raw[d])}", where)
-        mods.append(parse_module_literal(G, fld, mods_raw[d], where))
+        terms.append(_terms(G, fld, mods_raw[d], where, "module"))
+    dims = [sum(mult * (G.order // sub.order) for _, _, sub, mult in t) for t in terms]
+    codes = dict(fld.code_of)  # a plain copy: a lookup in it skips the read-only proxy
     diffs = {}
     for i, flat in _by_degree(obj.get("differentials", {}), "complex.differentials").items():
         where = f"complex.differentials.{i}"
@@ -335,18 +325,18 @@ def complex_from_obj(obj: dict) -> BoundedComplex:
             raise ParseError(f"differential degree {i} out of range", "complex.differentials")
         if not isinstance(flat, list):
             raise ParseError(f"expected a list of scalars, got {_json_type(flat)}", where)
-        rows = mods[i - 1 - lo].dim
-        cols = mods[i - lo].dim
+        rows, cols = dims[i - 1 - lo], dims[i - lo]
         if len(flat) != rows * cols:
             raise ParseError(f"expected {rows * cols} entries, got {len(flat)}", where)
         try:
-            a = np.fromiter(map(fld.code_of.__getitem__, flat), dtype=np.int16, count=len(flat))
+            a = np.fromiter(map(codes.__getitem__, flat), dtype=np.int16, count=len(flat))
         except (KeyError, TypeError):  # a spelling the table does not hold
             a = np.array(
                 [_scalar_code(fld, v, f"{where}[{k}]") for k, v in enumerate(flat)],
                 dtype=np.int16,
             )
         diffs[i] = FqMatrix(fld, a.reshape(rows, cols))
+    mods = [_terms_module(G, fld, t) for t in terms]
     try:
         return BoundedComplex(G, fld, lo, mods, diffs)
     except PermchainError as e:
@@ -383,12 +373,7 @@ def load_complexes(path: str):
 
 
 def element_from_obj(obj: dict) -> TrivialSourceElement:
-    for key in ("group", "field", "element"):
-        if key not in obj:
-            raise ParseError(f"missing key {key!r}", "element")
-    G = group_from_spec(str(obj["group"]))
-    fspec = obj["field"]
-    fld = GF(int(fspec["p"]), int(fspec.get("n", 1)))
+    G, fld = _group_and_field(obj, "element", ("group", "field", "element"))
     return parse_element_literal(G, fld, str(obj["element"]), "element")
 
 

@@ -25,6 +25,8 @@ and never recovered by a decomposition algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, product
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -47,37 +49,47 @@ from .linalg import (
 # -- degree one characters ------------------------------------------------
 
 
+def word_steps(G: FiniteGroup):
+    """x -> (k, y) for every element x of G but the identity, in order of
+    word length: x is generator k times y, whose word is x's without its
+    first letter, so y comes before x.  Computed on first use and kept on G,
+    as `G._word_steps`."""
+    steps = G.__dict__.get("_word_steps")
+    if steps is None:
+        by_length = sorted(range(G.order), key=lambda x: len(G.words[x]))
+        firsts = ((x, G.words[x][0]) for x in by_length if G.words[x])
+        steps = {x: (k, G.mul(G.inv(G.gen_indices[k]), x)) for x, k in firsts}
+        steps = G._word_steps = MappingProxyType(steps)
+    return steps
+
+
 class Character:
-    """A degree one representation G -> F_q^x, stored by generator values."""
+    """A degree one representation G -> F_q^x, stored by generator values and
+    by element values.  Given generator values, it walks the element values
+    along the group's words (`word_steps`); derived characters (products,
+    inverses, powers, Frobenius twists, the trivial character) take them
+    pointwise from their factors, as (chi psi)(g) = chi(g) psi(g)."""
 
     __slots__ = ("group", "field", "values", "_elem_values")
 
     def __init__(self, group: FiniteGroup, field: FqField, values, check=True):
-        self.group = group
-        self.field = field
+        self.group, self.field = group, field
         self.values = tuple(int(v) for v in values)
         if len(self.values) != len(group.generators):
             raise PermchainError("one value per group generator required")
+        rows = [field.mul[v].tolist() for v in self.values]
         ev = [0] * group.order
         ev[group.identity] = 1
-        order_by_len = sorted(range(group.order), key=lambda i: len(group.words[i]))
-        for i in order_by_len:
-            w = group.words[i]
-            if not w:
-                continue
-            rest = group.mul(group.inv(group.gen_indices[w[0]]), i)
-            ev[i] = int(field.mul[self.values[w[0]], ev[rest]])
+        for x, (k, y) in word_steps(group).items():
+            ev[x] = rows[k][ev[y]]
         self._elem_values = tuple(ev)
         if check:
             if any(v == 0 for v in self.values):
                 raise PermchainError("character values must be units")
-            for gi, g in enumerate(group.gen_indices):
-                for x in range(group.order):
-                    lhs = int(field.mul[self.values[gi], ev[x]])
-                    if lhs != ev[group.mul(g, x)]:
-                        raise PermchainError(
-                            "generator values do not extend to a homomorphism"
-                        )
+            for row, g in zip(rows, group.gen_indices):  # v_g chi(x) == chi(g x) for every x
+                gx = group.mul_table[g].tolist()
+                if list(map(row.__getitem__, ev)) != list(map(ev.__getitem__, gx)):
+                    raise PermchainError("generator values do not extend to a homomorphism")
 
     def value(self, elem: int) -> FqScalar:
         return FqScalar(self.field, self._elem_values[elem])
@@ -91,19 +103,17 @@ class Character:
     def __mul__(self, other: "Character") -> "Character":
         if self.group is not other.group or self.field != other.field:
             raise IncompatibleHandles("characters on different groups or fields")
-        f = self.field
-        return Character(
-            self.group,
-            f,
-            [int(f.mul[a, b]) for a, b in zip(self.values, other.values)],
-            check=False,
-        )
+        rows = {x: self.field.mul[x].tolist() for x in set(self.values + self._elem_values)}
+        ev = [rows[x][y] for x, y in zip(self._elem_values, other._elem_values)]
+        return _character(self.group, self.field, [rows[x][y] for x, y in zip(self.values, other.values)], ev)
+
+    def _composed(self, table) -> "Character":
+        """Every value mapped through `table`, a map of F_q^x to itself."""
+        ev = table[list(self._elem_values)].tolist()
+        return _character(self.group, self.field, table[list(self.values)].tolist(), ev)
 
     def inverse(self) -> "Character":
-        f = self.field
-        return Character(
-            self.group, f, [int(f.inv[v]) for v in self.values], check=False
-        )
+        return self._composed(self.field.inv)
 
     def __pow__(self, k: int) -> "Character":
         base = self if k >= 0 else self.inverse()
@@ -114,11 +124,7 @@ class Character:
 
     def frobenius_inverse_twist(self) -> "Character":
         """Composition with the inverse Frobenius automorphism of F_q."""
-        f = self.field
-        vals = list(self.values)
-        for _ in range(f.n - 1):
-            vals = [int(f.frob[v]) for v in vals]
-        return Character(self.group, f, vals, check=False)
+        return self._composed(_inverse_frobenius(self.field))
 
     def __eq__(self, other):
         return (
@@ -136,8 +142,24 @@ class Character:
         return f"Character({vals})"
 
 
+def _character(G: FiniteGroup, field: FqField, values, elem_values) -> Character:
+    """The character with these codes at the generators and at every element."""
+    out = Character.__new__(Character)
+    out.group, out.field = G, field
+    out.values, out._elem_values = tuple(values), tuple(elem_values)
+    return out
+
+
 def trivial_character(G: FiniteGroup, field: FqField) -> Character:
-    return Character(G, field, [1] * len(G.generators), check=False)
+    return _character(G, field, (1,) * len(G.generators), (1,) * G.order)
+
+
+def _inverse_frobenius(f: FqField) -> np.ndarray:
+    """The inverse Frobenius automorphism of F_q, x -> x^p n - 1 times, by code."""
+    table = np.arange(f.q, dtype=np.int16)
+    for _ in range(f.n - 1):
+        table = f.frob[table]
+    return table
 
 
 def character_warning(G: FiniteGroup, field: FqField):
@@ -158,35 +180,14 @@ def character_warning(G: FiniteGroup, field: FqField):
 
 
 def all_characters(G: FiniteGroup, field: FqField) -> list:
-    """Every homomorphism G -> F_q^x, brute force over generator values."""
-    gens = G.gen_indices
+    """Every homomorphism G -> F_q^x: each choice of unit generator values
+    that passes `Character`'s check."""
     out = []
-
-    def valid(values):
-        ev = [None] * G.order
-        ev[G.identity] = 1
-        frontier = [G.identity]
-        while frontier:
-            x = frontier.pop()
-            for gi, g in enumerate(gens):
-                y = G.mul(g, x)
-                v = int(field.mul[values[gi], ev[x]])
-                if ev[y] is None:
-                    ev[y] = v
-                    frontier.append(y)
-                elif ev[y] != v:
-                    return False
-        return True
-
-    def rec(prefix):
-        if len(prefix) == len(gens):
-            if valid(prefix):
-                out.append(Character(G, field, prefix, check=False))
-            return
-        for v in range(1, field.q):
-            rec(prefix + [v])
-
-    rec([])
+    for values in product(range(1, field.q), repeat=len(G.gen_indices)):
+        try:
+            out.append(Character(G, field, values))
+        except PermchainError:
+            pass
     return out
 
 
@@ -326,10 +327,8 @@ class KgModule:
         composed along its BFS word."""
         got = self._mono_cache.get(i)
         if got is None:
-            G = self.group
-            w = G.words[i]
-            rest = G.mul(G.inv(G.gen_indices[w[0]]), i)
-            got = _compose(self.field, self._gen_monomial(w[0]), self.elem_monomial(rest))
+            k, rest = word_steps(self.group)[i]
+            got = _compose(self.field, self._gen_monomial(k), self.elem_monomial(rest))
             self._mono_cache[i] = got
         return got
 
@@ -343,9 +342,8 @@ class KgModule:
             if self.perms is not None:
                 m = _monomial_matrix(self.field, *self.elem_monomial(i))
             else:
-                w = self.group.words[i]
-                rest = self.group.mul(self.group.inv(self.group.gen_indices[w[0]]), i)
-                m = self.gen_mats[w[0]] @ self.elem_mat(rest)
+                k, rest = word_steps(self.group)[i]
+                m = self.gen_mats[k] @ self.elem_mat(rest)
             self._elem_cache[i] = m
         return m
 
@@ -496,29 +494,49 @@ def one_dim_module(char: Character) -> KgModule:
     )
 
 
+class CosetBasis(NamedTuple):
+    """The basis of k[G/H]: the left cosets, ordered by their least members
+    `reps`, and `gen_perms[k]`, how generator k permutes them.  Every array
+    is read-only."""
+
+    reps: np.ndarray
+    gen_perms: tuple
+
+
+def coset_basis(H: Subgroup) -> CosetBasis:
+    """G/H from the rows of G's multiplication table: row x of its columns
+    at H is the coset xH, x is the least member of its coset iff it is the
+    row's minimum, and generator g sends the coset of x to that of gx.
+    Computed on first use and kept by H's lattice, in `_coset_bases`."""
+    G = H.parent
+    cache = G.lattice().__dict__.setdefault("_coset_bases", {})  # subgroup mask -> CosetBasis
+    got = cache.get(H.mask)
+    if got is None:
+        rows = G.mul_table[:, H.elems]
+        reps = np.flatnonzero(rows.min(axis=1) == np.arange(G.order))
+        member = np.empty(G.order, dtype=np.intp)
+        member[rows[reps]] = np.arange(len(reps))[:, None]
+        perms = member[G.mul_table[np.ix_(G.gen_indices, reps)]]
+        reps.flags.writeable = perms.flags.writeable = False
+        got = cache[H.mask] = CosetBasis(reps, tuple(perms))
+    return got
+
+
 def coset_list(G: FiniteGroup, H: Subgroup) -> list:
-    """Left cosets gH as sorted tuples, ordered by least member."""
-    seen = set()
-    cosets = []
-    for x in range(G.order):
-        if x in seen:
-            continue
-        c = tuple(sorted(G.mul(x, h) for h in H.elems))
-        seen.update(c)
-        cosets.append(c)
-    cosets.sort(key=lambda c: c[0])
-    return cosets
+    """Left cosets gH as sorted tuples, ordered by least member: the basis of
+    k[G/H], each coset rH read off its least member r (`coset_basis`)."""
+    if H.parent is not G:
+        raise IncompatibleHandles("cosets of a subgroup of another group")
+    return [tuple(sorted(G.mul_table[r, list(H.elems)].tolist())) for r in coset_basis(H).reps]
 
 
 def perm_module(G: FiniteGroup, H: Subgroup, field: FqField) -> KgModule:
-    """k[G/H] on the deterministic coset basis."""
-    cosets = coset_list(G, H)
-    member = {}
-    for i, c in enumerate(cosets):
-        for x in c:
-            member[x] = i
-    dim = len(cosets)
-    perms = [[member[G.mul(g, c[0])] for c in cosets] for g in G.gen_indices]
+    """k[G/H] on the basis of `coset_list`, with the read-only generator
+    permutations of `coset_basis`: k[G/H] over every field shares them."""
+    if H.parent is not G:
+        raise IncompatibleHandles("permutation module of a subgroup of another group")
+    perms = coset_basis(H).gen_perms
+    dim = G.order // H.order
     labels = (Summand(trivial_character(G, field), H, tuple(range(dim))),)
     ones = [np.ones(dim, dtype=np.int16)] * len(perms)
     return KgModule(G, field, perms=perms, twists=ones, labels=labels, check=False)
@@ -544,13 +562,13 @@ def direct_sum(mods) -> KgModule:
     if any(m.perms is None for m in mods):
         mats = [block_diag(f, [m.gen_mats[gi] for m in mods]) for gi in gens]
         return KgModule(G, f, mats, labels=None, check=False)
-    offsets = np.cumsum([0] + [m.dim for m in mods])
+    offsets = list(accumulate([m.dim for m in mods[:-1]], initial=0))
     perms = [np.concatenate([m.perms[gi] + o for m, o in zip(mods, offsets)]) for gi in gens]
     twists = [np.concatenate([m.twists[gi] for m in mods]) for gi in gens]
     labels = None
     if all(m.labels is not None for m in mods):
         labels = tuple(
-            Summand(s.character, s.subgroup, tuple(int(i + o) for i in s.indices))
+            Summand(s.character, s.subgroup, tuple(map(o.__add__, s.indices)))
             for m, o in zip(mods, offsets)
             for s in m.labels
         )
@@ -653,10 +671,7 @@ def frobenius_twist_module(M: KgModule) -> KgModule:
     composed with the inverse automorphism.
     """
     _require_monomial(M)
-    f = M.field
-    table = np.arange(f.q, dtype=np.int16)
-    for _ in range(f.n - 1):
-        table = f.frob[table]
+    table = _inverse_frobenius(M.field)
     return _relabel(M, [table[c] for c in M.twists], Character.frobenius_inverse_twist)
 
 

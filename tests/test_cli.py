@@ -355,3 +355,27 @@ def test_json_reports_are_written_as_dumps_writes_them(tmp_path, capsys):
     path = tmp_path / "gsd16.json"
     assert run_cli(["catalog", "build", "gamma-SD16", "--out", str(path)], capsys)[0] == 0
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"group": "C2", "field": {}, "element": "[G/1]"}, "element.field: missing key 'p'"),
+        (
+            {"group": "C2", "field": {"p": "x"}, "element": "[G/1]"},
+            "element.field: invalid literal for int() with base 10: 'x'",
+        ),
+        ([{"group": "C2"}], "element: expected an object, got list"),
+        ({"group": "Z7", "field": {"p": 2}, "element": "[G/1]"}, "element.group: unknown catalog group 'Z7'"),
+        ({"group": "C2", "field": {"p": 2}}, "element: missing key 'element'"),
+    ],
+    ids=["field-without-p", "p-not-a-number", "top-level-list", "unknown-group", "no-element"],
+)
+def test_element_files_fail_with_located_parse_errors(obj, message, tmp_path, capsys):
+    """An element file is read as a complex file is: a missing or bad field
+    once left a KeyError or ValueError traceback and exit code 1."""
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["frobenius", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

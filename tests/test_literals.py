@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -229,3 +231,55 @@ def test_load_complexes_locates_errors_in_multi_files(tmp_path):
     path.write_text(json.dumps(good))
     complexes, several = load_complexes(str(path))
     assert not several and complexes[0].dims() == build_entries("gamma-D8")[0].complex.dims()
+
+
+# ru_maxrss of a child counts the pages it shared with the forked test
+# process, so the peak is read from VmHWM where the system reports it.
+_COUNT_BEFORE_BUILD = """
+import json, resource, sys, time
+from permchain.cli import main
+path = sys.argv[1]
+json.dump({"group": "C2", "field": {"p": 2}, "lo": 0,
+           "modules": {"0": "[G/1]^1000000", "1": "[G/1]"},
+           "differentials": {"1": ["0", "0"]}}, open(path, "w"))
+start = time.perf_counter()
+code = main(["check", path])
+elapsed = time.perf_counter() - start
+try:
+    with open("/proc/self/status") as fh:
+        rss_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"code": code, "s": elapsed, "rss_mb": rss_kb / 1024}))
+"""
+
+
+def test_entry_counts_are_checked_before_modules_are_built(tmp_path):
+    """A C2 file whose degree-0 literal is [G/1]^1000000 and whose
+    differential holds 2 entries once built the 2,000,000-dimensional
+    module first (7 s, 347 MB RSS) before it reported the count.  In a fresh
+    interpreter, so that its peak memory is the check's own."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_BEFORE_BUILD, str(tmp_path / "big.json")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["code"] == 2
+    assert proc.stderr == "error: complex.differentials.1: expected 4000000 entries, got 2\n"
+    assert got["s"] < 1.0
+    assert got["rss_mb"] < 100
+
+
+def test_a_malformed_literal_is_reported_before_a_count_mismatch():
+    obj = _gamma_d8_obj()
+    obj["differentials"]["1"] = obj["differentials"]["1"][:-1]
+    obj["modules"]["2"] = "[G/<x>]"
+    with pytest.raises(ParseError) as exc:
+        complex_from_obj(obj)
+    assert exc.value.location == "complex.modules.2"
+    obj["modules"]["2"] = _gamma_d8_obj()["modules"]["2"]
+    with pytest.raises(ParseError, match="entries, got") as exc:
+        complex_from_obj(obj)
+    assert exc.value.location == "complex.differentials.1"
