@@ -5,8 +5,8 @@ subgroups, in the transitive basis [G/H].  The marks count conjugates of
 K inside H.  Their inverse is never found by elimination: the primitive
 idempotent e_H has the marks of the class of H alone, so the idempotents
 are the columns of the inverse mark table, and Gluck's formula gives each
-from the lattice's Mobius matrix, with exact Fraction arithmetic.  Units
-meet in the middle over two halves of the sign vectors.
+from H's column of the lattice's Mobius function, in exact Fraction
+arithmetic.  Units meet in the middle over two halves of the sign vectors.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ def idempotent(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
     L = G.lattice()
     nh = G.order // len(L.classes[H.class_id])
     coeffs = [Fraction(0)] * len(L.class_reps)
-    for K in L.subgroups_of(H):
-        mu = L.mobius(K, H)
+    for k, mu in L.mobius_column(H).items():
         if mu:
+            K = L.subgroups[k]
             coeffs[K.class_id] += Fraction(K.order * mu, nh)
     return BurnsideElement(G, tuple(coeffs))
 

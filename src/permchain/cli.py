@@ -21,7 +21,7 @@ from .complexes import endotrivial_report, xi
 from .constructions import a4_frobenius_example, build_entries, catalog_names
 from .errors import ParseError, PermchainError
 from .ffield import field_from_q, is_prime
-from .groups import class_name, group_from_spec, is_p_power, mobius_matrix, perm_to_cycles
+from .groups import class_name, group_from_spec, is_p_power, mobius_columns, perm_to_cycles
 from .invariants import (
     beta_direct,
     beta_from_xi,
@@ -205,19 +205,12 @@ def cmd_group_info(args) -> dict:
     for P in L.p_class_reps(p):
         n = G.order // len(L.classes[P.class_id])  # |G : N_G(P)| conjugates of P
         normalizers[names[P.class_id]] = {"normalizer_order": n, "quotient_order": n // P.order}
-    poset = L.normal_p_subgroups(p)  # by increasing order: A <= B puts B at or after A
-    masks = [A.mask for A in poset]
-    rows, cols = [], []  # the comparable pairs
-    for a, m in enumerate(masks):
-        for b in range(a, len(poset)):
-            if m & masks[b] == m:
-                rows.append(a)
-                cols.append(b)
-    mu = mobius_matrix(poset)[rows, cols].tolist()
-    mob = [
-        {"from": names[poset[a].class_id], "to": names[poset[b].class_id], "mu": v}
-        for a, b, v in zip(rows, cols, mu)
-    ]
+    poset = L.normal_p_subgroups(p)
+    rows = [[] for _ in poset]  # the comparable pairs by (from, to)
+    for b, col in enumerate(mobius_columns(poset)):
+        to = names[poset[b].class_id]
+        for a, v in col.items():
+            rows[a].append({"from": names[poset[a].class_id], "to": to, "mu": v})
     return {
         "group": G.describe(),
         "order": G.order,
@@ -228,7 +221,7 @@ def cmd_group_info(args) -> dict:
         "p": p,
         "p_subgroup_classes": psub,
         "p_normalizers": normalizers,
-        "normal_p_poset_mobius": mob,
+        "normal_p_poset_mobius": [e for row in rows for e in row],
     }
 
 

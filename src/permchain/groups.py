@@ -13,17 +13,20 @@ output.
 A subgroup carries a bitmask over element indices: containment is one AND,
 and the lattice looks subgroups up by mask.  It extends one subgroup H per
 conjugacy class by one x per right coset H x, K = <H, x> a union of right
-cosets H r, and takes each new K's class with it.
-Mobius values come from one inverse zeta matrix per poset
-(`mobius_matrix`); the lattice keeps its own, and each class name once
-first asked for.
+cosets H r, and takes each new K's class with it.  The subgroup some
+elements generate is the first subgroup, by order, whose mask holds theirs.
+Mobius values come from one pass over the comparable pairs of a poset,
+column by column (`mobius_columns`); the lattice keeps its own columns,
+and each class name once first asked for.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -244,7 +247,7 @@ class FiniteGroup:
             for x in range(self.order)
             for y in range(self.order)
         }
-        return _closure(self, comms)
+        return self.lattice().generated_by(comms).elemset
 
     def abelianization_order(self) -> int:
         return self.order // len(self.commutator_subgroup_elems())
@@ -313,23 +316,6 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def _closure(G: FiniteGroup, gens) -> frozenset:
-    """The subgroup generated by `gens`: the identity closed under right
-    multiplication by each generator, read off the generator's column of
-    `mul_table`.  In a finite group the monoid the generators span is the
-    group they generate."""
-    right = G.mul_table[:, list(gens)].T.tolist()  # right[k][x] = x * gens[k]
-    found = [G.identity]
-    seen = {G.identity}
-    for x in found:  # grows while walked: breadth first
-        for col in right:
-            y = col[x]
-            if y not in seen:
-                seen.add(y)
-                found.append(y)
-    return frozenset(seen)
-
-
 # -- subgroups and the lattice ------------------------------------------
 
 
@@ -372,19 +358,27 @@ class Subgroup:
         return f"Subgroup(order {self.order} of {self.parent.describe()})"
 
 
-def minimal_generators(G: FiniteGroup, elems) -> list:
-    """Deterministic small generating set: greedy over sorted element indices."""
-    elems = sorted(elems)
-    gens = []
-    have = frozenset({G.identity})
-    for x in elems:
-        if x in have:
-            continue
-        gens.append(x)
-        have = _closure(G, gens)
-        if len(have) == len(elems):
+def minimal_generators(H: Subgroup) -> list:
+    """Deterministic small generating set of H: greedy over its sorted
+    elements, each kept that lies outside the subgroup the kept ones
+    generate, which then grows to at least twice its order."""
+    L = H.parent.lattice()
+    gens, have = [], L.trivial
+    for x in H.elems:
+        if have.order == H.order:
             break
+        if not have.mask >> x & 1:
+            gens.append(x)
+            have = L.least_holding(have.mask | 1 << x, 2 * have.order)
     return gens
+
+
+def _mask(elems) -> int:
+    """The bitmask of a set of element indices; a negative one has no bit."""
+    xs = set(map(int, elems))
+    if xs and min(xs) < 0:
+        raise PermchainError("element set is not a subgroup")
+    return sum(1 << x for x in xs)
 
 
 class SubgroupLattice:
@@ -510,32 +504,39 @@ class SubgroupLattice:
         self.trivial = self.subgroups[0]
         self.full = self.subgroups[-1]
         self._as_group_cache = {}
-        self._mobius = None  # mobius_matrix(self.subgroups), on first use
+        self._mobius = None  # mobius_columns(self.subgroups), on first use
         self._center = None
         self._class_names = {}  # class id -> class_name
 
     # -- lookups -------------------------------------------------------
 
     def subgroup(self, elems) -> Subgroup:
-        H = self.by_elems.get(sum(1 << int(x) for x in set(elems)))
+        H = self.by_elems.get(_mask(elems))
         if H is None:
             raise PermchainError("element set is not a subgroup")
         return H
 
+    def least_holding(self, mask: int, order: int = 1) -> Subgroup:
+        """The subgroup the elements of `mask` generate: the first subgroup,
+        listed by order, whose mask holds `mask`, looked for from the first
+        of order at least `order` (a lower bound the caller knows)."""
+        start = bisect_left(self.subgroups, order, key=lambda H: H.order)
+        for H in islice(self.subgroups, start, None):
+            if H.mask & mask == mask:
+                return H
+        raise PermchainError("element set is not a subgroup")
+
     def generated_by(self, elems) -> Subgroup:
-        return self.subgroup(_closure(self.group, set(elems)))
+        return self.least_holding(_mask(elems))
 
     def rep_of(self, H: Subgroup) -> Subgroup:
         return self.class_reps[H.class_id]
 
     def join(self, A: Subgroup, B: Subgroup) -> Subgroup:
-        return self.generated_by(A.gens + B.gens)
-
-    def subgroups_of(self, H: Subgroup) -> list:
-        return [K for K in self.subgroups if H.contains(K)]
+        return self.least_holding(A.mask | B.mask, max(A.order, B.order))
 
     def maximal_proper_in(self, H: Subgroup) -> list:
-        below = [K for K in self.subgroups_of(H) if K.order < H.order]
+        below = [K for K in self.subgroups if H.contains(K) and K.order < H.order]
         out = []
         for K in below:
             if not any(L.contains(K) and L.order > K.order for L in below):
@@ -595,13 +596,17 @@ class SubgroupLattice:
 
     # -- Mobius function -------------------------------------------------
 
+    def mobius_column(self, B: Subgroup) -> dict:
+        """{A.index: mu(A, B)} over the subgroups A <= B of the lattice."""
+        if self._mobius is None:
+            self._mobius = mobius_columns(self.subgroups)
+        return self._mobius[B.index]
+
     def mobius(self, A: Subgroup, B: Subgroup) -> int:
-        """mu(A, B) on the whole lattice, read off its Mobius matrix."""
+        """mu(A, B) on the whole lattice, read off B's column."""
         if not B.contains(A):
             raise NotComparable("A is not contained in B")
-        if self._mobius is None:
-            self._mobius = mobius_matrix(self.subgroups)
-        return int(self._mobius[A.index, B.index])
+        return self.mobius_column(B)[A.index]
 
     # -- subgroup as standalone group -------------------------------------
 
@@ -612,7 +617,7 @@ class SubgroupLattice:
         cached = self._as_group_cache.get(H.elems)
         if cached is None:
             G = self.group
-            gens = minimal_generators(G, H.elems) or [G.identity]  # H = 1: one generator
+            gens = minimal_generators(H) or [G.identity]  # H = 1: one generator
             names = [f"h{i}" for i in range(len(gens))]
             cached = FiniteGroup(
                 [G.elements[g] for g in gens],
@@ -624,35 +629,36 @@ class SubgroupLattice:
         return cached
 
 
-def mobius_matrix(poset) -> np.ndarray:
-    """The Mobius function of the containment order on `poset`, a non-empty
-    list of distinct subgroups of one group: entry [i, j] is mu(poset[i],
-    poset[j]), 0 where poset[i] is not contained in poset[j].
+def mobius_columns(poset) -> list:
+    """The Mobius function of the containment order on `poset`, distinct
+    subgroups of one group listed by increasing order: entry b is the dict
+    {a: mu(poset[a], poset[b])} over the a with poset[a] <= poset[b], by
+    increasing a.  Nothing is kept for the pairs that are not comparable.
 
-    It is the inverse of the zeta matrix (Rota), which is unitriangular
-    with the subgroups taken by increasing order, so forward substitution
-    inverts it exactly in int64: column j is e_j minus the columns of the
-    subgroups strictly inside poset[j].
+    One pass over the pairs finds each B's down-set, and Rota's recursion
+    mu(A, B) = -sum of mu(A, C) over A <= C < B adds up the columns of the
+    C strictly inside B, which come before B.
     """
-    n = len(poset)
-    member = np.zeros((n, poset[0].parent.order), dtype=np.int64)
-    for i, H in enumerate(poset):
-        member[i, list(H.elems)] = 1
-    sizes = member.sum(axis=1)
-    inside = (member @ member.T == sizes[:, None]) & (sizes[:, None] < sizes[None, :])
-    mu = np.eye(n, dtype=np.int64)
-    for j in np.argsort(sizes, kind="stable"):
-        mu[:, j] -= mu[:, inside[:, j]].sum(axis=1)
-    return mu
+    masks = [H.mask for H in poset]
+    cols = []
+    for b, m in enumerate(masks):
+        down = [a for a, x in enumerate(masks[:b]) if x & m == x]
+        col = dict.fromkeys(down, 0)
+        for c in down:
+            for a, v in cols[c].items():
+                col[a] -= v
+        col[b] = 1
+        cols.append(col)
+    return cols
 
 
 def mobius_of_poset(poset, A: Subgroup, B: Subgroup) -> int:
     """mu(A, B) on the containment order of `poset` (distinct subgroups,
-    A and B among them): one entry of `mobius_matrix(poset)`.  A loop over
-    pairs builds that matrix once instead."""
+    A and B among them): one entry of `mobius_columns` on it, by order."""
     if not B.contains(A):
         raise NotComparable("A is not contained in B")
-    return int(mobius_matrix(poset)[poset.index(A), poset.index(B)])
+    poset = sorted(poset, key=lambda H: H.order)
+    return mobius_columns(poset)[poset.index(B)][poset.index(A)]
 
 
 # -- operations mirroring the library surface -----------------------------
@@ -837,14 +843,15 @@ def group_from_spec(spec: str, max_order=DEFAULT_MAX_ORDER) -> FiniteGroup:
     return catalog(spec)
 
 
-def subgroup_literal(G: FiniteGroup, elems) -> str:
-    """'1', 'G', or '<w1,w2,...>' in the generator words of the subgroup's
+def subgroup_literal(H: Subgroup) -> str:
+    """'1', 'G', or '<w1,w2,...>' in the generator words of H's
     `minimal_generators`: how module literals and class names write it."""
-    if len(elems) == 1:
+    G = H.parent
+    if H.order == 1:
         return "1"
-    if len(elems) == G.order:
+    if H.order == G.order:
         return "G"
-    return "<" + ",".join(G.word_str(g) for g in minimal_generators(G, elems)) + ">"
+    return "<" + ",".join(G.word_str(g) for g in minimal_generators(H)) + ">"
 
 
 def class_name(L: SubgroupLattice, H: Subgroup) -> str:
@@ -853,5 +860,5 @@ def class_name(L: SubgroupLattice, H: Subgroup) -> str:
     if H.class_id not in L._class_names:
         rep = L.rep_of(H)
         central = 1 < rep.order < L.group.order and rep == L.center()
-        L._class_names[H.class_id] = "Z" if central else subgroup_literal(L.group, rep.elems)
+        L._class_names[H.class_id] = "Z" if central else subgroup_literal(rep)
     return L._class_names[H.class_id]

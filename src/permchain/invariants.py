@@ -24,7 +24,7 @@ from .errors import (
     UnlabeledComponent,
 )
 from .ffield import FqField
-from .groups import FiniteGroup, Quotient, Subgroup, is_p_power, mobius_matrix, quotient
+from .groups import FiniteGroup, Quotient, Subgroup, is_p_power, mobius_columns, quotient
 from .modules import (
     Character,
     KgModule,
@@ -316,28 +316,25 @@ def faithful_project(x: XiInvariant):
     p = f.p
     lat = G.lattice()
     poset = lat.normal_p_subgroups(p)
-    mob = mobius_matrix(poset)
+    cols = mobius_columns(poset)
     out = []
     for s, S in enumerate(poset):
         quot_S = cached_quotient(G, S)
         GS = quot_S.group
         latS = GS.lattice()
-        weights = [(Q, int(mob[s, q])) for q, Q in enumerate(poset) if mob[s, q]]
+        weights = [(Q, col[s]) for Q, col in zip(poset, cols) if col.get(s)]  # row s
         entries = {}
         for Pbar in latS.p_class_reps(p):
             P = _preimage_subgroup(quot_S, Pbar)
             ctxbar = brauer_context(GS, Pbar)
-            hval = 0
-            for Q, mu in weights:
-                PQ = lat.join(P, Q)
-                hval += mu * x.entries[PQ.class_id].h
+            joins = [(lat.join(P, Q), mu) for Q, mu in weights]
+            hval = sum(mu * x.entries[PQ.class_id].h for PQ, mu in joins)
             gen_lifts_GS = ctxbar.quotient_generator_lifts()  # indices in G/S
             values = []
             for gbar in gen_lifts_GS:
                 g = quot_S.lift(gbar)
                 acc = 1
-                for Q, mu in weights:
-                    PQ = lat.join(P, Q)
+                for PQ, mu in joins:
                     _, code = x.value_at(PQ, g)
                     if mu >= 0:
                         step = code

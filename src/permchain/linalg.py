@@ -212,8 +212,11 @@ def _exact_bound(k: int, field: FqField) -> int:
 
 def _mod_p(x: np.ndarray, p: int, bound: int) -> np.ndarray:
     """x mod p for a float array of integers in [0, bound]; integer
-    remainders are several times faster than float ones."""
-    y = x.astype(np.int32 if bound < 2 ** 31 else np.int64)
+    remainders are several times faster than float ones.  A NaN or an
+    infinity, which the cast alone would make some valid code, raises
+    FloatingPointError: IEEE 754 flags its conversion as invalid."""
+    with np.errstate(invalid="raise"):
+        y = x.astype(np.int32 if bound < 2 ** 31 else np.int64)
     return y & 1 if p == 2 else y % p
 
 

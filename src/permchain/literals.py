@@ -51,7 +51,7 @@ from .modules import (
 
 
 def format_subgroup(H: Subgroup) -> str:
-    return subgroup_literal(H.parent, H.elems)
+    return subgroup_literal(H)
 
 
 def parse_subgroup(G: FiniteGroup, text: str, where: str = "") -> Subgroup:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import IncompatibleHandles, NotNested, PermchainError
 from .ffield import FqField, FqScalar
-from .groups import FiniteGroup, Quotient, Subgroup, is_p_power, minimal_generators, quotient
+from .groups import FiniteGroup, Quotient, Subgroup, is_p_power, quotient
 from .linalg import (
     FqMatrix,
     block_diag,
@@ -376,12 +376,11 @@ class KgModule:
         key = P.elems
         got = self._fixed_cache.get(key)
         if got is None:
-            gens = minimal_generators(self.group, P.elems)
-            if not gens:
+            if not P.gens:
                 got = FqMatrix.identity(self.field, self.dim)
             else:
                 eye = FqMatrix.identity(self.field, self.dim)
-                stacked = vstack([self.elem_mat(g) - eye for g in gens])
+                stacked = vstack([self.elem_mat(g) - eye for g in P.gens])
                 got = kernel_basis(stacked)
             self._fixed_cache[key] = got
         return got

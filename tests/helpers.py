@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library code paths they are used to
 check: multiplication tables by looking up each product's image tuple,
 subgroup enumeration by pairwise closure and by extending every subgroup
-by every cyclic subgroup, Mobius values by the defining recursion, the inverse mark table by Gauss-Jordan elimination,
+by every cyclic subgroup, Mobius values by the defining recursion and by
+inverting the zeta matrix, the inverse mark table by Gauss-Jordan elimination,
 marks by counting fixed cosets, units by trying every sign vector,
 centralizers elementwise, fixed-point dimensions by orbit counting, split
 detection by solving the splitting equation, naive matrix products by
@@ -259,6 +260,24 @@ def recursive_mobius(poset, A: Subgroup, B: Subgroup, cache: dict) -> int:
             if C.order < B.order and C.contains(A) and B.contains(C)
         )
     return cache[key]
+
+
+def inverse_zeta_columns(poset) -> list:
+    """`groups.mobius_columns` read off the inverse of the zeta matrix
+    (Rota).  It is unitriangular with the subgroups taken by increasing
+    order, so forward substitution inverts it exactly in int64: column j is
+    e_j minus the columns of the subgroups strictly inside poset[j]."""
+    n = len(poset)
+    member = np.zeros((n, poset[0].parent.order), dtype=np.int64)
+    for i, H in enumerate(poset):
+        member[i, list(H.elems)] = 1
+    sizes = member.sum(axis=1)
+    within = member @ member.T == sizes[:, None]  # [i, j]: poset[i] <= poset[j]
+    inside = within & (sizes[:, None] < sizes[None, :])
+    mu = np.eye(n, dtype=np.int64)
+    for j in np.argsort(sizes, kind="stable"):
+        mu[:, j] -= mu[:, inside[:, j]].sum(axis=1)
+    return [{i: int(mu[i, j]) for i in np.flatnonzero(within[:, j]).tolist()} for j in range(n)]
 
 
 def rational_inverse(tbl: np.ndarray):

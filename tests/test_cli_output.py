@@ -1,9 +1,11 @@
 """CLI output against the computations it replaced.
 
 `cli._write_json` writes reports as `json.dumps(report, indent=2)` would,
-in bounded batches; group tables come from base images.  The writer is
-compared with `json.dumps` on drawn trees, and whole CLI runs with the
-same runs on `json.dumps` and the tuple-lookup tables of `helpers`.
+in bounded batches; group tables come from base images, mu from one pass
+over the comparable pairs, class names from generators found by mask.  The
+writer is compared with `json.dumps` on drawn trees, and whole CLI runs
+with the same runs on `json.dumps` and the tuple-lookup tables, the
+inverse zeta matrix and the pairwise-closure generators of `helpers`.
 """
 
 import io
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from permchain import cli, groups
 from permchain.cli import _write_json, main
 
-from helpers import tuple_lookup_tables
+from helpers import inverse_zeta_columns, pairwise_minimal_generators, tuple_lookup_tables
 
 
 def _written(obj) -> str:
@@ -122,19 +124,32 @@ def _run_all(capsys) -> list:
 
 def test_outputs_match_tuple_tables_and_dumps(monkeypatch, capsys):
     """Every byte, exit code and message, the exit-2 refusals of C2^4 and
-    C2^5 included, as with tuple-lookup tables and `json.dumps`.  The
-    catalog is bypassed, not cleared: other tests hold its groups."""
+    C2^5 included, as with tuple-lookup tables, the inverse zeta matrix,
+    pairwise-closure generators and `json.dumps`.  The catalog is
+    bypassed, not cleared: other tests hold its groups."""
     fast = _run_all(capsys)
-    built = []
+    built, posets, generated = [], [], []
 
     def oracle_tables(elements, identity):
         built.append(len(elements))
         return tuple_lookup_tables(elements, identity)
 
+    def oracle_mobius(poset):
+        posets.append(len(poset))
+        return inverse_zeta_columns(poset)
+
+    def oracle_generators(H):
+        generated.append(H)
+        return pairwise_minimal_generators(H.parent, H.elems)
+
     monkeypatch.setattr(groups, "catalog", groups.catalog.__wrapped__)
     monkeypatch.setattr(groups, "_product_tables", oracle_tables)
+    monkeypatch.setattr(groups, "mobius_columns", oracle_mobius)
+    monkeypatch.setattr(cli, "mobius_columns", oracle_mobius)
+    monkeypatch.setattr(groups, "minimal_generators", oracle_generators)
     monkeypatch.setattr(cli, "_write_json", lambda obj, fh: fh.write(json.dumps(obj, indent=2)))
     slow = _run_all(capsys)
     assert len(built) >= 3 * len(_GROUPS)  # each run builds its group afresh
+    assert len(posets) >= 2 * len(_GROUPS) and generated  # each group-info run reads mu
     assert [r[1] for r in fast].count(2) == 2
     assert fast == slow

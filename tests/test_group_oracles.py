@@ -2,16 +2,18 @@
 
 Multiplication tables are read off the images of a base; subgroups are
 bitmasks, found by extending one subgroup per conjugacy class once per
-right coset; mu comes from one inverse zeta matrix per poset, normalizers
-and centralizers from the kept generators, marks from counting conjugates
-inside each subgroup, the inverse mark table from the idempotents, units
-by meeting in the middle over the sign vectors, class names from a memo
-on the lattice.  Each is compared here with the direct computation in
-`helpers`: a dict lookup of every product's image tuple, pairwise closure
-and every subgroup extended by every cyclic subgroup, the defining
-recursion of mu, conjugation or commutation of every element, counting
-fixed cosets, Gauss-Jordan elimination over Fractions, every sign vector
-and a fresh name per call.
+right coset; the subgroup some elements generate is the first one, by
+order, whose mask holds theirs; mu comes from one pass over the comparable
+pairs of a poset, column by column; normalizers and centralizers come from
+the kept generators, marks from counting conjugates inside each subgroup,
+the inverse mark table from the idempotents, units by meeting in the
+middle over the sign vectors, class names from a memo on the lattice.
+Each is compared here with the direct computation in `helpers`: a dict
+lookup of every product's image tuple, pairwise closure and every
+subgroup extended by every cyclic subgroup, the defining recursion of mu
+and the inverse of the zeta matrix, conjugation or commutation of every
+element, counting fixed cosets, Gauss-Jordan elimination over Fractions,
+every sign vector and a fresh name per call.
 The groups are every catalog group up to order 64, plus S4, A5 (the one
 non-solvable group), C2^4 and C2^5; the tables also S5 and C2^8 on 308
 points, the lattice also S5 and groups on at most 7 points.
@@ -34,7 +36,7 @@ from permchain.groups import (
     class_name,
     group_from_spec,
     minimal_generators,
-    mobius_matrix,
+    mobius_columns,
     mobius_of_poset,
 )
 
@@ -44,6 +46,7 @@ from helpers import (
     elementwise_normalizer,
     every_cyclic_extension_lattice,
     exhaustive_units,
+    inverse_zeta_columns,
     pairwise_closure,
     pairwise_minimal_generators,
     pairwise_subgroup_sets,
@@ -117,7 +120,7 @@ def test_lattice_matches_pairwise_closure(name):
         assert H.index == i
         assert pairwise_closure(G, set(H.gens)) == H.elemset
     for H in L.class_reps:
-        assert minimal_generators(G, H.elems) == pairwise_minimal_generators(G, H.elems)
+        assert minimal_generators(H) == pairwise_minimal_generators(G, H.elems)
     if len(L.class_reps) <= 20:
         for A in L.class_reps:
             for B in L.class_reps:
@@ -168,6 +171,30 @@ def _small_perm_groups(draw, max_order=168):
 @example(FiniteGroup([(1, 2, 3, 4, 0, 5), (5, 4, 2, 3, 1, 0)]))  # PSL(2,5) = A5 on 6 points
 def test_lattice_matches_every_cyclic_extension_on_small_perm_groups(G):
     _assert_lattice_matches_every_cyclic_extension(G)
+    _assert_lookups_match_closure_and_recursion(G)
+
+
+def _assert_lookups_match_closure_and_recursion(G):
+    """Generation by the first subgroup whose mask holds the seed, against
+    pairwise closure; mu on the whole lattice and on every normal
+    p-subgroup poset against the recursion."""
+    L = G.lattice()
+    table = G.mul_table.tolist()
+    for x in range(G.order):
+        assert L.generated_by([x]).elemset == pairwise_closure(G, {x}, table)
+    for A in L.class_reps:
+        for g in G.gen_indices:
+            assert L.generated_by(A.gens + (g,)).elemset == pairwise_closure(G, set(A.gens) | {g}, table)
+        assert minimal_generators(A) == pairwise_minimal_generators(G, A.elems)
+        if len(L.class_reps) <= 20:
+            for B in L.class_reps:
+                assert L.join(A, B).elemset == pairwise_closure(G, A.elemset | B.elemset, table)
+    comms = {G.mul(G.mul(x, y), G.inv(G.mul(y, x))) for x in range(G.order) for y in range(G.order)}
+    assert G.commutator_subgroup_elems() == pairwise_closure(G, comms, table)
+    assert _same_columns([L.mobius_column(B) for B in L.subgroups], _recursion_columns(L.subgroups))
+    for p in _primes(G.order):
+        poset = L.normal_p_subgroups(p)
+        assert _same_columns(mobius_columns(poset), _recursion_columns(poset))
 
 
 def test_subgroups_hold_no_element_sets():
@@ -179,48 +206,57 @@ def test_subgroups_hold_no_element_sets():
         assert [x for x in range(G.order) if H.mask >> x & 1] == list(H.elems)
 
 
-def _recursion_matrix(poset) -> np.ndarray:
-    """The recursion on every comparable pair, 0 on the others."""
+def _recursion_columns(poset) -> list:
+    """The recursion on every comparable pair, listed as `mobius_columns`
+    lists them: per B, the A <= B by increasing place in `poset`."""
     cache = {}
-    return np.array(
-        [[recursive_mobius(poset, A, B, cache) if B.contains(A) else 0 for B in poset] for A in poset],
-        dtype=np.int64,
+    return [{a: recursive_mobius(poset, A, B, cache) for a, A in enumerate(poset) if B.contains(A)} for B in poset]
+
+
+def _same_columns(got, want) -> bool:
+    """Equal keys in the same order, equal values, all of them ints."""
+    return [list(c.items()) for c in got] == [list(c.items()) for c in want] and all(
+        type(v) is int for c in got for v in c.values()
     )
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_mobius_matrix_matches_recursion(name):
+    """mu on every comparable pair, and nothing on the others, as the
+    recursion and the inverse zeta matrix give it."""
     G = _group(name)
     L = G.lattice()
-    whole = mobius_matrix(L.subgroups)
-    assert whole.dtype == np.int64
-    assert np.array_equal(whole, _recursion_matrix(L.subgroups))
+    whole = mobius_columns(L.subgroups)
+    assert _same_columns(whole, _recursion_columns(L.subgroups))
+    assert _same_columns(whole, inverse_zeta_columns(L.subgroups))
     for A in L.subgroups[:3]:
         for B in L.subgroups:
             if B.contains(A):
-                assert L.mobius(A, B) == whole[A.index, B.index]
+                assert L.mobius(A, B) == whole[B.index][A.index]
     for p in _primes(G.order):
         poset = L.normal_p_subgroups(p)
-        mu = mobius_matrix(poset)
+        cols = mobius_columns(poset)
         if poset == L.subgroups:
-            assert np.array_equal(mu, whole)
+            assert cols == whole
         else:
-            assert np.array_equal(mu, _recursion_matrix(poset))
-        assert mobius_of_poset(poset, poset[0], poset[-1]) == mu[0, -1]
+            assert _same_columns(cols, _recursion_columns(poset))
+        assert mobius_of_poset(poset, poset[0], poset[-1]) == cols[-1][0]
 
 
 @pytest.mark.parametrize("r", range(1, 6))
 def test_mobius_on_elementary_abelian_is_halls(r):
     """P. Hall: mu(A, B) = (-1)^k 2^(k(k-1)/2) on C2^r, with |B:A| = 2^k."""
     L = group_from_spec(_elementary_abelian(r)).lattice()
-    hall = np.zeros((len(L.subgroups),) * 2, dtype=np.int64)
-    for A in L.subgroups:
-        for B in L.subgroups:
+    hall = []
+    for B in L.subgroups:
+        col = {}
+        for A in L.subgroups:
             if B.contains(A):
                 k = (B.order // A.order).bit_length() - 1
-                hall[A.index, B.index] = (-1) ** k * 2 ** (k * (k - 1) // 2)
-    assert np.array_equal(mobius_matrix(L.subgroups), hall)
-    assert L.mobius(L.trivial, L.full) == hall[0, -1]
+                col[A.index] = (-1) ** k * 2 ** (k * (k - 1) // 2)
+        hall.append(col)
+    assert _same_columns(mobius_columns(L.subgroups), hall)
+    assert L.mobius(L.trivial, L.full) == hall[-1][0]
 
 
 def _inverse_from_idempotents(G):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from permchain.groups import (
     enumerate_subgroups,
     group_from_spec,
     is_p_power,
+    mobius_columns,
     mobius_of_poset,
     p_subgroups,
     perm_from_cycles,
@@ -196,6 +198,15 @@ def test_centralizer_trivial_subgroup():
     assert L.centralizer(L.trivial).order == G.order
 
 
+def test_generated_by_refuses_an_index_outside_the_group():
+    L = catalog("D8").lattice()
+    for bad in ([8], [0, 8], [-1]):
+        with pytest.raises(PermchainError, match="element set is not a subgroup"):
+            L.generated_by(bad)
+        with pytest.raises(PermchainError, match="element set is not a subgroup"):
+            L.subgroup(bad)
+
+
 def test_quotient_sd16_by_center_is_d8():
     G = catalog("SD16")
     L = G.lattice()
@@ -270,6 +281,24 @@ def test_mobius_not_comparable():
     H2 = L.generated_by([G.element_by_word("b")])
     with pytest.raises(NotComparable):
         L.mobius(H1, H2)
+
+
+def test_mobius_on_c2_6_allocates_nothing_quadratic():
+    """mu over the 2,825 normal 2-subgroups of C2^6 keeps one value per
+    comparable pair (95,706 of them); an n x n int64 array alone would
+    take 64 MB."""
+    L = group_from_spec(";".join(f"({2 * i} {2 * i + 1})" for i in range(6))).lattice()
+    poset = L.normal_p_subgroups(2)
+    assert len(poset) == 2825
+    tracemalloc.start()
+    try:
+        cols = mobius_columns(poset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert sum(map(len, cols)) == 95706
+    assert cols[-1][0] == 2**15  # Hall: (-1)^6 2^(6*5/2)
 
 
 def test_mobius_on_subposet():

@@ -22,6 +22,7 @@ from permchain.ffield import GF
 from permchain.linalg import (
     FqMatrix,
     _exact_bound,
+    _mod_p,
     complete_to_basis,
     image_basis,
     kernel_basis,
@@ -241,3 +242,14 @@ def test_inexact_product_raises():
     assert _exact_bound(k, F509) < 2**53
     with pytest.raises(OverflowError):
         _exact_bound(k + 1, F509)
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [2, 3])
+def test_reduction_refuses_a_product_without_a_code(dt, p):
+    """The integer cast alone would make a NaN or an infinity some valid
+    code; it raises instead."""
+    assert _mod_p(np.array([[0, 4], [5, 8]], dtype=dt), p, 8).tolist() == [[0, 4 % p], [5 % p, 8 % p]]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(FloatingPointError):
+            _mod_p(np.array([[1, bad], [2, 3]], dtype=dt), p, 8)

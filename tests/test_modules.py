@@ -270,7 +270,7 @@ def test_brauer_maximal_subgroups_suffice():
     from permchain.linalg import hstack, image_basis
 
     F = M.fixed_points(Sy)
-    all_proper = [trace_map(M, Q, Sy) for Q in L.subgroups_of(Sy) if Q.order < Sy.order]
+    all_proper = [trace_map(M, Q, Sy) for Q in L.subgroups if Sy.contains(Q) and Q.order < Sy.order]
     maximal = [trace_map(M, Q, Sy) for Q in L.maximal_proper_in(Sy)]
     ra = rank(hstack(all_proper))
     rm = rank(hstack(maximal))

@@ -112,7 +112,7 @@ def assert_brauer_points(M: KgModule):
         ctx = brauer_context(G, P)
         pts, local = brauer_points(M, P)
         ref_pts, ref_mats = brauer_points_dense(
-            M, P, ctx, minimal_generators(G, P.elems), is_p_power(P.order, p)
+            M, P, ctx, minimal_generators(P), is_p_power(P.order, p)
         )
         assert pts.tolist() == ref_pts.tolist()
         assert list(local.gen_mats) == ref_mats
