@@ -11,10 +11,12 @@ homology module (`homology_at`) is the subquotient cycles/boundaries that
 `syzygies.subquotient` builds, with explicit witnesses, so group actions
 on homology are computed exactly, never up to isomorphism.
 `endotrivial_report` is the one pass over the p-subgroup classes, made
-once per complex: it reduces each local differential once.  The ranks give
-the homology dimensions, and in the single nonzero degree the same
-reduction gives the cycles; the invariant's character is read off one
-cycle outside the boundaries, with no homology module built.
+once per complex: it reduces each local differential once, and the ranks
+give the homology dimensions.  The invariant's character needs no further
+linear algebra.  By the Hopf trace formula a chain automorphism g has
+sum_i (-1)^i tr(g | C_i) = sum_i (-1)^i tr(g | H_i), so on homology that is
+one line in degree h, chi(g) = sum_i (-1)^(i+h) tr(g | C_i); on a monomial
+term that trace is the field sum of g's twists at the points g fixes.
 """
 
 from __future__ import annotations
@@ -33,14 +35,7 @@ from .errors import (
 )
 from .ffield import FqField
 from .groups import FiniteGroup, Subgroup
-from .linalg import (
-    FqMatrix,
-    hstack,
-    image_basis,
-    kernel_basis,
-    kernel_from_rref,
-    rref,
-)
+from .linalg import FqMatrix, image_basis, kernel_basis, rref
 from .modules import (
     Character,
     KgModule,
@@ -327,18 +322,28 @@ def reduce_differentials(C: BoundedComplex):
     return reds, {i: h for i, h in dims.items() if h}
 
 
-def _line_character(C: BoundedComplex, h: int, reds) -> list:
-    """The generators' values of the character on a one-dimensional H_h(C).
-    For z the first cycle outside im d_{h+1}, g.z = chi(g) z modulo boundaries:
-    the row of z's pivot in the rref of [d_{h+1} | z | g_1 z ...] holds chi."""
-    M, B = C.module_at(h), C.diff_at(h + 1).matrix
-    Z = kernel_from_rref(*reds[h]) if h in reds else FqMatrix.identity(C.field, M.dim)
-    _, _, pivots = rref(hstack([B, Z]))
-    z = Z.col(next(c for c in pivots if c >= B.cols) - B.cols)
-    R, rk, pivots = rref(hstack([B, z] + [M.act(gi, z) for gi in range(len(C.group.generators))]))
-    if pivots[-1] != B.cols:
-        raise PermchainError(f"the action does not preserve the homology line in degree {h}")
-    return [int(v) for v in R.a[rk - 1, B.cols + 1 :]]
+def _line_character(C: BoundedComplex, h: int) -> list:
+    """The generators' values of the character on a one-dimensional H_h(C)
+    of a monomial complex, by the Hopf trace formula: chi(g) is the
+    alternating sum (-1)^(i+h) tr(g | C_i).  tr(g | C_i) is the sum of g's
+    twists at the points g fixes, so each twist code is counted with its
+    sign, the counts are reduced mod p (an integer n < p has code n), and
+    the field adds up count times code."""
+    f = C.field
+    counts = [{} for _ in C.group.generators]
+    for i, M in zip(C.degrees(), C.mods):
+        sign = -1 if (i + h) % 2 else 1
+        for cnt, perm, tw in zip(counts, M.perms, M.twists):
+            for j, (x, c) in enumerate(zip(perm.tolist(), tw.tolist())):
+                if x == j:
+                    cnt[c] = cnt.get(c, 0) + sign
+    values = []
+    for cnt in counts:
+        total = 0
+        for c, n in cnt.items():
+            total = f.add[total, f.mul[c, n % f.p]]
+        values.append(int(total))
+    return values
 
 
 # -- Brauer construction on complexes -----------------------------------------
@@ -347,11 +352,15 @@ def _line_character(C: BoundedComplex, h: int, reds) -> list:
 class BrauerComplex:
     """Degreewise Brauer construction of a complex of monomial modules, over
     N_G(P)/P: the P-fixed basis points X_i^P of each term (`brauer_points`),
-    with the local differentials the submatrices d_i[X_{i-1}^P, X_i^P].  A
+    with the local differentials the submatrices d_i[X_{i-1}^P, X_i^P].  At
+    P = 1 every point is fixed and N_G(P)/P is G, so C(1) is C itself.  A
     complex with a dense term raises."""
 
     def __init__(self, C: BoundedComplex, P: Subgroup):
         self.ctx = brauer_context(C.group, P)
+        if P.order == 1 and all(M.perms is not None for M in C.mods):  # a dense term raises below
+            self.complex = C
+            return
         pts, mods = zip(*(brauer_points(C.module_at(i), P) for i in C.degrees()))
         diffs = {
             i: FqMatrix(C.field, C.diff_at(i).matrix.a[np.ix_(pts[i - 1 - C.lo], pts[i - C.lo])])
@@ -466,13 +475,12 @@ def endotrivial_report(C: BoundedComplex) -> EndotrivialReport:
     violations = {}
     for P in C.group.lattice().p_class_reps(C.field.p):
         bc = BrauerComplex(C, P)
-        reds, dims = reduce_differentials(bc.complex)
-        degs = tuple(dims.items())
+        degs = tuple(homology_dims(bc.complex).items())
         if len(degs) != 1 or degs[0][1] != 1:
             violations[P.class_id] = degs
             continue
         h = degs[0][0]
-        values = _line_character(bc.complex, h, reds)
+        values = _line_character(bc.complex, h)
         entries[P.class_id] = XiEntry(P, h, Character(bc.complex.group, C.field, values), bc.ctx)
     inv = None if violations else XiInvariant(C.group, C.field, entries)
     object.__setattr__(C, "_report", EndotrivialReport(not violations, MappingProxyType(violations), inv))

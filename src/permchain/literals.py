@@ -20,7 +20,9 @@ per entry in a plain copy of the inverse table (`FqField.code_of`).  Other
 spellings such as ' 1 + w', 'w+1', '-1' or an unreduced '5' over F3, and
 JSON integers, go through `FqField.parse`, so every spelling it accepts is
 accepted.  Parsing validates eagerly, the shape of the object included, and
-reports the offending location.
+reports the offending location; a module literal whose dimension
+(the sum of mult * |G : H| over its terms) passes `MAX_MODULE_DIM` is
+refused before any module is built.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ from .modules import (
     trivial_character,
     twist,
 )
+
+
+# The largest module literal parsed: eight times the largest term of any
+# catalog entry or tensor product of two (512, in gamma-D16 (x) gamma-D16).
+MAX_MODULE_DIM = 4096
 
 
 # -- term level ---------------------------------------------------------------
@@ -133,13 +140,26 @@ def _terms(G: FiniteGroup, fld: FqField, text: str, where: str, kind: str) -> li
         spec = m.group("char")
         char = parse_character(G, fld, spec, where) if spec else trivial_character(G, fld)
         sub = parse_subgroup(G, m.group("sub"), where)
-        out.append((sign * int(m.group("coeff") or 1), char, sub, int(m.group("mult") or 1)))
+        try:
+            coeff, mult = int(m.group("coeff") or 1), int(m.group("mult") or 1)
+        except ValueError:  # past Python's limit on digits in one integer
+            raise ParseError(f"number too long in {kind} term", where) from None
+        out.append((sign * coeff, char, sub, mult))
     if kind == "module" and not out:
         raise ParseError("empty module literal", where)
     return out
 
 
-def _terms_module(G: FiniteGroup, fld: FqField, terms) -> KgModule:
+def _literal_dim(G: FiniteGroup, terms) -> int:
+    return sum(mult * (G.order // sub.order) for _, _, sub, mult in terms)
+
+
+def _terms_module(G: FiniteGroup, fld: FqField, terms, where: str) -> KgModule:
+    """The module of a literal's terms, refused before anything is built if
+    its dimension passes `MAX_MODULE_DIM`."""
+    dim = _literal_dim(G, terms)
+    if dim > MAX_MODULE_DIM:
+        raise ParseError(f"module of dimension {dim} exceeds the cap of {MAX_MODULE_DIM}", where)
     parts = []
     for _, char, sub, mult in terms:
         M = perm_module(G, sub, fld)
@@ -149,7 +169,7 @@ def _terms_module(G: FiniteGroup, fld: FqField, terms) -> KgModule:
 
 def parse_module_literal(G: FiniteGroup, fld: FqField, text: str, where: str = "") -> KgModule:
     """A direct sum of twisted transitive permutation modules."""
-    return _terms_module(G, fld, _terms(G, fld, text, where, "module"))
+    return _terms_module(G, fld, _terms(G, fld, text, where, "module"), where)
 
 
 def _grouped_summands(M: KgModule) -> list:
@@ -316,7 +336,7 @@ def complex_from_obj(obj: dict) -> BoundedComplex:
         if not isinstance(mods_raw[d], str):
             raise ParseError(f"expected a module literal, got {_json_type(mods_raw[d])}", where)
         terms.append(_terms(G, fld, mods_raw[d], where, "module"))
-    dims = [sum(mult * (G.order // sub.order) for _, _, sub, mult in t) for t in terms]
+    dims = [_literal_dim(G, t) for t in terms]
     codes = dict(fld.code_of)  # a plain copy: a lookup in it skips the read-only proxy
     diffs = {}
     for i, flat in _by_degree(obj.get("differentials", {}), "complex.differentials").items():
@@ -336,7 +356,7 @@ def complex_from_obj(obj: dict) -> BoundedComplex:
                 dtype=np.int16,
             )
         diffs[i] = FqMatrix(fld, a.reshape(rows, cols))
-    mods = [_terms_module(G, fld, t) for t in terms]
+    mods = [_terms_module(G, fld, t, f"complex.modules.{d}") for d, t in zip(degrees, terms)]
     try:
         return BoundedComplex(G, fld, lo, mods, diffs)
     except PermchainError as e:

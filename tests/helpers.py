@@ -9,10 +9,12 @@ marks by counting fixed cosets, units by trying every sign vector,
 centralizers elementwise, fixed-point dimensions by orbit counting, split
 detection by solving the splitting equation, naive matrix products by
 schoolbook scalar arithmetic, local characters from the homology modules
-`homology_at` builds.  The syzygy layer's loops from before `subquotient`
-and `orbit_map` are here too: one solve per generator for a subquotient's
-action, one column per element and generator image for a map out of a free
-module, and one rank per column for the free generators.
+`homology_at` builds and from one cycle outside the boundaries, read by
+row reduction (the report's own reading before the trace formula).  The
+syzygy layer's loops from before `subquotient` and `orbit_map` are here
+too: one solve per generator for a subquotient's action, one column per
+element and generator image for a map out of a free module, and one rank
+per column for the free generators.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from permchain.burnside import mark_table
 from permchain.ffield import FqField, FqScalar
 from permchain.groups import FiniteGroup, Subgroup, pmul
-from permchain.linalg import FqMatrix, hstack, kernel_basis, rank, solve_matrix, vstack
+from permchain.linalg import FqMatrix, hstack, kernel_basis, rank, rref, solve_matrix, vstack
 from permchain.modules import (
     Character,
     KgModule,
@@ -38,7 +40,7 @@ from permchain.modules import (
     twist,
 )
 from permchain.syzygies import hom_space_basis, norm_matrix
-from permchain.complexes import BoundedComplex, brauer_complex, homology
+from permchain.complexes import BoundedComplex, brauer_complex, homology, homology_dims
 from permchain.linalg import image_basis, quotient_space
 
 from module_reference import elem_mats, scale
@@ -477,6 +479,52 @@ def homology_module_reading(C: BoundedComplex, local_complex=brauer_complex):
         (h, H), = local.items()
         entries[P.class_id] = (h, [int(m.a[0, 0]) for m in H.module.gen_mats])
     return violations, entries
+
+
+def one_cycle_character(C: BoundedComplex, h: int) -> list:
+    """The generators' values of the character on a one-dimensional H_h(C),
+    by row reduction: for z the first cycle outside im d_{h+1},
+    g.z = chi(g) z modulo boundaries, so the row of z's pivot in the rref of
+    [d_{h+1} | z | g_1 z ...] holds chi."""
+    M, B = C.module_at(h), C.diff_at(h + 1).matrix
+    Z = kernel_basis(C.diff_at(h).matrix)
+    _, _, pivots = rref(hstack([B, Z]))
+    z = Z.col(next(c for c in pivots if c >= B.cols) - B.cols)
+    R, rk, pivots = rref(hstack([B, z] + [M.act(gi, z) for gi in range(len(C.group.generators))]))
+    if pivots[-1] != B.cols:
+        raise ValueError(f"the action does not preserve the homology line in degree {h}")
+    return [int(v) for v in R.a[rk - 1, B.cols + 1 :]]
+
+
+def one_cycle_reading(C: BoundedComplex):
+    """(violations, {class_id: (h, character values)}) as
+    `homology_module_reading` gives them, with ranks for the dimensions and
+    `one_cycle_character` for the characters."""
+    violations, entries = {}, {}
+    for P in C.group.lattice().p_class_reps(C.field.p):
+        local = brauer_complex(C, P)
+        degs = tuple(homology_dims(local).items())
+        if len(degs) != 1 or degs[0][1] != 1:
+            violations[P.class_id] = degs
+            continue
+        h = degs[0][0]
+        entries[P.class_id] = (h, one_cycle_character(local, h))
+    return violations, entries
+
+
+def homology_lefschetz(C: BoundedComplex) -> list:
+    """Per generator g, sum_i (-1)^i tr(g | H_i(C)) in the field, from the
+    matrices of the homology modules `homology` builds."""
+    f = C.field
+    hom = homology(C)
+    out = []
+    for gi in range(len(C.group.generators)):
+        total = 0
+        for i, H in hom.items():
+            for v in np.diagonal(H.module.gen_mats[gi].a).tolist():
+                total = int(f.sub[total, v] if i % 2 else f.add[total, v])
+        out.append(total)
+    return out
 
 
 # -- syzygy-layer oracles ----------------------------------------------------------

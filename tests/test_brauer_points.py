@@ -2,15 +2,22 @@
 homology dimensions, and the one pass of `endotrivial_report`.
 
 The package has one Brauer construction: `BrauerComplex` picks the P-fixed
-basis points of every monomial term, labeled or not.  The oracle is the
-trace-quotient construction of `module_reference`: every term's
-`brauer_quotient` and every differential's induced map, with the local
-homology read from homology modules.  Both must give the same violations
-and the same invariant xi, on the catalog, on restrictions and local
-complexes of it (which carry no labels), and on tensor products; a dense
-complex has no Brauer points and raises.  The local characters read off one
-cycle are checked against the homology modules, and the report is checked
-to be made once and kept on its frozen complex.  The paper's identities
+basis points of every monomial term, labeled or not, and at P = 1 it is the
+complex itself.  The oracle is the trace-quotient construction of
+`module_reference`: every term's `brauer_quotient` and every differential's
+induced map, with the local homology read from homology modules.  Both must
+give the same violations and the same invariant xi, on the catalog, on
+restrictions and local complexes of it (which carry no labels), and on
+tensor products; a dense complex has no Brauer points and raises.
+
+The report reads each local character by the Hopf trace formula: the
+alternating sum of the twists at the points each generator fixes.  Its
+values are checked against the homology modules and against the earlier
+reading off one cycle outside the boundaries (`helpers.one_cycle_character`),
+and the formula itself against the traces on homology, on every local
+complex of the catalog and of tensor products, homology in several degrees
+included.  The report is checked to reduce each local differential once, to
+be made once and to be kept on its frozen complex.  The paper's identities
 for tensor products, duals, shifts and twists are checked over the whole
 catalog and over tensor products of its entries.
 """
@@ -27,12 +34,14 @@ from permchain import complexes
 from permchain.cli import main
 from permchain.complexes import (
     BoundedComplex,
+    ChainMap,
     brauer_complex,
     dual_complex,
     endotrivial_report,
     homology,
     homology_at,
     homology_dims,
+    mapping_cone,
     module_complex,
     restrict_complex,
     shift,
@@ -51,9 +60,21 @@ from permchain.constructions import (
 from permchain.errors import PermchainError
 from permchain.ffield import GF
 from permchain.groups import catalog, group_from_spec
-from permchain.modules import all_characters, brauer_points, perm_module
+from permchain.modules import (
+    all_characters,
+    brauer_points,
+    direct_sum,
+    perm_module,
+    trivial_module,
+    twist,
+)
 
-from helpers import homology_module_reading, per_generator_homology_action
+from helpers import (
+    homology_lefschetz,
+    homology_module_reading,
+    one_cycle_reading,
+    per_generator_homology_action,
+)
 from module_reference import dense_copy, trace_quotient_complex
 
 ENTRIES = all_entries()
@@ -100,9 +121,11 @@ def assert_rank_dims(C: BoundedComplex):
 
 
 def assert_homology_module_reading(C: BoundedComplex):
-    """The report's violations, h-marks and one-cycle characters are those
-    the homology modules give at every p-subgroup class."""
+    """The report's violations, h-marks and trace-formula characters are
+    those the homology modules give at every p-subgroup class, and those of
+    the reading off one cycle."""
     violations, entries = homology_module_reading(C)
+    assert one_cycle_reading(C) == (violations, entries)
     rep = endotrivial_report(C)
     assert rep.violations == violations
     if violations:
@@ -180,6 +203,15 @@ def test_points_match_trace_quotients_on_restrictions_and_local_complexes():
     assert any(C.mods[0].labels is None for C in cases)
     for C in cases:
         assert_paths_agree(C)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_dense_complex_over_p_prime_group_raises():
+    """C3 over F2 has no p-subgroup but 1, where the local complex is the
+    complex itself; a dense term still raises there."""
+    G = group_from_spec("(0 1 2)")
+    with pytest.raises(PermchainError, match="monomial"):
+        endotrivial_report(module_complex(dense_copy(trivial_module(G, GF(2)))))
 
 
 def test_dense_complex_has_no_brauer_points():
@@ -341,7 +373,7 @@ def test_xi_warns_once_when_field_is_small():
     assert "may miss degree one characters" in str(caught[0].message)
 
 
-# -- the one-cycle character against the homology modules ----------------------
+# -- the trace-formula character against the homology modules and one cycle -----
 
 
 def _twisted_c6_generators() -> list:
@@ -387,6 +419,114 @@ def test_one_cycle_character_over_extension_fields(make):
     for C in make():
         assert endotrivial_report(C).ok
         assert_homology_module_reading(C)
+
+
+# -- the Hopf trace formula ------------------------------------------------------
+
+
+def signed_fixed_twists(X: BoundedComplex, gi: int) -> dict:
+    """code -> sum over degrees i of (-1)^i times the number of points that
+    generator gi fixes in X_i with that twist."""
+    counts = {}
+    for i, M in zip(X.degrees(), X.mods):
+        for j, (x, c) in enumerate(zip(M.perms[gi].tolist(), M.twists[gi].tolist())):
+            if x == j:
+                counts[c] = counts.get(c, 0) + (-1) ** (i % 2)
+    return counts
+
+
+def chain_lefschetz(X: BoundedComplex) -> list:
+    """Per generator, sum_i (-1)^i tr(g | X_i) from the diagonals of the
+    dense generator matrices."""
+    f, out = X.field, []
+    for gi in range(len(X.group.generators)):
+        total = 0
+        for i, M in zip(X.degrees(), X.mods):
+            for v in M.gen_mats[gi].a.diagonal().tolist():
+                total = int(f.sub[total, v] if i % 2 else f.add[total, v])
+        out.append(total)
+    return out
+
+
+def assert_trace_formula(C: BoundedComplex) -> tuple:
+    """At every p-subgroup class, the twist sum the report reads (at h = 0,
+    the plain alternating sum) equals the alternating trace on the terms and
+    on the homology.  Returns whether some class had homology in several
+    degrees and whether some twist code was counted p or more times."""
+    several = reduced = False
+    for P in C.group.lattice().p_class_reps(C.field.p):
+        X = brauer_complex(C, P)
+        got = complexes._line_character(X, 0)
+        assert got == chain_lefschetz(X) == homology_lefschetz(X)
+        several |= len(homology_dims(X)) > 1
+        reduced |= any(
+            abs(n) >= C.field.p
+            for gi in range(len(X.group.generators))
+            for n in signed_fixed_twists(X, gi).values()
+        )
+    return several, reduced
+
+
+def zero_cone(C: BoundedComplex) -> BoundedComplex:
+    """The cone of the zero map C -> C[3]: C[1] (+) C[3], whose local
+    homology sits in two degrees wherever C's is nonzero."""
+    return mapping_cone(ChainMap(C, shift(C, 3), {}))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_trace_formula_on_catalog_local_complexes():
+    seen = []
+    for e in ENTRIES:
+        chars = [ch for ch in all_characters(e.group, e.field) if not ch.is_trivial()]
+        cases = [e.complex, zero_cone(e.complex)]
+        cases += [twist_complex(e.complex, ch) for ch in chars[:1]]
+        seen += [assert_trace_formula(C) for C in cases]
+    for C in permutation_complexes():  # twists on moved points must not count
+        for ch in all_characters(C.group, C.field):
+            seen.append(assert_trace_formula(twist_complex(C, ch)))
+    assert any(several for several, _ in seen)
+    assert any(reduced for _, reduced in seen)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(TENSOR_POOL))
+def test_trace_formula_on_tensor_products(pair):
+    a, b = pair
+    T = tensor_complex(a.complex, b.complex)
+    assert_trace_formula(T)
+    assert_trace_formula(zero_cone(T))
+
+
+def test_trace_formula_reduces_counts_mod_p():
+    """Over F4 on C6 = <a>, a fixes each point of (w)*[G/G]^2 + [G/G]^3 in
+    degree 0 and of [G/G]^2 in degree 1: twist w counted twice, 1 three
+    times less twice, so the trace is w + w + 1 = 1.  The same module alone
+    has homology in degree 0 only, trace 1 as well."""
+    fld = GF(2, 2)
+    G = catalog("C6")
+    omega = next(ch for ch in all_characters(G, fld) if not ch.is_trivial())
+    one = trivial_module(G, fld)
+    M0 = direct_sum([twist(one, omega)] * 2 + [one] * 3)
+    C = BoundedComplex(G, fld, 0, [M0, direct_sum([one] * 2)], {})
+    assert signed_fixed_twists(C, 0) == {omega.values[0]: 2, 1: 1}
+    assert homology_dims(C) == {0: 5, 1: 2}
+    assert complexes._line_character(C, 0)[0] == 1
+    assert assert_trace_formula(C) == (True, True)
+    assert complexes._line_character(module_complex(M0), 0)[0] == 1
+
+
+@pytest.mark.parametrize("build", ["gD8", "gD8xgD8"])
+def test_report_reduces_each_local_differential_once(linalg_calls, build):
+    """The report's only row reductions are one per local differential:
+    the trace formula reads the characters with none."""
+    g = build_entries("gamma-D8")[0].complex
+    C = copy_complex(g if build == "gD8" else tensor_complex(g, g))
+    reps = C.group.lattice().p_class_reps(C.field.p)
+    want = sum(len(brauer_complex(C, P).diffs) for P in reps)
+    before = linalg_calls["rref"]
+    assert endotrivial_report(C).ok
+    assert linalg_calls["rref"] - before == want
 
 
 def assert_one_solve(C: BoundedComplex):

@@ -174,6 +174,7 @@ def test_dual_cyclic_truncation_h_mark():
 def test_brauer_complex_at_trivial():
     C = _cyclic_truncation("C4", F2)
     B = brauer_complex(C, C.group.lattice().trivial)
+    assert B is C
     assert B.dims() == C.dims()
     assert homology_dims(B) == homology_dims(C)
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from permchain.constructions import build_entries
+from permchain.constructions import build_entries, catalog_names
 from permchain.complexes import dual_complex, homology_dims, shift, tensor_complex, xi
 from permchain.constructions import gamma_dihedral
 from permchain.cli import main
@@ -13,6 +13,7 @@ from permchain.ffield import GF
 from permchain.groups import catalog
 from permchain.invariants import lefschetz
 from permchain.literals import (
+    MAX_MODULE_DIM,
     complex_from_obj,
     complex_to_obj,
     format_character,
@@ -270,6 +271,78 @@ def test_entry_counts_are_checked_before_modules_are_built(tmp_path):
     assert proc.stderr == "error: complex.differentials.1: expected 4000000 entries, got 2\n"
     assert got["s"] < 1.0
     assert got["rss_mb"] < 100
+
+
+# A file holding one huge module literal and no differentials once built the
+# module: [G/1]^99999999999 died with a bare MemoryError, and [G/1]^3000000
+# ran 30 s up to 1.9 GB before it.  The child runs under a 2 GiB address
+# space limit, so that a regression fails here instead of filling memory.
+_CAPPED_CHECK = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from permchain.cli import main
+start = time.perf_counter()
+code = main(["check", sys.argv[1]])
+print(json.dumps({"code": code, "s": time.perf_counter() - start}))
+"""
+
+
+@pytest.mark.parametrize("mult", [99999999999, 3000000])
+def test_module_dimension_is_capped_before_modules_are_built(tmp_path, mult):
+    obj = _gamma_d8_obj()
+    obj["lo"], obj["modules"] = 0, {"0": f"[G/1]^{mult}"}
+    del obj["differentials"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHECK, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["code"] == 2
+    assert proc.stderr == (
+        f"error: complex.modules.0: module of dimension {8 * mult} exceeds the cap of 4096\n"
+    )
+    assert got["s"] < 0.5
+
+
+def test_module_cap_is_on_the_dimension():
+    """Sum of mult * |G : H|: [G/1]^512 over D8 is 4096 and parses,
+    [G/1]^513 is 4104 and does not, nor does [G/<a>]^2049 (4098)."""
+    G, f = catalog("D8"), GF(2)
+    assert MAX_MODULE_DIM == 4096
+    assert parse_module_literal(G, f, "[G/1]^512").dim == MAX_MODULE_DIM
+    for text in ("[G/1]^513", "[G/1]^511 + [G/<a>]^5", "[G/<a>]^2049"):
+        with pytest.raises(ParseError, match="exceeds the cap") as exc:
+            parse_module_literal(G, f, text, "here")
+        assert exc.value.location == "here"
+    obj = _gamma_d8_obj()
+    obj["modules"]["1"] = "[G/1]^600"
+    with pytest.raises(ParseError, match="entries, got"):  # counts first, as before
+        complex_from_obj(obj)
+
+
+def test_catalog_and_tensor_terms_are_under_the_cap():
+    """The largest term of a catalog entry is 256 (gamma-SD16); that of
+    gamma-D16 (x) gamma-D16 is 512, and its file still parses."""
+    sizes = [max(e.complex.dims().values()) for n in catalog_names() for e in build_entries(n)]
+    assert max(sizes) == 256
+    g = gamma_dihedral(4, GF(2))
+    T = tensor_complex(g, g)
+    assert max(T.dims().values()) == 512 < MAX_MODULE_DIM
+    assert complex_from_obj(json.loads(json.dumps(complex_to_obj(T)))).dims() == T.dims()
+
+
+def test_overlong_multiplicity_is_a_parse_error():
+    """Python refuses to read an integer of more than 4,300 digits; that is
+    a located ParseError, not a ValueError."""
+    G, f = catalog("D8"), GF(2)
+    with pytest.raises(ParseError, match="number too long in module term"):
+        parse_module_literal(G, f, "[G/1]^" + "9" * 5000, "here")
+    with pytest.raises(ParseError, match="number too long in element term"):
+        parse_element_literal(G, f, "9" * 5000 + "*[G/1]", "here")
 
 
 def test_a_malformed_literal_is_reported_before_a_count_mismatch():
