@@ -34,17 +34,18 @@ from .errors import (
     PermchainError,
 )
 from .ffield import FqField
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Quotient, Subgroup
 from .linalg import FqMatrix, image_basis, kernel_basis, rref
 from .modules import (
     Character,
     KgModule,
     ModuleMap,
-    brauer_context,
     brauer_points,
     character_warning,
     direct_sum,
     dual,
+    local_quotient,
+    monomial_trace,
     tensor,
     twist,
     zero_module,
@@ -55,6 +56,8 @@ from .syzygies import subquotient
 class BoundedComplex:
     """Degree-indexed modules with differentials d_i: C_i -> C_{i-1}.
 
+    `diffs` holds the differentials given, and d o d = 0 is checked between
+    given neighbours; `diff_at` makes the zero map of an absent one.
     Immutable after construction, down to the differentials' arrays.  The
     endotriviality report is computed on first use and kept on the complex."""
 
@@ -66,13 +69,12 @@ class BoundedComplex:
         for i in diffs:
             if not (lo + 1 <= i <= hi):
                 raise PermchainError(f"differential at degree {i} out of range")
-        own = {}
-        for i in range(lo + 1, hi + 1):
-            src, dst = mods[i - lo], mods[i - 1 - lo]
-            d = diffs[i] if i in diffs else FqMatrix.zeros(field, dst.dim, src.dim)
-            own[i] = d if isinstance(d, ModuleMap) else ModuleMap(src, dst, d)
-        for i in range(lo + 2, hi + 1):
-            if not (own[i - 1].matrix @ own[i].matrix).is_zero():
+        own = {}  # the given differentials only: an absent one is zero
+        for i in sorted(diffs):
+            d = diffs[i]
+            own[i] = d if isinstance(d, ModuleMap) else ModuleMap(mods[i - lo], mods[i - 1 - lo], d)
+        for i in own:
+            if i - 1 in own and not (own[i - 1].matrix @ own[i].matrix).is_zero():
                 raise PermchainError(f"d^2 != 0 between degrees {i} and {i - 2}")
         for d in own.values():
             d.matrix.a.setflags(write=False)
@@ -169,17 +171,18 @@ def tensor_complex(C: BoundedComplex, D: BoundedComplex) -> BoundedComplex:
         mat = FqMatrix.zeros(f, mods[n - 1].dim, mods[n].dim)
         for i, j in src_bl:
             ci, dj = C.module_at(i), D.module_at(j)
-            if (i - 1, j) in dst_off:
-                block = C.diff_at(i).matrix.kron(FqMatrix.identity(f, dj.dim))
+            if (i - 1, j) in dst_off and i in C.diffs:
+                block = C.diffs[i].matrix.kron(FqMatrix.identity(f, dj.dim))
                 r, c = dst_off[(i - 1, j)], src_off[(i, j)]
                 mat.a[r : r + block.rows, c : c + block.cols] = block.a
-            if (i, j - 1) in dst_off:
-                block = FqMatrix.identity(f, ci.dim).kron(D.diff_at(j).matrix)
+                diffs[n] = mat
+            if (i, j - 1) in dst_off and j in D.diffs:
+                block = FqMatrix.identity(f, ci.dim).kron(D.diffs[j].matrix)
                 if i % 2:
                     block = -block
                 r, c = dst_off[(i, j - 1)], src_off[(i, j)]
                 mat.a[r : r + block.rows, c : c + block.cols] = block.a
-        diffs[n] = mat
+                diffs[n] = mat
     return BoundedComplex(G, f, lo, [mods[n] for n in range(lo, hi + 1)], diffs)
 
 
@@ -190,12 +193,9 @@ def dual_complex(C: BoundedComplex) -> BoundedComplex:
     lo, hi = -C.hi, -C.lo
     mods = [dual(C.module_at(-n)) for n in range(lo, hi + 1)]
     diffs = {}
-    for n in range(lo + 1, hi + 1):
-        d = C.diff_at(-n + 1)  # C_{-n+1} -> C_{-n}
+    for i, d in C.diffs.items():  # C_i -> C_{i-1} gives degree n = 1 - i -> -n
         mat = d.matrix.T
-        if (n + 1) % 2:
-            mat = -mat
-        diffs[n] = mat
+        diffs[1 - i] = -mat if i % 2 else mat  # i and n + 1 = 2 - i have one parity
     return BoundedComplex(G, f, lo, mods, diffs)
 
 
@@ -203,16 +203,13 @@ def shift(C: BoundedComplex, k: int) -> BoundedComplex:
     """Degree shift by k; differentials are scaled by (-1)^k so that the
     result agrees with tensoring by the one-term complex k[k]."""
     mods = [C.module_at(i) for i in C.degrees()]
-    diffs = {}
-    for i in range(C.lo + 1, C.hi + 1):
-        m = C.diff_at(i).matrix
-        diffs[i + k] = -m if k % 2 else m
+    diffs = {i + k: -d.matrix if k % 2 else d.matrix for i, d in C.diffs.items()}
     return BoundedComplex(C.group, C.field, C.lo + k, mods, diffs)
 
 
 def twist_complex(C: BoundedComplex, char: Character) -> BoundedComplex:
     mods = [twist(C.module_at(i), char) for i in C.degrees()]
-    diffs = {i: C.diff_at(i).matrix for i in range(C.lo + 1, C.hi + 1)}
+    diffs = {i: d.matrix for i, d in C.diffs.items()}
     return BoundedComplex(C.group, C.field, C.lo, mods, diffs)
 
 
@@ -267,12 +264,12 @@ def mapping_cone(f: ChainMap) -> BoundedComplex:
         if csrc + dsrc == 0 or cdst + ddst == 0:
             continue
         mat = FqMatrix.zeros(fld, cdst + ddst, csrc + dsrc)
-        if cdst and csrc:
-            mat.a[:cdst, :csrc] = (-C.diff_at(n - 1).matrix).a
+        if cdst and csrc and n - 1 in C.diffs:
+            mat.a[:cdst, :csrc] = (-C.diffs[n - 1].matrix).a
         if ddst and csrc:
             mat.a[cdst:, :csrc] = (-f.component(n - 1).matrix).a
-        if ddst and dsrc:
-            mat.a[cdst:, csrc:] = D.diff_at(n).matrix.a
+        if ddst and dsrc and n in D.diffs:
+            mat.a[cdst:, csrc:] = D.diffs[n].matrix.a
         diffs[n] = mat
     return BoundedComplex(G, fld, lo, [mods[n] for n in range(lo, hi + 1)], diffs)
 
@@ -325,25 +322,13 @@ def reduce_differentials(C: BoundedComplex):
 def _line_character(C: BoundedComplex, h: int) -> list:
     """The generators' values of the character on a one-dimensional H_h(C)
     of a monomial complex, by the Hopf trace formula: chi(g) is the
-    alternating sum (-1)^(i+h) tr(g | C_i).  tr(g | C_i) is the sum of g's
-    twists at the points g fixes, so each twist code is counted with its
-    sign, the counts are reduced mod p (an integer n < p has code n), and
-    the field adds up count times code."""
-    f = C.field
-    counts = [{} for _ in C.group.generators]
-    for i, M in zip(C.degrees(), C.mods):
-        sign = -1 if (i + h) % 2 else 1
-        for cnt, perm, tw in zip(counts, M.perms, M.twists):
-            for j, (x, c) in enumerate(zip(perm.tolist(), tw.tolist())):
-                if x == j:
-                    cnt[c] = cnt.get(c, 0) + sign
-    values = []
-    for cnt in counts:
-        total = 0
-        for c, n in cnt.items():
-            total = f.add[total, f.mul[c, n % f.p]]
-        values.append(int(total))
-    return values
+    alternating sum (-1)^(i+h) tr(g | C_i), each trace read off g's twists
+    (`monomial_trace`)."""
+    signs = [-1 if (i + h) % 2 else 1 for i in C.degrees()]
+    return [
+        monomial_trace(C.field, [(s, M.perms[k], M.twists[k]) for s, M in zip(signs, C.mods)])
+        for k in range(len(C.group.generators))
+    ]
 
 
 # -- Brauer construction on complexes -----------------------------------------
@@ -357,16 +342,16 @@ class BrauerComplex:
     complex with a dense term raises."""
 
     def __init__(self, C: BoundedComplex, P: Subgroup):
-        self.ctx = brauer_context(C.group, P)
+        self.ctx = local_quotient(P)
         if P.order == 1 and all(M.perms is not None for M in C.mods):  # a dense term raises below
             self.complex = C
             return
         pts, mods = zip(*(brauer_points(C.module_at(i), P) for i in C.degrees()))
         diffs = {
-            i: FqMatrix(C.field, C.diff_at(i).matrix.a[np.ix_(pts[i - 1 - C.lo], pts[i - C.lo])])
-            for i in range(C.lo + 1, C.hi + 1)
+            i: FqMatrix(C.field, d.matrix.a[np.ix_(pts[i - 1 - C.lo], pts[i - C.lo])])
+            for i, d in C.diffs.items()
         }
-        self.complex = BoundedComplex(self.ctx.quotient_group, C.field, C.lo, mods, diffs)
+        self.complex = BoundedComplex(self.ctx.group, C.field, C.lo, mods, diffs)
 
 
 def brauer_complex(C: BoundedComplex, P: Subgroup) -> BoundedComplex:
@@ -381,7 +366,7 @@ class XiEntry:
     subgroup: Subgroup
     h: int
     character: Character  # on N_G(P)/P
-    ctx: object
+    ctx: Quotient  # N_G(P)/P
 
 
 class XiInvariant:
@@ -411,7 +396,9 @@ class XiInvariant:
         G = self.group
         c = X.conj_to_rep  # X = c . rep . c^{-1}
         moved = G.mul(G.inv(c), G.mul(g, c))
-        q = e.ctx.project_from_g(moved)
+        q = e.ctx.project(moved)
+        if q < 0:  # N_G(P)/P projects the normalizer only
+            raise PermchainError(f"element {g} does not normalize the subgroup")
         return e.h, e.character.value_code(q)
 
     def __add__(self, other: "XiInvariant") -> "XiInvariant":
@@ -512,7 +499,7 @@ def restrict_complex(C: BoundedComplex, H: Subgroup) -> BoundedComplex:
     from .modules import restrict
 
     mods = [restrict(C.module_at(i), H) for i in C.degrees()]
-    diffs = {i: C.diff_at(i).matrix for i in range(C.lo + 1, C.hi + 1)}
+    diffs = {i: d.matrix for i, d in C.diffs.items()}
     return BoundedComplex(mods[0].group, C.field, C.lo, mods, diffs)
 
 
@@ -520,5 +507,5 @@ def inflate_complex(C: BoundedComplex, quot) -> BoundedComplex:
     from .modules import inflate
 
     mods = [inflate(C.module_at(i), quot) for i in C.degrees()]
-    diffs = {i: C.diff_at(i).matrix for i in range(C.lo + 1, C.hi + 1)}
+    diffs = {i: d.matrix for i, d in C.diffs.items()}
     return BoundedComplex(quot.source, C.field, C.lo, mods, diffs)

@@ -34,11 +34,10 @@ from .errors import (
     UnknownCatalogName,
 )
 from .ffield import GF, FqField
-from .groups import FiniteGroup, catalog as group_catalog, class_name
+from .groups import FiniteGroup, catalog as group_catalog, class_name, quotient
 from .invariants import (
     TrivialSourceElement,
     beta_direct,
-    cached_quotient,
     is_frobenius_stable,
 )
 from .linalg import FqMatrix, kernel_from_rref, rank
@@ -301,12 +300,11 @@ def abelian_generators(G: FiniteGroup, fld: FqField) -> list:
         raise PermchainError("p must divide the group order")
     lat = G.lattice()
     pprime = lat.subgroup([x for x in range(G.order) if _coprime_order(G, x, p)])
-    sylow = lat.sylow_p(p)
     gname = G.describe()
     entries = []
     idx = 0
     for P in lat.normal_p_subgroups(p):
-        img = cached_quotient(G, lat.join(P, pprime))
+        img = quotient(G, lat.join(P, pprime))
         Q = img.group
         if Q.order == 1 or not Q.is_cyclic():
             continue

@@ -166,11 +166,10 @@ class FiniteGroup:
         self.mul_table, self.inv_table = _product_tables(elements, self.identity)
         self._lattice = None
         self._orders = None
-        # values other modules derive from this group alone
+        # values derived from this group alone
         self._mark_table = None  # burnside.mark_table
         self._idempotents = None  # burnside.idempotents
-        self._quotient_cache = {}  # subgroup elems -> invariants.cached_quotient
-        self._brauer_ctx_cache = {}  # p-subgroup elems -> modules.brauer_context
+        self._quotients = {}  # (over mask, N mask) -> quotient(self, N, over)
 
     # -- arithmetic on element indices ---------------------------------
 
@@ -507,6 +506,7 @@ class SubgroupLattice:
         self._mobius = None  # mobius_columns(self.subgroups), on first use
         self._center = None
         self._class_names = {}  # class id -> class_name
+        self._normalizers = {}  # subgroup mask -> normalizer
 
     # -- lookups -------------------------------------------------------
 
@@ -537,23 +537,21 @@ class SubgroupLattice:
 
     def maximal_proper_in(self, H: Subgroup) -> list:
         below = [K for K in self.subgroups if H.contains(K) and K.order < H.order]
-        out = []
-        for K in below:
-            if not any(L.contains(K) and L.order > K.order for L in below):
-                out.append(K)
-        return out
+        return [K for K in below if not any(L.contains(K) and L.order > K.order for L in below)]
 
     def normalizer(self, H: Subgroup) -> Subgroup:
         """The g with g h g^{-1} in H for each kept generator h of H; for a
-        finite H that gives g H g^{-1} = H."""
-        t = self.group.mul_table
-        inv = self.group.inv_table
-        member = np.zeros(self.group.order, dtype=bool)
-        member[list(H.elems)] = True
-        keep = np.ones(self.group.order, dtype=bool)
-        for h in H.gens:
-            keep &= member[t[t[:, h], inv]]  # row g: g h g^{-1}
-        return self.subgroup(np.flatnonzero(keep).tolist())
+        finite H that gives g H g^{-1} = H.  Kept on the lattice."""
+        got = self._normalizers.get(H.mask)
+        if got is None:
+            t, inv = self.group.mul_table, self.group.inv_table
+            member = np.zeros(self.group.order, dtype=bool)
+            member[list(H.elems)] = True
+            keep = np.ones(self.group.order, dtype=bool)
+            for h in H.gens:
+                keep &= member[t[t[:, h], inv]]  # row g: g h g^{-1}
+            got = self._normalizers[H.mask] = self.subgroup(np.flatnonzero(keep).tolist())
+        return got
 
     def center(self) -> Subgroup:
         if self._center is None:
@@ -581,18 +579,13 @@ class SubgroupLattice:
         return [H for H in self.class_reps if is_p_power(H.order, p)]
 
     def normal_p_subgroups(self, p: int) -> list:
-        return [
-            H
-            for H in self.subgroups
-            if H.is_normal and is_p_power(H.order, p)
-        ]
+        return [H for H in self.subgroups if H.is_normal and is_p_power(H.order, p)]
 
     def sylow_p(self, p: int) -> Subgroup:
         pk = 1
         while self.group.order % (pk * p) == 0:
             pk *= p
-        cands = [H for H in self.subgroups if H.order == pk and is_p_power(pk, p)]
-        return cands[0]
+        return next(H for H in self.subgroups if H.order == pk)
 
     # -- Mobius function -------------------------------------------------
 
@@ -675,16 +668,16 @@ def p_subgroups(L: SubgroupLattice, p: int) -> list:
 
 
 class Quotient:
-    """G/N together with the projection on element indices and coset lifts."""
+    """over/N, for N normal in a subgroup `over` of `source`: the projection
+    `proj` on the element indices of over (-1 off it) and the coset `lifts`,
+    each coset's least member in source."""
 
-    __slots__ = ("source", "normal", "group", "proj", "lifts")
+    __slots__ = ("source", "over", "normal", "group", "proj", "lifts")
 
-    def __init__(self, source, normal, group, proj, lifts):
-        self.source = source
-        self.normal = normal
-        self.group = group
-        self.proj = proj  # np array: G index -> Q index
-        self.lifts = lifts  # np array: Q index -> G index
+    def __init__(self, source, over, normal, group, proj, lifts):
+        self.source, self.over, self.normal, self.group = source, over, normal, group
+        self.proj = proj  # np array: source index -> Q index
+        self.lifts = lifts  # np array: Q index -> source index
 
     def project(self, i: int) -> int:
         return int(self.proj[i])
@@ -692,43 +685,49 @@ class Quotient:
     def lift(self, qi: int) -> int:
         return int(self.lifts[qi])
 
+    def generator_lifts(self) -> list:
+        """Source elements lifting the quotient group's generators."""
+        return [self.lift(q) for q in self.group.gen_indices]
 
-def quotient(G: FiniteGroup, N: Subgroup) -> Quotient:
-    """The quotient group on coset representatives plus the surjection."""
-    if not N.is_normal:
+
+def quotient(G: FiniteGroup, N: Subgroup, over: Subgroup | None = None) -> Quotient:
+    """over/N, for N normal in over <= G (over defaults to G), kept on G.
+
+    The cosets xN of the x in over, ordered by least member, are permuted by
+    G's own generators and names if over is G, else by
+    `minimal_generators(over)`, named h0, h1, ...  G/1 is G itself, with
+    the identity projection."""
+    L = G.lattice()
+    over = over or L.full
+    key, full = (over.mask, N.mask), over.mask == L.full.mask
+    if key in G._quotients:
+        return G._quotients[key]
+    if not (over.contains(N) and L.normalizer(N).contains(over)):
         raise NotNormal("cannot form the quotient by a non-normal subgroup")
-    order = G.order
-    coset_of = [-1] * order
-    reps = []
-    for x in range(order):
-        if coset_of[x] != -1:
-            continue
-        members = sorted(G.mul(x, n) for n in N.elems)
-        rep = members[0]
-        for m in members:
-            coset_of[m] = len(reps)
-        reps.append(rep)
-    # reorder cosets by representative index (reps are discovered in order)
-    k = len(reps)
-    gen_perms = []
-    for g in G.gen_indices:
-        gen_perms.append(tuple(coset_of[G.mul(g, reps[c])] for c in range(k)))
-    Q = FiniteGroup(
-        gen_perms,
-        gen_names=G.gen_names,
-        name=f"{G.describe()}/N{N.order}",
-        max_order=max(DEFAULT_MAX_ORDER, k),
-    )
-    # match each coset to the Q element given by left multiplication
-    ident_coset = coset_of[G.identity]
-    coset_to_q = [-1] * k
-    for qi, perm in enumerate(Q.elements):
-        coset_to_q[perm[ident_coset]] = qi
-    proj = np.array([coset_to_q[coset_of[x]] for x in range(order)], dtype=np.int32)
-    lifts = np.zeros(Q.order, dtype=np.int32)
-    for c in range(k):
-        lifts[coset_to_q[c]] = reps[c]
-    return Quotient(G, N, Q, proj, lifts)
+    if full and N.order == 1:
+        Q, proj, lifts = G, np.arange(G.order), np.arange(G.order)
+    else:
+        coset_of, reps = [-1] * G.order, []
+        for x in over.elems:  # by increasing index: x is the least member of a new coset
+            if coset_of[x] < 0:
+                for y in G.mul_table[x, list(N.elems)].tolist():
+                    coset_of[y] = len(reps)
+                reps.append(x)
+        gens = G.gen_indices if full else minimal_generators(over) or [G.identity]
+        Q = FiniteGroup(
+            [tuple(coset_of[G.mul(g, r)] for r in reps) for g in gens],
+            gen_names=G.gen_names if full else [f"h{i}" for i in range(len(gens))],
+            name=f"{G.describe()}/N{N.order}" if full else None,
+            max_order=max(DEFAULT_MAX_ORDER, len(reps)),
+        )
+        coset_to_q = [-1] * len(reps)  # coset of x -> the Q element x acts as
+        for qi, perm in enumerate(Q.elements):
+            coset_to_q[perm[coset_of[G.identity]]] = qi
+        proj = np.array([coset_to_q[c] if c >= 0 else -1 for c in coset_of], dtype=np.int32)
+        lifts = np.zeros(Q.order, dtype=np.int32)
+        lifts[coset_to_q] = reps
+    G._quotients[key] = Quotient(G, over, N, Q, proj, lifts)
+    return G._quotients[key]
 
 
 # -- catalog --------------------------------------------------------------

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .burnside import BurnsideElement, marks
 from .complexes import BoundedComplex, XiEntry, XiInvariant
 from .errors import (
@@ -28,18 +26,12 @@ from .groups import FiniteGroup, Quotient, Subgroup, is_p_power, mobius_columns,
 from .modules import (
     Character,
     KgModule,
-    brauer_context,
     brauer_points,
+    local_quotient,
+    monomial_trace,
     perm_module,
     twist,
 )
-
-
-def cached_quotient(G: FiniteGroup, S: Subgroup) -> Quotient:
-    q = G._quotient_cache.get(S.elems)
-    if q is None:
-        q = G._quotient_cache[S.elems] = quotient(G, S)
-    return q
 
 
 # -- virtual twisted permutation elements -----------------------------------
@@ -175,7 +167,7 @@ class BetaEntry:
     subgroup: Subgroup
     epsilon: int  # +1 or -1
     character: Character  # on N_G(P)/P
-    ctx: object
+    ctx: Quotient  # N_G(P)/P
 
 
 class BetaTuple:
@@ -219,42 +211,40 @@ def beta_direct(t: TrivialSourceElement) -> BetaTuple:
     At each class representative P the virtual Brauer quotient must have
     integer dimension +-1 (the sign; exact integers, never mod-p data),
     and the F_q-trace function on N_G(P)/P, normalized by the sign, must be
-    multiplicative with unit values - otherwise the element is rejected.
+    a character: unit values that the character with its values at the
+    generators takes at every element.  Otherwise the element is rejected.
+    Each trace is read off the twists of the local terms
+    (`monomial_trace`).
     """
     G, f = t.group, t.field
     lat = G.lattice()
     entries = {}
     for P in lat.p_class_reps(f.p):
-        ctx = brauer_context(G, P)
-        Q = ctx.quotient_group
-        vdim = 0
-        tracesum = np.zeros(Q.order, dtype=np.int16)
+        ctx = local_quotient(P)
+        Q = ctx.group
+        vdim, terms = 0, []
         for char, sub, coeff in t.items():
             _, local = brauer_points(t.module_for(char, sub), P)
             vdim += coeff * local.dim
-            if local.dim == 0:
-                continue
-            cmod = coeff % f.p
-            if cmod == 0:
-                continue
-            for e in range(Q.order):
-                tr = local.elem_mat(e).trace().code
-                contrib = int(f.mul[tr, cmod])
-                tracesum[e] = f.add[tracesum[e], contrib]
+            terms.append((coeff, local))
         if vdim not in (1, -1):
             raise NotUnitDimension(
                 f"virtual dimension {vdim} at a class of order {P.order}"
             )
-        eps_code = 1 if vdim == 1 else int(f.neg[1])
-        inv_eps = int(f.inv[eps_code])
-        rho = [int(f.mul[inv_eps, int(tracesum[e])]) for e in range(Q.order)]
+        inv_eps = 1 if vdim == 1 else int(f.inv[f.neg[1]])
+        rho = [
+            int(f.mul[inv_eps, monomial_trace(f, [(c, *M.elem_monomial(e)) for c, M in terms])])
+            for e in range(Q.order)
+        ]
         if any(v == 0 for v in rho) or rho[Q.identity] != 1:
             raise NonCharacterTrace("trace vector has non-unit values")
-        for x_ in range(Q.order):
-            for y_ in range(Q.order):
-                if int(f.mul[rho[x_], rho[y_]]) != rho[Q.mul(x_, y_)]:
-                    raise NonCharacterTrace("trace vector is not multiplicative")
-        char = Character(Q, f, [rho[g] for g in Q.gen_indices], check=False)
+        try:
+            char = Character(Q, f, [rho[g] for g in Q.gen_indices])
+            ok = [char.value_code(e) for e in range(Q.order)] == rho
+        except PermchainError:  # the generator values break a relation
+            ok = False
+        if not ok:
+            raise NonCharacterTrace("trace vector is not multiplicative")
         entries[P.class_id] = BetaEntry(P, vdim, char, ctx)
     return BetaTuple(G, f, entries)
 
@@ -281,9 +271,8 @@ def is_frobenius_stable(b: BetaTuple) -> bool:
     lat = G.lattice()
     triv_cid = lat.trivial.class_id
     rho1 = b.entries[triv_cid].character  # lives on G itself
-    for cid, e in b.entries.items():
-        lifts = e.ctx.quotient_generator_lifts()
-        for gi, g in enumerate(lifts):
+    for e in b.entries.values():
+        for gi, g in enumerate(e.ctx.generator_lifts()):
             val = e.character.values[gi]
             adj = int(f.mul[val, int(f.inv[rho1.value_code(g)])])
             if adj >= f.p:  # prime-field codes are 0..p-1
@@ -319,19 +308,18 @@ def faithful_project(x: XiInvariant):
     cols = mobius_columns(poset)
     out = []
     for s, S in enumerate(poset):
-        quot_S = cached_quotient(G, S)
+        quot_S = quotient(G, S)
         GS = quot_S.group
         latS = GS.lattice()
         weights = [(Q, col[s]) for Q, col in zip(poset, cols) if col.get(s)]  # row s
         entries = {}
         for Pbar in latS.p_class_reps(p):
             P = _preimage_subgroup(quot_S, Pbar)
-            ctxbar = brauer_context(GS, Pbar)
+            ctxbar = local_quotient(Pbar)
             joins = [(lat.join(P, Q), mu) for Q, mu in weights]
             hval = sum(mu * x.entries[PQ.class_id].h for PQ, mu in joins)
-            gen_lifts_GS = ctxbar.quotient_generator_lifts()  # indices in G/S
             values = []
-            for gbar in gen_lifts_GS:
+            for gbar in ctxbar.generator_lifts():  # indices in G/S
                 g = quot_S.lift(gbar)
                 acc = 1
                 for PQ, mu in joins:
@@ -345,7 +333,7 @@ def faithful_project(x: XiInvariant):
                     for _ in range(k):
                         acc = int(f.mul[acc, step])
                 values.append(acc)
-            char = Character(ctxbar.quotient_group, f, values)
+            char = Character(ctxbar.group, f, values)
             entries[Pbar.class_id] = XiEntry(Pbar, hval, char, ctxbar)
         out.append((S, XiInvariant(GS, f, entries)))
     return out
@@ -360,23 +348,23 @@ def faithful_assemble(parts) -> XiInvariant:
     lat = G.lattice()
     entries = {}
     for P in lat.p_class_reps(f.p):
-        ctx = brauer_context(G, P)
+        ctx = local_quotient(P)
         hval = 0
         comps = []
         for S, xs in parts:
-            quot_S = cached_quotient(G, S)
+            quot_S = quotient(G, S)
             PS = lat.join(P, S)
             PSbar = _image_subgroup(quot_S, PS)
             hval += xs.entries[PSbar.class_id].h
             comps.append((quot_S, xs, PSbar))
         values = []
-        for g in ctx.quotient_generator_lifts():
+        for g in ctx.generator_lifts():
             acc = 1
             for quot_S, xs, PSbar in comps:
                 _, code = xs.value_at(PSbar, quot_S.project(g))
                 acc = int(f.mul[acc, code])
             values.append(acc)
-        char = Character(ctx.quotient_group, f, values)
+        char = Character(ctx.group, f, values)
         entries[P.class_id] = XiEntry(P, hval, char, ctx)
     return XiInvariant(G, f, entries)
 
@@ -387,7 +375,7 @@ def is_faithful_invariant(x: XiInvariant) -> bool:
     G = x.group
     lat = G.lattice()
     norms = [N for N in lat.normal_p_subgroups(x.field.p) if N.order > 1]
-    for cid, e in x.entries.items():
+    for e in x.entries.values():
         if any(e.subgroup.contains(N) for N in norms):
             if e.h != 0 or not e.character.is_trivial():
                 return False

@@ -12,10 +12,12 @@ generator.  The dense matrices of a monomial module are built only when
 something asks for them.
 
 On a monomial basis X the Brauer construction at a p-subgroup P is k[X^P]:
-the points that P's permutations fix (`brauer_points`).  `brauer_quotient`,
-M^P modulo relative traces by linear algebra, has no caller in the package;
-the tests build their reference construction on it.  Syzygies, free
-summands and Hom spaces are in `syzygies`.
+the points that P's permutations fix (`brauer_points`), a module over
+N_G(P)/P.  That group is `local_quotient(P)`, the quotient of the section
+N_G(P) of G by P, built from G's tables and kept on G; at P = 1 it is G.
+`brauer_quotient`, M^P modulo relative traces by linear algebra, has no
+caller in the package; the tests build their reference construction on
+it.  Syzygies, free summands and Hom spaces are in `syzygies`.
 
 Direct-sum decompositions into twisted transitive permutation summands are
 construction provenance: they are attached when a constructor knows them
@@ -389,6 +391,23 @@ class KgModule:
         return f"KgModule(dim {self.dim} over {self.group.describe()}, F{self.field.q})"
 
 
+def monomial_trace(f: FqField, terms) -> int:
+    """The code of sum_k n_k tr(x_k) over the (n_k, perm, twists) of
+    `terms`: integers n_k and monomial actions x_k.  tr(x) is the field sum
+    of x's twists at the points x fixes, so each twist code is counted with
+    its n_k, the counts are reduced mod p (an integer n < p has code n), and
+    the field adds up count times code."""
+    counts = {}
+    for n, perm, tw in terms:
+        for j, (x, c) in enumerate(zip(perm.tolist(), tw.tolist())):
+            if x == j:
+                counts[c] = counts.get(c, 0) + n
+    total = 0
+    for c, n in counts.items():
+        total = f.add[total, f.mul[c, n % f.p]]
+    return int(total)
+
+
 def _compose(f: FqField, outer, inner):
     """The monomial action of A.B, for A = (perm, twists) and B likewise:
     A(B e_j) = c_B[j] c_A[pi_B(j)] e_{pi_A(pi_B(j))}."""
@@ -656,10 +675,13 @@ def restrict(M: KgModule, H: Subgroup) -> KgModule:
 
 
 def inflate(M: KgModule, quot: Quotient) -> KgModule:
-    """Inflation along the projection quot.source -> quot.group; a summand
-    stays one orbit, labeled by the preimage of its subgroup."""
+    """Inflation along the projection quot.source -> quot.group, for a
+    quotient of the whole source; a summand stays one orbit, labeled by the
+    preimage of its subgroup."""
     if M.group is not quot.group:
         raise IncompatibleHandles("module is not over the quotient group")
+    if quot.over.order != quot.source.order:
+        raise IncompatibleHandles("inflation along a quotient of a proper subgroup")
     return _elements_acting(M, quot.source, [quot.project(g) for g in quot.source.gen_indices])
 
 
@@ -703,58 +725,10 @@ def trace_map(M: KgModule, Q: Subgroup, P: Subgroup) -> FqMatrix:
     return out
 
 
-class BrauerContext:
-    """Shared data for Brauer quotients at a fixed p-subgroup P: the
-    normalizer N, the quotient N/P, and index translations."""
-
-    def __init__(self, G: FiniteGroup, P: Subgroup):
-        self.group = G
-        self.P = P
-        lat = G.lattice()
-        self.normalizer = lat.normalizer(P)
-        self.n_group = lat.as_group(self.normalizer)
-        if P.order == 1:
-            self.quot = None
-            self.quotient_group = self.n_group
-        else:
-            n_lat = self.n_group.lattice()
-            p_in_n = n_lat.subgroup(
-                frozenset(self.n_group.index[G.elements[x]] for x in P.elems)
-            )
-            self.quot = quotient(self.n_group, p_in_n)
-            self.quotient_group = self.quot.group
-
-    def to_n_index(self, g: int) -> int:
-        """Translate a G element index (inside N) to an N-group index."""
-        if self.n_group is self.group:
-            return g
-        return self.n_group.index[self.group.elements[g]]
-
-    def from_n_index(self, i: int) -> int:
-        if self.n_group is self.group:
-            return i
-        return self.group.index[self.n_group.elements[i]]
-
-    def project_from_g(self, g: int) -> int:
-        """Image in N/P of a G element that normalizes P."""
-        i = self.to_n_index(g)
-        return i if self.quot is None else self.quot.project(i)
-
-    def quotient_generator_lifts(self) -> list:
-        """G element indices lifting the quotient group's generators."""
-        if self.quot is None:
-            return [self.from_n_index(i) for i in self.n_group.gen_indices]
-        return [
-            self.from_n_index(self.quot.lift(qg))
-            for qg in self.quotient_group.gen_indices
-        ]
-
-
-def brauer_context(G: FiniteGroup, P: Subgroup) -> BrauerContext:
-    ctx = G._brauer_ctx_cache.get(P.elems)
-    if ctx is None:
-        ctx = G._brauer_ctx_cache[P.elems] = BrauerContext(G, P)
-    return ctx
+def local_quotient(P: Subgroup) -> Quotient:
+    """N_G(P)/P, the group the Brauer construction at P is a module over: a
+    section quotient of G (`groups.quotient`), kept on G.  At P = 1 it is G."""
+    return quotient(P.parent, P, P.parent.lattice().normalizer(P))
 
 
 @dataclass
@@ -767,7 +741,7 @@ class BrauerData:
     """
 
     module: KgModule
-    ctx: BrauerContext
+    ctx: Quotient  # N_G(P)/P
     fixed: FqMatrix
     proj: FqMatrix
     section: FqMatrix
@@ -777,10 +751,9 @@ def brauer_quotient(M: KgModule, P: Subgroup) -> BrauerData:
     """M^P modulo all relative traces from maximal subgroups of P, as a
     module over N_G(P)/P.  Non-p-subgroups give the zero module."""
     G, f = M.group, M.field
-    ctx = brauer_context(G, P)
-    Q = ctx.quotient_group
+    ctx = local_quotient(P)
     if not is_p_power(P.order, f.p):
-        zero = zero_module(Q, f)
+        zero = zero_module(ctx.group, f)
         e = FqMatrix.zeros(f, M.dim, 0)
         return BrauerData(zero, ctx, e, FqMatrix.zeros(f, 0, 0), FqMatrix.zeros(f, 0, 0))
     F = M.fixed_points(P)
@@ -795,12 +768,12 @@ def brauer_quotient(M: KgModule, P: Subgroup) -> BrauerData:
     section, proj = quotient_space(FqMatrix.identity(f, F.cols), W)
     reps = F @ section
     mats = []
-    for g in ctx.quotient_generator_lifts():
+    for g in ctx.generator_lifts():
         coords = solve_matrix(F, M.apply(g, reps))
         if coords is None:
             raise PermchainError("normalizer action does not preserve fixed points")
         mats.append(proj @ coords)
-    mod = KgModule(Q, f, mats, labels=None, check=False)
+    mod = KgModule(ctx.group, f, mats, labels=None, check=False)
     return BrauerData(mod, ctx, F, proj, section)
 
 
@@ -823,10 +796,10 @@ def brauer_points(M: KgModule, P: Subgroup):
     pts = np.flatnonzero(fixed)
     local = np.zeros(M.dim, dtype=np.intp)
     local[pts] = np.arange(pts.size)
-    ctx = brauer_context(M.group, P)
-    lifts = [M.elem_monomial(g) for g in ctx.quotient_generator_lifts()]
+    ctx = local_quotient(P)
+    lifts = [M.elem_monomial(g) for g in ctx.generator_lifts()]
     return pts, KgModule(
-        ctx.quotient_group,
+        ctx.group,
         M.field,
         perms=[local[x[pts]] for x, _ in lifts],
         twists=[c[pts] for _, c in lifts],

@@ -9,8 +9,9 @@ projective covers and the inclusions of free summands.
 
 Over a p-group the group algebra is local and self-injective, with the
 norm element spanning the socle of the regular module.  `omega` takes the
-kernel of a projective cover, `split_free_summand` splits off kG^r by the
-symmetrizing form, and `relative_syzygy` is the kernel of k[G/H] -> k.
+kernel of a projective cover, `free_generators` finds the generators of a
+free summand kG^r among the norm images of the basis (splitting it off is
+a test oracle), and `relative_syzygy` is the kernel of k[G/H] -> k.
 `hom_space_basis` solves the equivariance equations of Hom_kG(M, N).
 """
 

@@ -13,6 +13,15 @@ split detection and vertices read off it, and the local complex built from
 it term by term.  The package picks coordinates instead (`brauer_points`).
 The property tests compare the monomial code against all of these.
 
+N_G(P)/P is built here the way the package built it before it took the
+quotient of the section N_G(P) of G straight from G's tables: the
+normalizer as a standalone group, P found in that group's own lattice,
+the quotient of that group by cosets, and indices translated back to G.
+
+Local characters of a virtual element are read here from the dense
+matrix of every element on every local term (`dense_trace_beta`); the
+package reads each trace off the twists at the fixed points.
+
 The free rank and the splitting kG^r (+) complement of a module over a
 p-group are here as oracles for the syzygy layer, which finds free
 summands from `free_generators` alone.
@@ -25,10 +34,20 @@ from typing import NamedTuple
 import numpy as np
 
 from permchain.complexes import BoundedComplex
-from permchain.errors import PermchainError, PGroupOnly
-from permchain.groups import is_p_power
+from permchain.errors import NonCharacterTrace, NotUnitDimension, PermchainError, PGroupOnly
+from permchain.groups import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup, is_p_power
+from permchain.invariants import BetaEntry, BetaTuple
 from permchain.linalg import FqMatrix, block_diag, kernel_basis, rank, solve_matrix
-from permchain.modules import BrauerData, KgModule, ModuleMap, brauer_context, brauer_quotient, free_module
+from permchain.modules import (
+    BrauerData,
+    Character,
+    KgModule,
+    ModuleMap,
+    brauer_points,
+    brauer_quotient,
+    free_module,
+    local_quotient,
+)
 from permchain.syzygies import free_generators, norm_matrix, orbit_map, subquotient
 
 
@@ -93,7 +112,67 @@ def frobenius_mats(M: KgModule) -> list:
     return [FqMatrix(f, table[m.a]) for m in M.gen_mats]
 
 
-def brauer_points_dense(M: KgModule, P, ctx, pgens, p_power: bool):
+class CosetQuotient(NamedTuple):
+    """G/N on its cosets: the group, G index -> G/N index, G/N index -> the
+    least member of its coset."""
+
+    group: FiniteGroup
+    proj: list
+    lifts: list
+
+
+def coset_quotient(G: FiniteGroup, N: Subgroup) -> CosetQuotient:
+    """G/N for N normal in G, by G's own generators acting on the cosets
+    ordered by least member, each element found by its image of N."""
+    order = G.order
+    coset_of = [-1] * order
+    reps = []
+    for x in range(order):
+        if coset_of[x] != -1:
+            continue
+        members = sorted(G.mul(x, n) for n in N.elems)
+        for m in members:
+            coset_of[m] = len(reps)
+        reps.append(members[0])
+    k = len(reps)
+    gen_perms = [tuple(coset_of[G.mul(g, reps[c])] for c in range(k)) for g in G.gen_indices]
+    Q = FiniteGroup(gen_perms, gen_names=G.gen_names, max_order=max(DEFAULT_MAX_ORDER, k))
+    coset_to_q = [-1] * k
+    for qi, perm in enumerate(Q.elements):
+        coset_to_q[perm[coset_of[G.identity]]] = qi
+    lifts = [0] * Q.order
+    for c in range(k):
+        lifts[coset_to_q[c]] = reps[c]
+    return CosetQuotient(Q, [coset_to_q[coset_of[x]] for x in range(order)], lifts)
+
+
+class NormalizerQuotient(NamedTuple):
+    """N_G(P)/P: the group, {G index in N_G(P): its image}, and the G
+    indices lifting the group's generators."""
+
+    group: FiniteGroup
+    project: dict
+    generator_lifts: list
+
+
+def normalizer_group_quotient(P: Subgroup) -> NormalizerQuotient:
+    """N_G(P)/P through the normalizer as its own group (`as_group`), P in
+    that group's lattice, and `coset_quotient` of that group; at P = 1 the
+    normalizer group itself, which is G."""
+    G = P.parent
+    lat = G.lattice()
+    NG = lat.as_group(lat.normalizer(P))
+    to_g = [G.index[e] for e in NG.elements]
+    if P.order == 1:
+        return NormalizerQuotient(NG, dict(zip(to_g, range(NG.order))), [to_g[i] for i in NG.gen_indices])
+    PN = NG.lattice().subgroup(frozenset(NG.index[G.elements[x]] for x in P.elems))
+    q = coset_quotient(NG, PN)
+    return NormalizerQuotient(
+        q.group, dict(zip(to_g, q.proj)), [to_g[q.lifts[i]] for i in q.group.gen_indices]
+    )
+
+
+def brauer_points_dense(M: KgModule, P, lifts, pgens, p_power: bool):
     """The P-fixed points as the nonzero diagonal entries of the matrices
     of P's generators, and the local matrices as submatrices."""
     mats = elem_mats(M)
@@ -102,7 +181,7 @@ def brauer_points_dense(M: KgModule, P, ctx, pgens, p_power: bool):
         fixed &= mats[g].a.diagonal() != 0
     pts = np.flatnonzero(fixed)
     local = [
-        FqMatrix(M.field, mats[g].a[np.ix_(pts, pts)]) for g in ctx.quotient_generator_lifts()
+        FqMatrix(M.field, mats[g].a[np.ix_(pts, pts)]) for g in lifts
     ]
     return pts, local
 
@@ -237,8 +316,41 @@ def trace_quotient_complex(C: BoundedComplex, P) -> BoundedComplex:
         i: brauer_quotient_map(C.diff_at(i), P, datas[i - C.lo], datas[i - 1 - C.lo])
         for i in range(C.lo + 1, C.hi + 1)
     }
-    group = brauer_context(C.group, P).quotient_group
+    group = local_quotient(P).group
     return BoundedComplex(group, C.field, C.lo, [d.module for d in datas], diffs)
+
+
+def dense_trace_beta(t) -> BetaTuple:
+    """`invariants.beta_direct` with every trace read off a dense matrix:
+    the matrix of each element of N_G(P)/P on each local term, its trace,
+    and the product rule checked on every pair of elements."""
+    G, f = t.group, t.field
+    entries = {}
+    for P in G.lattice().p_class_reps(f.p):
+        ctx = local_quotient(P)
+        Q = ctx.group
+        vdim = 0
+        tracesum = [0] * Q.order
+        for char, sub, coeff in t.items():
+            _, local = brauer_points(t.module_for(char, sub), P)
+            vdim += coeff * local.dim
+            cmod = coeff % f.p
+            for e in range(Q.order):
+                tr = local.elem_mat(e).trace().code if local.dim else 0
+                tracesum[e] = int(f.add[tracesum[e], f.mul[tr, cmod]])
+        if vdim not in (1, -1):
+            raise NotUnitDimension(f"virtual dimension {vdim} at a class of order {P.order}")
+        inv_eps = int(f.inv[1 if vdim == 1 else f.neg[1]])
+        rho = [int(f.mul[inv_eps, v]) for v in tracesum]
+        if any(v == 0 for v in rho) or rho[Q.identity] != 1:
+            raise NonCharacterTrace("trace vector has non-unit values")
+        for x in range(Q.order):
+            for y in range(Q.order):
+                if int(f.mul[rho[x], rho[y]]) != rho[Q.mul(x, y)]:
+                    raise NonCharacterTrace("trace vector is not multiplicative")
+        char = Character(Q, f, [rho[g] for g in Q.gen_indices], check=False)
+        entries[P.class_id] = BetaEntry(P, vdim, char, ctx)
+    return BetaTuple(G, f, entries)
 
 
 # -- free summands over a p-group ---------------------------------------------

@@ -146,7 +146,7 @@ def assert_twisted(base, twisted, omega):
     omega's value on the lift of each quotient generator."""
     f = base.field
     for cid, e in base.entries.items():
-        lifts = e.ctx.quotient_generator_lifts()
+        lifts = e.ctx.generator_lifts()
         want = [int(f.mul[v, omega.value_code(g)]) for v, g in zip(e.character.values, lifts)]
         assert twisted.entries[cid].h == e.h
         assert list(twisted.entries[cid].character.values) == want

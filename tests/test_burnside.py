@@ -15,9 +15,8 @@ from permchain.burnside import (
     marks,
 )
 from permchain.errors import TooManyClasses
-from permchain.groups import FiniteGroup, catalog, group_from_spec, perm_from_cycles
-from permchain.invariants import cached_quotient
-from permchain.modules import brauer_context
+from permchain.groups import FiniteGroup, catalog, group_from_spec, perm_from_cycles, quotient
+from permchain.modules import local_quotient
 
 
 def test_marks_c2():
@@ -170,8 +169,9 @@ def test_caches_live_on_their_group():
         L = G.lattice()
         c = len(L.class_reps)
         assert mark_table(G).shape == (c, c)
-        brauer_context(G, L.sylow_p(2))
-        cached_quotient(G, L.trivial)
+        local_quotient(L.sylow_p(2))
+        quotient(G, L.trivial)
+        quotient(G, L.center())
         alive = weakref.ref(G)
         del G, L
         gc.collect()

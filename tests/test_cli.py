@@ -302,6 +302,52 @@ def test_frobenius_example_rejects_a_large_q_quickly(q):
     assert proc.stderr == f"error: field size p^n = {q} out of supported range\n"
 
 
+# `check` run in a fresh interpreter, timing `main` alone and tracing its
+# allocations; the result goes to stderr as [exit code, seconds, peak bytes]
+_TIMED_CHECK = """import json, sys, time, tracemalloc
+from permchain.cli import main
+tracemalloc.start()
+t = time.perf_counter()
+rc = main(["check", sys.argv[1], "--json"])
+seconds = time.perf_counter() - t
+print(json.dumps([rc, seconds, tracemalloc.get_traced_memory()[1]]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("top", [1, 2])
+def test_check_without_differentials_builds_no_zero_maps(top, tmp_path):
+    """[G/1]^512 over D8 in degrees 0..top and no differential.  An absent
+    differential stays absent: no 4096-square zero map is made or
+    multiplied, which took 0.6 s and 112 MB of resident memory for top 1,
+    2.4 s and 249 MB for top 2.  The report is the one those maps gave."""
+    obj = {
+        "group": "D8",
+        "field": {"p": 2, "n": 1},
+        "lo": 0,
+        "modules": {str(i): "[G/1]^512" for i in range(top + 1)},
+        "differentials": {},
+    }
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(obj))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_CHECK, str(path)], capture_output=True, text=True, timeout=60
+    )
+    rc, seconds, peak = json.loads(proc.stderr.splitlines()[-1])
+    others = ["<b>", "<a*b>", "Z", "<b,b*a^2>", "<a*b,a^2>", "<a>", "G"]
+    want = {
+        "group": "D8",
+        "field": {"p": 2, "n": 1, "q": 2},
+        "dims": {str(i): 4096 for i in range(top + 1)},
+        "endotrivial": False,
+        "violations": {
+            "1": [{"degree": i, "dim": 4096} for i in range(top + 1)],
+            **{name: [] for name in others},
+        },
+    }
+    assert rc == 0 and proc.stdout == json.dumps(want, indent=2) + "\n"
+    assert seconds < 0.5 and peak < 8 << 20
+
+
 def test_frobenius_example_q_defaults_to_four(capsys):
     code, out, _ = run_cli(["frobenius", "a4-example", "--json"], capsys)
     assert code == 0

@@ -289,6 +289,17 @@ def test_xi_cyclic_c9():
         assert x.h_mark(P) == (2 if P.order == 1 else 0)
 
 
+def test_value_at_refuses_an_element_outside_the_normalizer():
+    """N_G(P)/P projects N_G(P) only: for X = <b> in D8 the element a
+    does not normalize X and has no value; a^2 does."""
+    x = xi(build_entries("gamma-D8")[0].complex)
+    G = x.group
+    X = G.lattice().generated_by([G.element_by_word("b")])
+    assert x.value_at(X, G.element_by_word("a^2"))[0] == x.h_mark(X)
+    with pytest.raises(PermchainError, match="does not normalize"):
+        x.value_at(X, G.element_by_word("a"))
+
+
 def test_xi_twist_character_descends():
     C6 = catalog("C6")
     w = [c for c in all_characters(C6, F3) if not c.is_trivial()][0]
@@ -297,7 +308,7 @@ def test_xi_twist_character_descends():
     for P in lat.p_class_reps(3):
         e = x.entries[P.class_id]
         # the local character is the restriction of w through the quotient
-        for gi, g in enumerate(e.ctx.quotient_generator_lifts()):
+        for gi, g in enumerate(e.ctx.generator_lifts()):
             assert e.character.values[gi] == w.value_code(g)
 
 

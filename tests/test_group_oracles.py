@@ -13,10 +13,12 @@ lookup of every product's image tuple, pairwise closure and every
 subgroup extended by every cyclic subgroup, the defining recursion of mu
 and the inverse of the zeta matrix, conjugation or commutation of every
 element, counting fixed cosets, Gauss-Jordan elimination over Fractions,
-every sign vector and a fresh name per call.
+every sign vector and a fresh name per call.  N_G(P)/P, the quotient of
+a section of G built from G's tables, is compared with the normalizer made
+a group of its own and quotiented there (`module_reference`).
 The groups are every catalog group up to order 64, plus S4, A5 (the one
 non-solvable group), C2^4 and C2^5; the tables also S5 and C2^8 on 308
-points, the lattice also S5 and groups on at most 7 points.
+points, the lattice and N_G(P)/P also groups on at most 7 points.
 """
 
 import math
@@ -39,6 +41,7 @@ from permchain.groups import (
     mobius_columns,
     mobius_of_poset,
 )
+from permchain.modules import local_quotient
 
 from helpers import (
     coset_count_mark_table,
@@ -55,6 +58,7 @@ from helpers import (
     recursive_mobius,
     tuple_lookup_tables,
 )
+from module_reference import normalizer_group_quotient
 
 CATALOG = (
     [f"C{n}" for n in range(1, 65)]
@@ -360,3 +364,36 @@ def test_class_names_are_kept_on_the_lattice():
     assert L._class_names == dict(enumerate(first))
     assert [class_name(L, H) for H in L.class_reps] == first
     assert L.center() is L.center()
+
+
+# -- N_G(P)/P ----------------------------------------------------------------------
+
+
+def _assert_local_quotients_match_normalizer_groups(G):
+    """At every p-subgroup class, p = 2 and 3: the same generators, names,
+    elements, projection on N_G(P) and generator lifts; no image off
+    N_G(P), each lift in its coset, and G itself exactly at P = 1."""
+    L = G.lattice()
+    for p in (2, 3):
+        for P in L.p_class_reps(p):
+            q, ref = local_quotient(P), normalizer_group_quotient(P)
+            N = L.normalizer(P)
+            assert q.group.generators == ref.group.generators
+            assert q.group.gen_names == ref.group.gen_names
+            assert q.group.elements == ref.group.elements
+            assert {x: q.project(x) for x in N.elems} == ref.project
+            assert q.generator_lifts() == ref.generator_lifts
+            assert [x for x in range(G.order) if q.project(x) < 0] == sorted(set(range(G.order)) - N.elemset)
+            assert all(q.project(q.lift(i)) == i for i in range(q.group.order))
+            assert (q.group is G) == (P.order == 1)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_local_quotients_match_normalizer_groups(name):
+    _assert_local_quotients_match_normalizer_groups(_group(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_perm_groups())
+def test_local_quotients_match_normalizer_groups_on_small_perm_groups(G):
+    _assert_local_quotients_match_normalizer_groups(G)

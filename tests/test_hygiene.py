@@ -1,8 +1,9 @@
 """Import hygiene of the package: every name a module imports is used in
 that module, and no module imports another's private (underscore) name.
-Names a package re-exports through its `__all__` count as used.  The names
-the benchmark's tracer hooks into exist, and only `modules` names the
-trace-quotient Brauer construction among them."""
+Names a package re-exports through its `__all__` count as used.  Every
+name a function stores it also reads, unless the name starts with `_`.
+The names the benchmark's tracer hooks into exist, and only `modules`
+names the trace-quotient Brauer construction among them."""
 
 import ast
 import importlib.util
@@ -60,6 +61,53 @@ def test_private_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def unused_locals(source: str) -> list:
+    """Names each function stores and never loads, in its own body or in a
+    function nested in it; names starting with '_' and names it declares
+    global or nonlocal are not flagged."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, loaded = {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.Name):
+                loaded.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                loaded.update(node.names)
+        out += [
+            f"{name} (line {line}) in {fn.name}"
+            for name, line in stored.items()
+            if name not in loaded and not name.startswith("_")
+        ]
+    return sorted(out)
+
+
+def test_unused_locals_are_found():
+    src = (
+        "def f(xs):\n"
+        "    a, _b = 1, 2\n"
+        "    for k, v in xs.items():\n"
+        "        print(v)\n"
+        "    def g():\n"
+        "        nonlocal a\n"
+        "        a = 3\n"
+        "    used = [y for y in xs]\n"
+        "    return g, used\n"
+        "def h():\n"
+        "    total = 0\n"
+        "    total += 1\n"
+    )
+    assert unused_locals(src) == ["k (line 3) in f", "total (line 11) in h"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
 
 
 def test_benchmark_trace_hooks_exist():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permchain.burnside import marks
 from permchain.complexes import (
@@ -34,6 +36,7 @@ from permchain.invariants import (
     lefschetz,
 )
 from permchain.modules import (
+    Character,
     all_characters,
     brauer_points,
     one_dim_module,
@@ -41,6 +44,8 @@ from permchain.modules import (
     restrict,
     trivial_character,
 )
+
+from module_reference import dense_trace_beta
 
 F2 = GF(2)
 F3 = GF(3)
@@ -198,7 +203,7 @@ def test_beta_direct_one_dim_twist():
     b = beta_direct(t)
     for cid, e in b.entries.items():
         assert e.epsilon == 1
-        for gi, g in enumerate(e.ctx.quotient_generator_lifts()):
+        for gi, g in enumerate(e.ctx.generator_lifts()):
             assert e.character.values[gi] == w.value_code(g)
 
 
@@ -221,6 +226,61 @@ def test_beta_direct_non_character_trace():
     t.add_term(trivial_character(G, F4), L.full, -1)
     with pytest.raises(NonCharacterTrace):
         beta_direct(t)
+
+
+def _beta_outcome(fn, t):
+    """Each entry's sign and character values, or the rejection and its message."""
+    try:
+        b = fn(t)
+    except (NotUnitDimension, NonCharacterTrace) as exc:
+        return type(exc), str(exc)
+    return [(cid, e.epsilon, e.character.group, e.character._elem_values) for cid, e in sorted(b.entries.items())]
+
+
+def test_beta_direct_matches_dense_traces_on_a4_example():
+    u, beta, _ = a4_frobenius_example()
+    assert beta == dense_trace_beta(u)
+    assert _beta_outcome(beta_direct, u) == _beta_outcome(dense_trace_beta, u)
+
+
+def test_beta_direct_rejects_a_trace_that_is_not_multiplicative():
+    """2 k_chi - 3 k over C3 and F7, chi(a) = 2: sign -1 and unit values 6
+    and 2 at a and a^2, but 6^2 = 1 is not 2."""
+    G, F7 = catalog("C3"), GF(7)
+    full = G.lattice().full
+    t = TrivialSourceElement(G, F7, [(Character(G, F7, [2]), full, 2), (trivial_character(G, F7), full, -3)])
+    want = (NonCharacterTrace, "trace vector is not multiplicative")
+    assert _beta_outcome(beta_direct, t) == want == _beta_outcome(dense_trace_beta, t)
+
+
+_BETA_GROUPS = ["C2", "C3", "C4", "V4", "C6", "D8", "A4", "(0 1 2);(0 1)"]
+_BETA_FIELDS = [F2, F3, F4]
+
+
+@st.composite
+def _virtual_elements(draw):
+    """k_w plus pairs (k_chi - k_psi) (x) c k[G/H], each pair of dimension 0
+    at every P, so every Brauer dimension is 1; or terms drawn freely."""
+    G = group_from_spec(draw(st.sampled_from(_BETA_GROUPS)))
+    f = draw(st.sampled_from(_BETA_FIELDS))
+    chars, reps = all_characters(G, f), G.lattice().class_reps
+    t = TrivialSourceElement(G, f)
+    if draw(st.booleans()):
+        t.add_term(draw(st.sampled_from(chars)), G.lattice().full, 1)
+        for _ in range(draw(st.integers(0, 2))):
+            H, c = draw(st.sampled_from(reps)), draw(st.integers(1, 2))
+            t.add_term(draw(st.sampled_from(chars)), H, c)
+            t.add_term(draw(st.sampled_from(chars)), H, -c)
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            t.add_term(draw(st.sampled_from(chars)), draw(st.sampled_from(reps)), draw(st.integers(-2, 2)))
+    return t
+
+
+@settings(max_examples=80, deadline=None)
+@given(_virtual_elements())
+def test_beta_direct_matches_dense_traces(t):
+    assert _beta_outcome(beta_direct, t) == _beta_outcome(dense_trace_beta, t)
 
 
 def test_beta_consistency_on_catalog_pgroups():
@@ -248,7 +308,7 @@ def test_a4_example_full():
     assert not v4.character.is_trivial()
     # the character sends the coset of the order-3 generator to w
     a = G.element_by_word("a")
-    assert v4.character.value_code(v4.ctx.project_from_g(a)) == 2  # the code of w
+    assert v4.character.value_code(v4.ctx.project(a)) == 2  # the code of w
 
 
 def test_a4_example_twist_changes_character():

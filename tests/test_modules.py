@@ -570,7 +570,7 @@ def test_brauer_iterated():
     for P in L.p_class_reps(2):
         if not P.contains(Z):
             continue
-        img = Li.subgroup({bd.ctx.project_from_g(x) for x in P.elems})
+        img = Li.subgroup({bd.ctx.project(x) for x in P.elems})
         lhs = brauer_quotient(M, P).module.dim
         rhs = brauer_quotient(inner, img).module.dim
         assert lhs == rhs

@@ -27,13 +27,13 @@ from permchain.modules import (
     ModuleMap,
     Summand,
     all_characters,
-    brauer_context,
     brauer_points,
     coset_list,
     direct_sum,
     dual,
     frobenius_twist_module,
     inflate,
+    local_quotient,
     perm_module,
     restrict,
     tensor,
@@ -53,6 +53,7 @@ from module_reference import (
     frobenius_mats,
     inflate_mats,
     module_check_labels,
+    normalizer_group_quotient,
     restrict_mats,
     scale,
     tensor_mats,
@@ -109,14 +110,14 @@ def assert_matches(M: KgModule, mats):
 def assert_brauer_points(M: KgModule):
     G, p = M.group, M.field.p
     for P in G.lattice().p_class_reps(p):
-        ctx = brauer_context(G, P)
+        ref = normalizer_group_quotient(P)
         pts, local = brauer_points(M, P)
         ref_pts, ref_mats = brauer_points_dense(
-            M, P, ctx, minimal_generators(P), is_p_power(P.order, p)
+            M, P, ref.generator_lifts, minimal_generators(P), is_p_power(P.order, p)
         )
         assert pts.tolist() == ref_pts.tolist()
         assert list(local.gen_mats) == ref_mats
-        assert local.group is ctx.quotient_group
+        assert local.group is local_quotient(P).group
 
 
 @EXAMPLES
@@ -170,6 +171,17 @@ def test_inflations(data):
     M = inflate(Mbar, q)
     assert_matches(M, inflate_mats(Mbar, q))
     assert_brauer_points(M)
+
+
+def test_inflation_refuses_a_quotient_of_a_proper_subgroup():
+    """N_G(P)/P for P = <b> in D8 is a quotient of N_G(P) = <b, a^2>, not of
+    G: no module over it inflates to G."""
+    G = catalog("D8")
+    P = G.lattice().generated_by([G.element_by_word("b")])
+    q = local_quotient(P)
+    assert q.over.order == 4 and q.group.order == 2
+    with pytest.raises(IncompatibleHandles, match="proper subgroup"):
+        inflate(perm_module(q.group, q.group.lattice().trivial, GF(2)), q)
 
 
 RELABELINGS = ["keep", "conjugate", "subgroup", "character", "split", "merge", "repeat"]
