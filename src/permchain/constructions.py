@@ -53,7 +53,7 @@ from .modules import (
     trivial_character,
     trivial_module,
 )
-from .syzygies import free_generators, omega, orbit_map, relative_syzygy, subquotient
+from .syzygies import free_generators, omega, orbit_map, relative_syzygy
 
 MAX_PERIOD_SEARCH = 4
 
@@ -103,6 +103,8 @@ def truncated_periodic_resolution(G: FiniteGroup, fld: FqField) -> BoundedComple
     """Iterate syzygies of the trivial module of a p-group until the kernel
     collapses to dimension one, then assemble the covers into a complex
     ending with k in degree zero; homology k sits in the period degree.
+    Each syzygy is a basis inside the free module of the last cover, so
+    the next cover's matrix is the differential as it stands.
 
     A kernel that never collapses within the search bound means the group
     has p-rank above one and no such resolution exists.
@@ -111,26 +113,20 @@ def truncated_periodic_resolution(G: FiniteGroup, fld: FqField) -> BoundedComple
     if G.order == 1:
         return module_complex(k, 0)
     covers = []
-    inclusions = []
-    cur = k
+    M, V = k, None
     for _ in range(MAX_PERIOD_SEARCH):
-        om = omega(cur)
+        om = omega(M, V)
         covers.append(om.cover)
-        inclusions.append(om.inclusion)
-        cur = om.module
-        if cur.dim == 1:
+        M, V = om.cover.source, om.inclusion
+        if V.cols == 1:
             break
     else:
         raise NotPRankOne(
             "no one-dimensional syzygy within the period bound; "
             "the group is not cyclic or generalized quaternion"
         )
-    period = len(covers)
     mods = [k] + [c.source for c in covers]
-    diffs = {1: covers[0].matrix}
-    for i in range(1, period):
-        diffs[i + 1] = inclusions[i - 1] @ covers[i].matrix
-    return BoundedComplex(G, fld, 0, mods, diffs)
+    return BoundedComplex(G, fld, 0, mods, {i: c.matrix for i, c in enumerate(covers, 1)})
 
 
 def entry_truncated(group_name: str, fld: FqField) -> CatalogEntry:
@@ -221,14 +217,11 @@ def gamma_semidihedral(n: int, fld: FqField) -> BoundedComplex:
     if len(noncentral) != 1:
         raise ConstructionFailure("expected one noncentral class of order two")
     H = noncentral[0]
-    syz = relative_syzygy(G, H, fld)
-    om = omega(syz.module)
-    P_mod = om.cover.source
-    M = syz.ambient
-    c2 = syz.inclusion @ om.cover.matrix
+    K, M = relative_syzygy(G, H, fld)
+    cover = omega(M, K).cover
     c1 = FqMatrix(fld, np.ones((1, M.dim), dtype=np.int16))
     k = trivial_module(G, fld)
-    C = BoundedComplex(G, fld, 0, [k, M, P_mod], {1: c1, 2: c2})
+    C = BoundedComplex(G, fld, 0, [k, M, cover.source], {1: c1, 2: cover.matrix})
     hd = homology_dims(C)
     if set(hd) != {2}:
         raise ConstructionFailure(f"three-term stage has homology {hd}")
@@ -239,12 +232,11 @@ def gamma_semidihedral(n: int, fld: FqField) -> BoundedComplex:
     d4 = D.diff_at(4).matrix
     K = kernel_from_rref(*reds[4])
     D4 = D.module_at(4)
-    Kmod = subquotient(D4, K).module
-    chosen, _ = free_generators(Kmod)
+    chosen, _ = free_generators(D4, K)
     r = len(chosen)
-    if Kmod.dim != 1 + r * G.order:
+    if K.cols != 1 + r * G.order:
         raise ConstructionFailure(
-            f"top kernel has dimension {Kmod.dim}, expected 1 + {r}*{G.order}"
+            f"top kernel has dimension {K.cols}, expected 1 + {r}*{G.order}"
         )
     incl = orbit_map(D4, K.take_cols(chosen))
     if rank(incl) != r * G.order:
@@ -365,14 +357,15 @@ def _coprime_order(G: FiniteGroup, x: int, p: int) -> bool:
 def a4_frobenius_example(fld: FqField = None):
     """The order-12 example: a unit of the twisted permutation ring whose
     local character tuple is not stable under the field automorphism, hence
-    cannot arise from any endotrivial complex."""
+    cannot arise from any endotrivial complex.  Over F_{2^n}, n even, w is
+    the least code of multiplicative order three (2 in F4)."""
     if fld is None:
         fld = GF(2, 2)
-    if fld.p != 2 or fld.n < 2:
+    if fld.p != 2 or (fld.q - 1) % 3:
         raise PermchainError("the example needs a field with cube roots of unity")
     G = group_catalog("A4")
     lat = G.lattice()
-    w = 2  # the class of the modulus root generates the cube roots of unity
+    w = next(c for c in range(2, fld.q) if fld.scalar_order(c) == 3)
     omega_char = Character(G, fld, [w, 1])
     C3 = lat.generated_by([G.element_by_word("a")])
     u = TrivialSourceElement(G, fld)

@@ -29,6 +29,10 @@ class NotSubspace(PermchainError):
     pass
 
 
+class NotSubmodule(PermchainError):
+    pass
+
+
 class IncompatibleHandles(PermchainError):
     pass
 

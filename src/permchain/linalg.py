@@ -416,11 +416,11 @@ def quotient_space(V_basis: FqMatrix, W_basis: FqMatrix):
     return FqMatrix(f, section), FqMatrix(f, proj)
 
 
-def complete_to_basis(B: FqMatrix) -> list:
-    """Indices of standard basis vectors extending the columns of B to a
-    basis of the ambient space (deterministic, greedy by rref pivots)."""
-    f = B.field
-    n = B.rows
-    aug = hstack([B, FqMatrix.identity(f, n)])
-    _, _, pivots = rref(aug)
+def complete_to_basis(B: FqMatrix, V: FqMatrix = None) -> list:
+    """Indices of the columns of V (standard basis vectors when omitted)
+    extending the columns of B to a basis of span(B) + span(V): greedy by
+    rref pivots, each kept unless in the span of B and those before it."""
+    if V is None:
+        V = FqMatrix.identity(B.field, B.rows)
+    _, _, pivots = rref(hstack([B, V]))
     return [pc - B.cols for pc in pivots if pc >= B.cols]

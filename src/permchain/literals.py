@@ -11,10 +11,11 @@ integer coefficients ('2*[G/1] - [G/G]').
 
 A complex file is a JSON object with the group, the field, the module
 literal per degree and each differential as a row-major list of scalar
-strings; a file may also hold several, as {"complexes": [...]}.  A
-differential is written in one step: an object array of the field's
-canonical scalar strings (`FqField.strings`) indexed by the re-ordered code
-array, listed once.  It is read back, after every literal is parsed and
+strings, only those the complex holds (a missing one reads as zero); a
+file may also hold several, as {"complexes": [...]}.  A differential is
+written in one step: an object array of the field's canonical scalar
+strings (`FqField.strings`) indexed by the re-ordered code array, listed
+once.  It is read back, after every literal is parsed and
 every entry count checked against the literals' dimensions, with one lookup
 per entry in a plain copy of the inverse table (`FqField.code_of`).  Other
 spellings such as ' 1 + w', 'w+1', '-1' or an unreduced '5' over F3, and
@@ -246,10 +247,10 @@ def complex_to_obj(C: BoundedComplex) -> dict:
         orders[i] = _label_basis_order(M)
         modules[str(i)] = format_module(M)
     diffs = {}
-    for i in range(C.lo + 1, C.hi + 1):
+    for i, d in C.diffs.items():
         if i not in orders or (i - 1) not in orders:
             continue
-        codes = C.diff_at(i).matrix.a[np.ix_(orders[i - 1], orders[i])]
+        codes = d.matrix.a[np.ix_(orders[i - 1], orders[i])]
         diffs[str(i)] = strings[codes.ravel()].tolist()
     return {
         "group": group_spec,

@@ -7,7 +7,7 @@ for them, and sums, twists, duals, tensors, restriction and inflation are
 index arithmetic and lookups in the field's multiplication table.  So are
 the commutation check of a `ModuleMap` (rows against columns, both moved
 and scaled) and the action on a block of vectors.  Subquotients
-(homology, syzygies, Brauer quotients) are dense: one exact matrix per
+(homology modules, Brauer quotients) are dense: one exact matrix per
 generator.  The dense matrices of a monomial module are built only when
 something asks for them.
 
@@ -214,7 +214,7 @@ class KgModule:
     every operation on them (sums, twists, duals, tensors, restriction,
     inflation, Brauer points) have this form, and a labeled module is always
     monomial.  Dense: one matrix per generator, for modules that are only
-    subquotients (homology, syzygies, Brauer quotients); they have no Brauer
+    subquotients (homology modules, Brauer quotients); they have no Brauer
     points.
 
     With `check=True`, labels are rebuilt from the orbits of the

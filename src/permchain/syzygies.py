@@ -1,18 +1,19 @@
 """Syzygies, free summands and Hom spaces of kG-modules.
 
-`subquotient(M, V, W)` is the only way to build a dense subquotient
-span(V)/span(W) of a module: the syzygies, the complements of free
-summands and the homology modules (`complexes.homology_at`) are all built
-by it.  `orbit_map(M, W)` is the only way to build a map out of a free
-module kG^r, the one sending the i-th free generator to W[:, i]: the
-projective covers and the inclusions of free summands.
+A syzygy is a column span V inside the permutation module M it lives in,
+and the construction layer never leaves those modules.  `orbit_map(M, W)`
+is the only way to build a map out of a free module kG^r, the one sending
+the i-th free generator to W[:, i]: the projective covers and the
+inclusions of free summands.  `subquotient(M, V, W)` builds the dense
+module span(V)/span(W), for homology modules and test oracles only.
 
 Over a p-group the group algebra is local and self-injective, with the
-norm element spanning the socle of the regular module.  `omega` takes the
-kernel of a projective cover, `free_generators` finds the generators of a
-free summand kG^r among the norm images of the basis (splitting it off is
-a test oracle), and `relative_syzygy` is the kernel of k[G/H] -> k.
-`hom_space_basis` solves the equivariance equations of Hom_kG(M, N).
+norm element spanning the socle of the regular module.  `omega(M, V)`
+covers span(V) and gives the kernel inside the free module,
+`free_generators(M, V)` finds free generators among the norm images of the
+columns of V (splitting them off is a test oracle), and `relative_syzygy`
+is the kernel of k[G/H] -> k inside k[G/H].  `hom_space_basis` solves the
+equivariance equations of Hom_kG(M, N).
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IncompatibleHandles, PermchainError, PGroupOnly
+from .errors import IncompatibleHandles, NotSubmodule, PermchainError, PGroupOnly
 from .ffield import FqField
 from .groups import FiniteGroup, Subgroup, is_p_power
 from .linalg import (
     FqMatrix,
     complete_to_basis,
     hstack,
-    image_basis,
     kernel_basis,
     kernel_from_rref,
     quotient_space,
@@ -49,9 +49,9 @@ class Subquotient(NamedTuple):
 
 
 def subquotient(M: KgModule, V: FqMatrix, W: FqMatrix = None) -> Subquotient:
-    """The module span(V)/span(W) for G-stable column spans W <= V of M,
-    V independent; W empty or omitted gives span(V) itself, with the
-    identity projection.  One solve gives every generator's action."""
+    """The dense module span(V)/span(W), for homology and test oracles, of
+    G-stable column spans W <= V of M, V independent; W empty or omitted
+    gives span(V), with the identity projection.  One solve gives the action."""
     G, f = M.group, M.field
     quotient = W is not None and W.cols > 0
     if quotient:
@@ -62,7 +62,7 @@ def subquotient(M: KgModule, V: FqMatrix, W: FqMatrix = None) -> Subquotient:
     gens = range(len(G.generators))
     coords = solve_matrix(V, hstack([M.act(gi, witness) for gi in gens]))
     if coords is None:
-        raise PermchainError("the span is not a submodule")
+        raise NotSubmodule("the span is not a submodule")
     if quotient:
         coords = proj @ coords
     mats = [FqMatrix(f, a) for a in np.hsplit(coords.a, len(gens))]
@@ -85,66 +85,56 @@ def _require_p_group(G: FiniteGroup, field: FqField):
         raise PGroupOnly("operation defined for p-groups in characteristic p only")
 
 
-def radical_basis(M: KgModule) -> FqMatrix:
-    """Basis of rad M = span{(g-1)m} over the generators."""
-    eye = FqMatrix.identity(M.field, M.dim)
-    cols = hstack([m - eye for m in M.gen_mats])
-    return image_basis(cols)
-
-
 class OmegaData(NamedTuple):
-    module: KgModule     # the kernel of the cover
-    cover: ModuleMap     # free module -> M, a projective cover
-    inclusion: FqMatrix  # kernel basis inside the free module
+    cover: ModuleMap     # free module -> M, onto span(V): a projective cover
+    inclusion: FqMatrix  # basis of the cover's kernel inside the free module
 
 
-def omega(M: KgModule) -> OmegaData:
-    """Kernel of the projective cover kG^n -> M, n = dim M/rad M; one
-    reduction of the cover gives its rank and its kernel."""
+def omega(M: KgModule, V: FqMatrix = None) -> OmegaData:
+    """The projective cover kG^n -> span(V) <= M (all of M when V is
+    omitted), V independent, and its kernel's basis in kG^n.  The head is
+    the columns of V completing the (g - 1)V over the generators g.  The
+    cover's rank exceeds V.cols exactly when span(V) is not a submodule."""
     G, f = M.group, M.field
     _require_p_group(G, f)
-    if M.dim == 0:
+    if V is None:
+        V = FqMatrix.identity(f, M.dim)
+    if V.cols == 0:
         raise PermchainError("omega of the zero module")
-    head_idx = complete_to_basis(radical_basis(M))
-    free = free_module(G, f, len(head_idx))
-    cover_mat = orbit_map(M, FqMatrix.identity(f, M.dim).take_cols(head_idx))
-    cover = ModuleMap(free, M, cover_mat)
-    R, rk, pivots = rref(cover_mat)
-    if rk != M.dim:
-        raise PermchainError("cover is not surjective")
-    K = kernel_from_rref(R, rk, pivots)
-    return OmegaData(subquotient(free, K).module, cover, K)
+    radical = hstack([M.act(gi, V) - V for gi in range(len(G.generators))])
+    head = complete_to_basis(radical, V)
+    free = free_module(G, f, len(head))
+    cover = ModuleMap(free, M, orbit_map(M, V.take_cols(head)))
+    R, rk, pivots = rref(cover.matrix)
+    if rk != V.cols:
+        raise NotSubmodule(f"span(V) is not a submodule: its cover has rank {rk}, not {V.cols}")
+    return OmegaData(cover, kernel_from_rref(R, rk, pivots))
 
 
-def norm_matrix(M: KgModule) -> FqMatrix:
-    total = None
-    for g in range(M.group.order):
-        m = M.elem_mat(g)
-        total = m if total is None else total + m
-    return total
-
-
-def free_generators(M: KgModule):
-    """The pivot columns j of the norm matrix, and the norm images
-    norm . e_j at them.  The images are independent, and each e_j generates
-    a free rank-one summand, since every nonzero submodule of kG meets the
-    socle; they are the columns a greedy search for rank increases keeps."""
-    nm = norm_matrix(M)
-    pivots = rref(nm)[2]
-    return pivots, nm.take_cols(pivots)
+def free_generators(M: KgModule, V: FqMatrix = None):
+    """The pivot columns j of the norm images sum_g g.V (V the identity
+    when omitted), and the images there: independent, and each V[:, j]
+    generates a free rank-one summand, as every nonzero submodule of kG
+    meets the socle; the columns a greedy search for rank increases keeps."""
+    if V is None:
+        V = FqMatrix.identity(M.field, M.dim)
+    norm = M.apply(0, V)
+    for g in range(1, M.group.order):
+        norm = norm + M.apply(g, V)
+    pivots = rref(norm)[2]
+    return pivots, norm.take_cols(pivots)
 
 
 class SyzygyData(NamedTuple):
-    module: KgModule
-    inclusion: FqMatrix
+    inclusion: FqMatrix  # basis of the kernel inside the ambient module
     ambient: KgModule
 
 
 def relative_syzygy(G: FiniteGroup, H: Subgroup, field: FqField) -> SyzygyData:
-    """Kernel of the augmentation k[G/H] -> k."""
+    """Kernel of the augmentation k[G/H] -> k, as a basis inside k[G/H]."""
     M = perm_module(G, H, field)
     K = kernel_basis(FqMatrix(field, np.ones((1, M.dim), dtype=np.int16)))
-    return SyzygyData(subquotient(M, K).module, K, M)
+    return SyzygyData(K, M)
 
 
 # -- hom spaces --------------------------------------------------------------

@@ -112,8 +112,9 @@ def walk_label_basis_order(M) -> list:
 
 
 def map_complex_to_obj(C: BoundedComplex) -> dict:
-    """A complex file written entry by entry: every differential entry
-    mapped through `FqField.strings` on its own."""
+    """A complex file written entry by entry: every entry of each
+    differential the complex holds mapped through `FqField.strings` on its
+    own; an absent differential is zero and is not written."""
     fld = C.field
     group_spec = C.group.catalog_name
     if group_spec is None:
@@ -126,10 +127,10 @@ def map_complex_to_obj(C: BoundedComplex) -> dict:
         orders[i] = walk_label_basis_order(M)
         modules[str(i)] = format_module(M)
     diffs = {}
-    for i in range(C.lo + 1, C.hi + 1):
+    for i in sorted(C.diffs):
         if i not in orders or (i - 1) not in orders:
             continue
-        D = C.diff_at(i).matrix
+        D = C.diffs[i].matrix
         perm = D.a[np.ix_(np.array(orders[i - 1], dtype=int), np.array(orders[i], dtype=int))]
         diffs[str(i)] = list(map(fld.strings.__getitem__, perm.ravel().tolist()))
     return {

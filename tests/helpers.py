@@ -39,11 +39,11 @@ from permchain.modules import (
     perm_module,
     twist,
 )
-from permchain.syzygies import hom_space_basis, norm_matrix
+from permchain.syzygies import hom_space_basis
 from permchain.complexes import BoundedComplex, brauer_complex, homology, homology_dims
 from permchain.linalg import image_basis, quotient_space
 
-from module_reference import elem_mats, scale
+from module_reference import elem_mats, norm_matrix, scale
 
 
 # -- independent group-theory oracles ----------------------------------------

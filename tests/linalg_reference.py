@@ -134,8 +134,8 @@ def quotient_space(V_basis: FqMatrix, W_basis: FqMatrix):
     return FqMatrix(f, section), FqMatrix(f, proj)
 
 
-def complete_to_basis(B: FqMatrix) -> list:
-    n = B.rows
-    aug = FqMatrix(B.field, np.hstack([B.a, np.eye(n, dtype=np.int16)]))
+def complete_to_basis(B: FqMatrix, V: FqMatrix = None) -> list:
+    extra = np.eye(B.rows, dtype=np.int16) if V is None else V.a
+    aug = FqMatrix(B.field, np.hstack([B.a, extra]))
     _, _, pivots = rref(aug)
     return [pc - B.cols for pc in pivots if pc >= B.cols]

@@ -24,7 +24,10 @@ package reads each trace off the twists at the fixed points.
 
 The free rank and the splitting kG^r (+) complement of a module over a
 p-group are here as oracles for the syzygy layer, which finds free
-summands from `free_generators` alone.
+summands from `free_generators` alone.  So is the syzygy as the package
+built it before it kept syzygies as spans inside their permutation
+modules (`dense_omega`): the radical and the head of a dense module, the
+cover into it, and its kernel made a dense module by `subquotient`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,18 @@ from permchain.complexes import BoundedComplex
 from permchain.errors import NonCharacterTrace, NotUnitDimension, PermchainError, PGroupOnly
 from permchain.groups import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup, is_p_power
 from permchain.invariants import BetaEntry, BetaTuple
-from permchain.linalg import FqMatrix, block_diag, kernel_basis, rank, solve_matrix
+from permchain.linalg import (
+    FqMatrix,
+    block_diag,
+    complete_to_basis,
+    hstack,
+    image_basis,
+    kernel_basis,
+    kernel_from_rref,
+    rank,
+    rref,
+    solve_matrix,
+)
 from permchain.modules import (
     BrauerData,
     Character,
@@ -48,7 +62,7 @@ from permchain.modules import (
     free_module,
     local_quotient,
 )
-from permchain.syzygies import free_generators, norm_matrix, orbit_map, subquotient
+from permchain.syzygies import free_generators, orbit_map, subquotient
 
 
 def scale(A: FqMatrix, code: int) -> FqMatrix:
@@ -361,12 +375,51 @@ def _require_p_group(M: KgModule):
         raise PGroupOnly("operation defined for p-groups in characteristic p only")
 
 
+def norm_matrix(M: KgModule) -> FqMatrix:
+    total = None
+    for g in range(M.group.order):
+        m = M.elem_mat(g)
+        total = m if total is None else total + m
+    return total
+
+
 def free_rank(M: KgModule) -> int:
     """Rank of the norm element's action; the multiplicity of kG in M."""
     _require_p_group(M)
     if M.dim == 0:
         return 0
     return rank(norm_matrix(M))
+
+
+def radical_basis(M: KgModule) -> FqMatrix:
+    """Basis of rad M = span{(g-1)m} over the generators."""
+    eye = FqMatrix.identity(M.field, M.dim)
+    cols = hstack([m - eye for m in M.gen_mats])
+    return image_basis(cols)
+
+
+class DenseOmega(NamedTuple):
+    module: KgModule     # the kernel of the cover
+    cover: ModuleMap     # free module -> M, a projective cover
+    inclusion: FqMatrix  # kernel basis inside the free module
+
+
+def dense_omega(M: KgModule) -> DenseOmega:
+    """Kernel of the projective cover kG^n -> M, n = dim M/rad M; one
+    reduction of the cover gives its rank and its kernel."""
+    G, f = M.group, M.field
+    _require_p_group(M)
+    if M.dim == 0:
+        raise PermchainError("omega of the zero module")
+    head_idx = complete_to_basis(radical_basis(M))
+    free = free_module(G, f, len(head_idx))
+    cover_mat = orbit_map(M, FqMatrix.identity(f, M.dim).take_cols(head_idx))
+    cover = ModuleMap(free, M, cover_mat)
+    R, rk, pivots = rref(cover_mat)
+    if rk != M.dim:
+        raise PermchainError("cover is not surjective")
+    K = kernel_from_rref(R, rk, pivots)
+    return DenseOmega(subquotient(free, K).module, cover, K)
 
 
 class SplitFree(NamedTuple):

@@ -10,6 +10,7 @@ from permchain.cli import main
 from permchain.constructions import build_entries, catalog_names
 from permchain.groups import class_name, group_from_spec
 from permchain.literals import complex_to_obj
+from permchain.modules import KgModule
 
 
 def run_cli(args, capsys):
@@ -226,6 +227,48 @@ def test_frobenius_a4_example(capsys):
     assert rep["frobenius_stable"] is False
     v4 = [b for b in rep["beta"] if b["subgroup_class"].startswith("<b,")][0]
     assert "w" in v4["character"]["a"]
+
+
+@pytest.mark.parametrize("q", ["16", "64"])
+def test_frobenius_a4_example_over_larger_fields(q, capsys):
+    """Every F_{2^n} with cube roots of unity (3 | q - 1) carries the
+    example, with w the least code of order three."""
+    code, out, err = run_cli(["frobenius", "a4-example", "-q", q, "--json"], capsys)
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["field"] == f"F{q}" and rep["frobenius_stable"] is False
+
+
+@pytest.mark.parametrize("q", ["2", "3", "8", "9", "32"])
+def test_frobenius_a4_example_needs_cube_roots_of_unity(q, capsys):
+    code, out, err = run_cli(["frobenius", "a4-example", "-q", q], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: the example needs a field with cube roots of unity\n"
+
+
+def test_catalog_and_example_build_no_dense_module(monkeypatch, capsys):
+    """Syzygies stay spans inside their permutation modules: `catalog
+    verify` and `catalog build` of every registry name and the A4 example
+    construct no dense KgModule (27 did when each syzygy was one)."""
+    dense = []
+    init = KgModule.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.perms is None:
+            dense.append(self)
+
+    monkeypatch.setattr(KgModule, "__init__", counting_init)
+    build_entries.cache_clear()
+    try:
+        for name in catalog_names():
+            for action in ("verify", "build"):
+                assert main(["catalog", action, name, "--json"]) == 0
+        assert main(["frobenius", "a4-example", "--json"]) == 0
+    finally:
+        build_entries.cache_clear()
+    capsys.readouterr()
+    assert dense == []
 
 
 def test_frobenius_element_file(tmp_path, capsys):

@@ -3,10 +3,14 @@ that module, and no module imports another's private (underscore) name.
 Names a package re-exports through its `__all__` count as used.  Every
 name a function stores it also reads, unless the name starts with `_`.
 The names the benchmark's tracer hooks into exist, and only `modules`
-names the trace-quotient Brauer construction among them."""
+names the trace-quotient Brauer construction among them.  Importing the
+package sets BLAS to one thread unless the environment chose a number."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,3 +157,25 @@ def names_in(path: Path) -> set:
 )
 def test_one_brauer_construction(path):
     assert sorted(names_in(path) & BRAUER_BY_TRACES) == []
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")], ids=["unset", "explicit"])
+def test_import_defaults_blas_to_one_thread(given, want):
+    """In a fresh interpreter, before numpy is loaded: an unset variable
+    becomes 1, an explicit value is kept."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = str(SRC.parent)
+    if given is not None:
+        env.update(dict.fromkeys(_THREAD_VARS, given))
+    code = (
+        "import os, sys\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import permchain\n"
+        f"print(*(os.environ[v] for v in {_THREAD_VARS!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [want] * len(_THREAD_VARS)

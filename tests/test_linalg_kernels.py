@@ -215,6 +215,20 @@ def test_complete_to_basis_matches_reference(B):
     assert complete_to_basis(B) == ref.complete_to_basis(B)
 
 
+@EXAMPLES
+@given(st.data())
+def test_complete_to_basis_among_columns_matches_reference(data):
+    """Columns of any V; and for V with independent columns, completing
+    V.X among the columns of V picks what completing X does among the
+    standard vectors, since V keeps every column relation."""
+    B = data.draw(matrix())
+    V = data.draw(matrix(field=B.field, rows=B.rows))
+    assert complete_to_basis(B, V) == ref.complete_to_basis(B, V)
+    V = ref.image_basis(V)
+    X = data.draw(matrix(field=B.field, rows=V.cols))
+    assert complete_to_basis(ref.matmul(V, X), V) == complete_to_basis(X)
+
+
 def test_product_exact_at_top_of_range():
     """Every entry p - 1 with p = 509 and k = 512 terms: each sum is
     512 * 508^2, and 512 = 3 mod 509."""

@@ -29,7 +29,7 @@ from permchain.modules import (
     trivial_module,
     twist,
 )
-from permchain.syzygies import hom_space_basis, omega, relative_syzygy
+from permchain.syzygies import hom_space_basis, omega, relative_syzygy, subquotient
 
 from helpers import (
     oracle_orbit_count,
@@ -388,25 +388,26 @@ def test_split_detection_matches_splitting_equation(name, fld, shape, seed):
 def test_omega_cyclic():
     C3 = catalog("C3")
     om = omega(trivial_module(C3, F3))
-    assert om.module.dim == 2
-    om2 = omega(om.module)
-    assert om2.module.dim == 1  # period two
+    assert om.inclusion.cols == 2
+    om2 = omega(om.cover.source, om.inclusion)
+    assert om2.inclusion.cols == 1  # period two
     C9 = catalog("C9")
     o1 = omega(trivial_module(C9, F3))
-    assert o1.module.dim == 8
-    assert omega(o1.module).module.dim == 1
+    assert o1.inclusion.cols == 8
+    assert omega(o1.cover.source, o1.inclusion).inclusion.cols == 1
 
 
 def test_omega_q8_dims():
     Q8 = catalog("Q8")
     dims = []
-    cur = trivial_module(Q8, F2)
+    M, V = trivial_module(Q8, F2), None
     for _ in range(4):
-        om = omega(cur)
-        dims.append(om.module.dim)
-        assert free_rank(om.module) == 0  # minimality of the cover
-        assert rank(om.cover.matrix) == cur.dim
-        cur = om.module
+        om = omega(M, V)
+        K = om.inclusion
+        dims.append(K.cols)
+        assert free_rank(subquotient(om.cover.source, K).module) == 0  # minimality of the cover
+        assert rank(om.cover.matrix) == (M.dim if V is None else V.cols)
+        M, V = om.cover.source, K
     assert dims == [7, 9, 7, 1]
 
 
@@ -415,7 +416,7 @@ def test_omega_dimension_formula():
     M = perm_module(G, G.lattice().generated_by([G.element_by_word("a^2")]), F2)
     om = omega(M)
     n = om.cover.source.dim // G.order
-    assert om.module.dim == n * G.order - M.dim
+    assert om.inclusion.cols == n * G.order - M.dim
 
 
 def test_omega_p_group_only():
@@ -456,14 +457,14 @@ def test_split_free_summand():
 def test_relative_syzygy():
     G = catalog("C2")
     L = G.lattice()
-    assert relative_syzygy(G, L.full, F2).module.dim == 0
+    assert relative_syzygy(G, L.full, F2).inclusion.cols == 0
     d = relative_syzygy(G, L.trivial, F2)
-    assert d.module.dim == 1
-    assert d.module.gen_mats[0] == FqMatrix.identity(F2, 1)  # trivial action
+    assert d.inclusion.cols == 1
+    assert subquotient(d.ambient, d.inclusion).module.gen_mats[0] == FqMatrix.identity(F2, 1)  # trivial action
     SD = catalog("SD16")
     LS = SD.lattice()
     H = [P for P in LS.p_class_reps(2) if P.order == 2 and not P.is_normal][0]
-    assert relative_syzygy(SD, H, F2).module.dim == 7
+    assert relative_syzygy(SD, H, F2).inclusion.cols == 7
 
 
 # -- vertices ------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 replaced (`tests/helpers.py`), on dense and monomial modules: sums and
 tensors of permutation modules of C4, V4, D8 and Q8 over F2, F3 and F4,
 with the images of `orbit_map` covers inside them and the kernels inside
-the free modules.  The syzygy builds are held to the row reductions they
+the free modules.  `omega` and `free_generators` on a span V inside a
+permutation module of a p-group against the dense syzygy of the module
+span(V) (`module_reference.dense_omega`) and the greedy search on it, read
+back through V.  The syzygy builds are held to the row reductions they
 make."""
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from permchain.constructions import gamma_semidihedral, truncated_periodic_resolution
+from permchain.errors import NotSubmodule
 from permchain.ffield import GF
 from permchain.groups import catalog
 from permchain.linalg import FqMatrix, image_basis, kernel_basis
@@ -32,19 +36,27 @@ from helpers import (
     per_generator_subquotient,
     random_matrix,
 )
-from module_reference import dense_copy, free_rank, split_free_summand
+from module_reference import dense_copy, dense_omega, free_rank, split_free_summand
 
 GROUPS = ["C4", "V4", "D8", "Q8"]
 FIELDS = [(2, 1), (3, 1), (2, 2)]
+P_GROUPS = [(name, (2, 1)) for name in GROUPS] + [
+    ("C4", (2, 2)), ("D8", (2, 2)), ("C9", (3, 1)), ("CpxCp3", (3, 1)),
+]
 MAX_DIM = 32
 
 
 @st.composite
-def modules(draw):
+def modules(draw, p_groups=False):
     """A sum of one or two permutation modules, maybe tensored with a third,
-    in monomial or dense form."""
-    G = catalog(draw(st.sampled_from(GROUPS)))
-    fld = GF(*draw(st.sampled_from(FIELDS)))
+    in monomial or dense form; over a p-group in its characteristic if
+    `p_groups`."""
+    if p_groups:
+        name, q = draw(st.sampled_from(P_GROUPS))
+        G, fld = catalog(name), GF(*q)
+    else:
+        G = catalog(draw(st.sampled_from(GROUPS)))
+        fld = GF(*draw(st.sampled_from(FIELDS)))
     reps = G.lattice().class_reps
 
     def perm():
@@ -82,6 +94,54 @@ def stable_pairs(draw):
     V = kernel_basis(cover)
     W = image_basis(orbit_map(F, V.take_cols(range(draw(st.integers(0, min(2, V.cols)))))))
     return F, V, W
+
+
+@st.composite
+def syzygy_spans(draw):
+    """(ambient, V) over a p-group in its characteristic: a module from
+    `modules` with V the identity, or the free module of the cover
+    kG^r -> M that random columns give, with V the basis of its kernel."""
+    M = draw(modules(p_groups=True))
+    if draw(st.booleans()):
+        return M, FqMatrix.identity(M.field, M.dim)
+    W0 = generator_images(draw, M, least=1)
+    V = kernel_basis(orbit_map(M, W0))
+    assume(V.cols > 0)
+    return free_module(M.group, M.field, W0.cols), V
+
+
+@settings(max_examples=100, deadline=None)
+@given(syzygy_spans())
+def test_omega_on_a_span_matches_the_dense_syzygy(pair):
+    """The same head, the dense cover carried into M by V, and the same
+    kernel basis; V the identity is V omitted."""
+    M, V = pair
+    om = omega(M, V)
+    ref = dense_omega(subquotient(M, V).module)
+    assert om.cover.source.dim == ref.cover.source.dim
+    assert om.cover.matrix == V @ ref.cover.matrix
+    assert om.inclusion == ref.inclusion
+    if V == FqMatrix.identity(M.field, M.dim):
+        again = omega(M)
+        assert again.cover.matrix == om.cover.matrix and again.inclusion == om.inclusion
+
+
+@settings(max_examples=100, deadline=None)
+@given(syzygy_spans())
+def test_free_generators_on_a_span_match_the_greedy_search(pair):
+    M, V = pair
+    chosen, images = free_generators(M, V)
+    ref_chosen, ref_images = greedy_free_generators(subquotient(M, V).module)
+    assert chosen == ref_chosen
+    assert images == V @ ref_images
+
+
+@pytest.mark.parametrize("name, q", [("C4", 2), ("D8", 2), ("C9", 3)])
+def test_omega_refuses_a_span_that_is_not_a_submodule(name, q):
+    """One basis vector of the regular module: its cover reaches all of kG."""
+    M = regular_module(catalog(name), GF(q))
+    with pytest.raises(NotSubmodule):
+        omega(M, FqMatrix.identity(M.field, M.dim).take_cols([0]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,12 +215,12 @@ def test_free_generators_reduce_once(linalg_calls, name, q):
 
 
 def test_omega_reduces_the_cover_once(linalg_calls):
-    """Radical, head, one reduction of the cover for its rank and kernel,
-    one solve for the kernel's action."""
-    M = omega(trivial_module(catalog("Q8"), GF(2))).module
+    """One reduction of the generators' radical columns beside V for the
+    head, one of the cover for its rank and kernel; no action is solved."""
+    om = omega(trivial_module(catalog("Q8"), GF(2)))
     before = linalg_calls["rref"]
-    omega(M)
-    assert linalg_calls["rref"] - before == 4
+    omega(om.cover.source, om.inclusion)
+    assert linalg_calls["rref"] - before == 2
 
 
 @pytest.mark.parametrize(
