@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -361,7 +362,9 @@ def cmd_frobenius(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; it holds no per-call state."""
     ap = argparse.ArgumentParser(
         prog="permchain",
         description="exact computations with complexes of p-permutation modules",

@@ -6,17 +6,19 @@ nonsense is worse than a loud failure in exact arithmetic.
 
 Homology dimensions come from ranks: dim C_i - rank d_i - rank d_{i+1}.
 `reduce_differentials` reduces each differential once and keeps the
-reductions, so a caller reads ranks and kernels off the same `rref`.  A
-homology module (`homology_at`) is the subquotient cycles/boundaries that
-`syzygies.subquotient` builds, with explicit witnesses, so group actions
-on homology are computed exactly, never up to isomorphism.
+reductions, so a caller reads ranks and kernels off the same `rref`; the
+dims are kept on the complex.  A homology module (`homology_at`) is the
+subquotient cycles/boundaries that `syzygies.subquotient` builds, with
+explicit witnesses, so group actions on homology are computed exactly.
 `endotrivial_report` is the one pass over the p-subgroup classes, made
-once per complex: it reduces each local differential once, and the ranks
-give the homology dimensions.  The invariant's character needs no further
-linear algebra.  By the Hopf trace formula a chain automorphism g has
-sum_i (-1)^i tr(g | C_i) = sum_i (-1)^i tr(g | H_i), so on homology that is
-one line in degree h, chi(g) = sum_i (-1)^(i+h) tr(g | C_i); on a monomial
-term that trace is the field sum of g's twists at the points g fixes.
+once per complex.  C(P) is k[X^P] with the submatrices d_i[X_{i-1}^P,
+X_i^P] as differentials (Broue), so the report reads the P-fixed points
+of each term and reduces each nonempty submatrix once; it builds no local
+module, map or complex.  By the Hopf trace formula a chain automorphism g
+has sum_i (-1)^i tr(g | C_i) = sum_i (-1)^i tr(g | H_i), so on homology
+that is one line in degree h, chi(g) = sum_i (-1)^(i+h) tr(g | C_i); on a
+monomial term that trace is the field sum of g's twists at the points g
+fixes.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ from .modules import (
     character_warning,
     direct_sum,
     dual,
+    fixed_basis_points,
     local_quotient,
     monomial_trace,
+    point_action,
     tensor,
     twist,
     zero_module,
@@ -59,7 +63,8 @@ class BoundedComplex:
     `diffs` holds the differentials given, and d o d = 0 is checked between
     given neighbours; `diff_at` makes the zero map of an absent one.
     Immutable after construction, down to the differentials' arrays.  The
-    endotriviality report is computed on first use and kept on the complex."""
+    nonzero homology dims and the endotriviality report are computed on
+    first use and kept on the complex."""
 
     def __init__(self, group: FiniteGroup, field: FqField, lo: int, modules, diffs):
         mods = tuple(modules) or (zero_module(group, field),)
@@ -78,7 +83,7 @@ class BoundedComplex:
                 raise PermchainError(f"d^2 != 0 between degrees {i} and {i - 2}")
         for d in own.values():
             d.matrix.a.setflags(write=False)
-        self.__dict__.update(group=group, field=field, lo=lo, hi=hi, mods=mods, _report=None)
+        self.__dict__.update(group=group, field=field, lo=lo, hi=hi, mods=mods, _homology=None, _report=None)
         self.__dict__["diffs"] = MappingProxyType(own)
 
     def __setattr__(self, name, value):
@@ -225,22 +230,14 @@ class ChainMap:
             or self.source.field != self.target.field
         ):
             raise IncompatibleHandles("chain map between incompatible complexes")
-        lo = min(self.source.lo, self.target.lo)
-        hi = max(self.source.hi, self.target.hi)
-        for i in range(lo, hi + 1):
-            fi = self.component(i)
-            fprev = self.component(i - 1)
-            lhs = self.target.diff_at(i).matrix @ fi.matrix
-            rhs = fprev.matrix @ self.source.diff_at(i).matrix
-            if lhs != rhs:
+        f, dS, dT = self.components, self.source.diffs, self.target.diffs
+        for i in sorted({i for i in f if i in dT} | {i + 1 for i in f if i + 1 in dS}):
+            # d_i f_i = f_{i-1} d_i, where a side with an absent factor is zero
+            lhs = dT[i].matrix @ f[i].matrix if i in f and i in dT else None
+            rhs = f[i - 1].matrix @ dS[i].matrix if i - 1 in f and i in dS else None
+            sides = [m for m in (lhs, rhs) if m is not None]
+            if not (sides[0] == sides[1] if len(sides) == 2 else sides[0].is_zero()):
                 raise NotChainMap(f"square at degree {i} does not commute")
-
-    def component(self, i: int) -> ModuleMap:
-        c = self.components.get(i)
-        if c is not None:
-            return c
-        s, t = self.source.module_at(i), self.target.module_at(i)
-        return ModuleMap(s, t, FqMatrix.zeros(self.source.field, t.dim, s.dim))
 
 
 def mapping_cone(f: ChainMap) -> BoundedComplex:
@@ -266,8 +263,8 @@ def mapping_cone(f: ChainMap) -> BoundedComplex:
         mat = FqMatrix.zeros(fld, cdst + ddst, csrc + dsrc)
         if cdst and csrc and n - 1 in C.diffs:
             mat.a[:cdst, :csrc] = (-C.diffs[n - 1].matrix).a
-        if ddst and csrc:
-            mat.a[cdst:, :csrc] = (-f.component(n - 1).matrix).a
+        if ddst and csrc and n - 1 in f.components:
+            mat.a[cdst:, :csrc] = (-f.components[n - 1].matrix).a
         if ddst and dsrc and n in D.diffs:
             mat.a[cdst:, csrc:] = D.diffs[n].matrix.a
         diffs[n] = mat
@@ -306,28 +303,37 @@ def homology(C: BoundedComplex) -> Dict[int, HomologyData]:
 
 
 def homology_dims(C: BoundedComplex) -> dict:
-    """Nonzero dim H_i = dim C_i - rank d_i - rank d_{i+1}, by degree."""
-    return reduce_differentials(C)[1]
+    """Nonzero dim H_i = dim C_i - rank d_i - rank d_{i+1}, by degree, as
+    the first `reduce_differentials` of C kept them."""
+    if C._homology is None:
+        reduce_differentials(C)
+    return dict(C._homology)
 
 
 def reduce_differentials(C: BoundedComplex):
     """The `rref` of each differential, by degree, and the nonzero homology
-    dims by rank; a caller that needs a kernel reads it off the first."""
+    dims by rank, kept on C; a caller that needs a kernel reads it off the
+    first."""
     reds = {i: rref(d.matrix) for i, d in C.diffs.items()}
-    rk = {i: r[1] for i, r in reds.items()}
-    dims = {i: C.module_at(i).dim - rk.get(i, 0) - rk.get(i + 1, 0) for i in C.degrees()}
-    return reds, {i: h for i, h in dims.items() if h}
+    dims = _dims_by_rank(C.lo, [M.dim for M in C.mods], {i: r[1] for i, r in reds.items()})
+    object.__setattr__(C, "_homology", MappingProxyType(dims))
+    return reds, dict(dims)
 
 
-def _line_character(C: BoundedComplex, h: int) -> list:
-    """The generators' values of the character on a one-dimensional H_h(C)
-    of a monomial complex, by the Hopf trace formula: chi(g) is the
-    alternating sum (-1)^(i+h) tr(g | C_i), each trace read off g's twists
-    (`monomial_trace`)."""
+def _dims_by_rank(lo: int, sizes, rk: dict) -> dict:
+    """Nonzero size_i - rank_i - rank_{i+1}, by degree i from lo."""
+    return {i: h for i, n in enumerate(sizes, lo) if (h := n - rk.get(i, 0) - rk.get(i + 1, 0))}
+
+
+def _line_character(C: BoundedComplex, h: int, P: Subgroup, pts) -> list:
+    """The character of N_G(P)/P on a one-dimensional H_h(C(P)), at its
+    generators, for the P-fixed points `pts` of each term: chi(g) is
+    sum_i (-1)^(i+h) tr(g | C(P)_i), read off the twists of g's lift at the
+    points it fixes (`monomial_trace`)."""
     signs = [-1 if (i + h) % 2 else 1 for i in C.degrees()]
     return [
-        monomial_trace(C.field, [(s, M.perms[k], M.twists[k]) for s, M in zip(signs, C.mods)])
-        for k in range(len(C.group.generators))
+        monomial_trace(C.field, [(s, *point_action(M, x, g)) for s, M, x in zip(signs, C.mods, pts)])
+        for g in local_quotient(P).generator_lifts()
     ]
 
 
@@ -339,7 +345,8 @@ class BrauerComplex:
     N_G(P)/P: the P-fixed basis points X_i^P of each term (`brauer_points`),
     with the local differentials the submatrices d_i[X_{i-1}^P, X_i^P].  At
     P = 1 every point is fixed and N_G(P)/P is G, so C(1) is C itself.  A
-    complex with a dense term raises."""
+    complex with a dense term raises.  The report reads the same points and
+    submatrices without building C(P)."""
 
     def __init__(self, C: BoundedComplex, P: Subgroup):
         self.ctx = local_quotient(P)
@@ -454,21 +461,32 @@ class EndotrivialReport:
 def endotrivial_report(C: BoundedComplex) -> EndotrivialReport:
     """Local homology must be one-dimensional and concentrated in a single
     degree at every conjugacy class of p-subgroups; when it is, the report
-    carries xi read off those local homologies.  Made once, kept on C."""
+    carries xi read off those local homologies.  Made once, kept on C.
+
+    The local checks need no rerun: N_G(P) permutes X^P with d's twists,
+    and a moved P-orbit O adds |O| equal terms to (d^2)(P), so that
+    (d^2)(P) = d(P)^2 = 0.  A dense term raises before any reduction."""
     if C._report is not None:
         return C._report
     character_warning(C.group, C.field)
     entries = {}
     violations = {}
     for P in C.group.lattice().p_class_reps(C.field.p):
-        bc = BrauerComplex(C, P)
-        degs = tuple(homology_dims(bc.complex).items())
+        pts = [fixed_basis_points(M, P) for M in C.mods]
+        if P.order == 1:
+            dims = homology_dims(C)
+        else:
+            sub = {i: d.matrix.a[np.ix_(pts[i - 1 - C.lo], pts[i - C.lo])] for i, d in C.diffs.items()}
+            rk = {i: rref(FqMatrix(C.field, a))[1] for i, a in sub.items() if a.size}
+            dims = _dims_by_rank(C.lo, [x.size for x in pts], rk)
+        degs = tuple(dims.items())
         if len(degs) != 1 or degs[0][1] != 1:
             violations[P.class_id] = degs
             continue
         h = degs[0][0]
-        values = _line_character(bc.complex, h)
-        entries[P.class_id] = XiEntry(P, h, Character(bc.complex.group, C.field, values), bc.ctx)
+        ctx = local_quotient(P)
+        char = Character(ctx.group, C.field, _line_character(C, h, P, pts))
+        entries[P.class_id] = XiEntry(P, h, char, ctx)
     inv = None if violations else XiInvariant(C.group, C.field, entries)
     object.__setattr__(C, "_report", EndotrivialReport(not violations, MappingProxyType(violations), inv))
     return C._report

@@ -249,7 +249,11 @@ class FiniteGroup:
         return self.lattice().generated_by(comms).elemset
 
     def abelianization_order(self) -> int:
-        return self.order // len(self.commutator_subgroup_elems())
+        """|G : [G, G]|, computed on first use and kept on G."""
+        got = self.__dict__.get("_abelianization_order")
+        if got is None:
+            got = self._abelianization_order = self.order // len(self.commutator_subgroup_elems())
+        return got
 
     def lattice(self) -> "SubgroupLattice":
         if self._lattice is None:
@@ -628,14 +632,23 @@ def mobius_columns(poset) -> list:
     {a: mu(poset[a], poset[b])} over the a with poset[a] <= poset[b], by
     increasing a.  Nothing is kept for the pairs that are not comparable.
 
-    One pass over the pairs finds each B's down-set, and Rota's recursion
+    B's down-set is the a < b outside the union of the bitsets, one per
+    element x not in B, of the members that hold x.  Rota's recursion
     mu(A, B) = -sum of mu(A, C) over A <= C < B adds up the columns of the
     C strictly inside B, which come before B.
     """
-    masks = [H.mask for H in poset]
+    holding = {}  # element -> bitset of the poset members that hold it
+    for a, H in enumerate(poset):
+        for x in H.elems:
+            holding[x] = holding.get(x, 0) | 1 << a
     cols = []
-    for b, m in enumerate(masks):
-        down = [a for a, x in enumerate(masks[:b]) if x & m == x]
+    for b, H in enumerate(poset):
+        outside = 0
+        for x, bits in holding.items():
+            if not H.mask >> x & 1:
+                outside |= bits
+        inside = format(~outside & ((1 << b) - 1), "b")[::-1]  # bit a is character a
+        down = [m.start() for m in re.finditer("1", inside)]
         col = dict.fromkeys(down, 0)
         for c in down:
             for a, v in cols[c].items():

@@ -26,10 +26,11 @@ from .groups import FiniteGroup, Quotient, Subgroup, is_p_power, mobius_columns,
 from .modules import (
     Character,
     KgModule,
-    brauer_points,
+    fixed_basis_points,
     local_quotient,
     monomial_trace,
     perm_module,
+    point_action,
     twist,
 )
 
@@ -213,28 +214,26 @@ def beta_direct(t: TrivialSourceElement) -> BetaTuple:
     and the F_q-trace function on N_G(P)/P, normalized by the sign, must be
     a character: unit values that the character with its values at the
     generators takes at every element.  Otherwise the element is rejected.
-    Each trace is read off the twists of the local terms
-    (`monomial_trace`).
+    Each local term is read off its P-fixed basis points, never built:
+    traces are a lift's twists at the points it fixes (`monomial_trace`).
     """
     G, f = t.group, t.field
     lat = G.lattice()
+    mods = [(coeff, t.module_for(char, sub)) for char, sub, coeff in t.items()]
     entries = {}
     for P in lat.p_class_reps(f.p):
         ctx = local_quotient(P)
         Q = ctx.group
-        vdim, terms = 0, []
-        for char, sub, coeff in t.items():
-            _, local = brauer_points(t.module_for(char, sub), P)
-            vdim += coeff * local.dim
-            terms.append((coeff, local))
+        terms = [(coeff, M, fixed_basis_points(M, P)) for coeff, M in mods]
+        vdim = sum(coeff * pts.size for coeff, _, pts in terms)
         if vdim not in (1, -1):
             raise NotUnitDimension(
                 f"virtual dimension {vdim} at a class of order {P.order}"
             )
         inv_eps = 1 if vdim == 1 else int(f.inv[f.neg[1]])
         rho = [
-            int(f.mul[inv_eps, monomial_trace(f, [(c, *M.elem_monomial(e)) for c, M in terms])])
-            for e in range(Q.order)
+            int(f.mul[inv_eps, monomial_trace(f, [(c, *point_action(M, pts, g)) for c, M, pts in terms])])
+            for g in ctx.lifts.tolist()
         ]
         if any(v == 0 for v in rho) or rho[Q.identity] != 1:
             raise NonCharacterTrace("trace vector has non-unit values")
@@ -323,15 +322,8 @@ def faithful_project(x: XiInvariant):
                 g = quot_S.lift(gbar)
                 acc = 1
                 for PQ, mu in joins:
-                    _, code = x.value_at(PQ, g)
-                    if mu >= 0:
-                        step = code
-                        k = mu
-                    else:
-                        step = int(f.inv[code])
-                        k = -mu
-                    for _ in range(k):
-                        acc = int(f.mul[acc, step])
+                    _, code = x.value_at(PQ, g)  # a unit: code^(q-1) = 1
+                    acc = int(f.mul[acc, (f.scalar(code) ** (mu % (f.q - 1))).code])
                 values.append(acc)
             char = Character(ctxbar.group, f, values)
             entries[Pbar.class_id] = XiEntry(Pbar, hval, char, ctxbar)

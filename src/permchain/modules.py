@@ -12,9 +12,10 @@ generator.  The dense matrices of a monomial module are built only when
 something asks for them.
 
 On a monomial basis X the Brauer construction at a p-subgroup P is k[X^P]:
-the points that P's permutations fix (`brauer_points`), a module over
-N_G(P)/P.  That group is `local_quotient(P)`, the quotient of the section
-N_G(P) of G by P, built from G's tables and kept on G; at P = 1 it is G.
+the points that P's permutations fix (`fixed_basis_points`), permuted by
+N_G(P)/P (`point_action`, `brauer_points`).  That group is
+`local_quotient(P)`, the quotient of the section N_G(P) of G by P, built
+from G's tables and kept on G; at P = 1 it is G.
 `brauer_quotient`, M^P modulo relative traces by linear algebra, has no
 caller in the package; the tests build their reference construction on
 it.  Syzygies, free summands and Hom spaces are in `syzygies`.
@@ -777,6 +778,25 @@ def brauer_quotient(M: KgModule, P: Subgroup) -> BrauerData:
     return BrauerData(mod, ctx, F, proj, section)
 
 
+def fixed_basis_points(M: KgModule, P: Subgroup) -> np.ndarray:
+    """X^P in increasing order: the basis points of a monomial M that P
+    fixes; none at a non-p-subgroup.  A dense module raises."""
+    if P.parent is not M.group:
+        raise IncompatibleHandles("Brauer points at a subgroup of another group")
+    _require_monomial(M)
+    fixed = np.full(M.dim, is_p_power(P.order, M.field.p))
+    for g in P.gens:
+        fixed &= M.elem_monomial(g)[0] == np.arange(M.dim)
+    return np.flatnonzero(fixed)
+
+
+def point_action(M: KgModule, pts: np.ndarray, g: int):
+    """(permutation, twists) of g in N_G(P) on k[X^P], the permutation by
+    positions in `pts`, the points of X^P."""
+    x, c = M.elem_monomial(g)
+    return np.searchsorted(pts, x[pts]), c[pts]
+
+
 def brauer_points(M: KgModule, P: Subgroup):
     """The Brauer construction of a monomial module by picking coordinates.
 
@@ -787,21 +807,13 @@ def brauer_points(M: KgModule, P: Subgroup):
     fixes; returns them and k[X^P] as a monomial module over N_G(P)/P.
     Non-p-subgroups give no points; a dense module raises.
     """
-    if P.parent is not M.group:
-        raise IncompatibleHandles("Brauer points at a subgroup of another group")
-    _require_monomial(M)
-    fixed = np.full(M.dim, is_p_power(P.order, M.field.p))
-    for g in P.gens:
-        fixed &= M.elem_monomial(g)[0] == np.arange(M.dim)
-    pts = np.flatnonzero(fixed)
-    local = np.zeros(M.dim, dtype=np.intp)
-    local[pts] = np.arange(pts.size)
+    pts = fixed_basis_points(M, P)
     ctx = local_quotient(P)
-    lifts = [M.elem_monomial(g) for g in ctx.generator_lifts()]
+    lifts = [point_action(M, pts, g) for g in ctx.generator_lifts()]
     return pts, KgModule(
         ctx.group,
         M.field,
-        perms=[local[x[pts]] for x, _ in lifts],
-        twists=[c[pts] for _, c in lifts],
+        perms=[x for x, _ in lifts],
+        twists=[c for _, c in lifts],
         check=False,
     )

@@ -10,7 +10,12 @@ centralizers elementwise, fixed-point dimensions by orbit counting, split
 detection by solving the splitting equation, naive matrix products by
 schoolbook scalar arithmetic, local characters from the homology modules
 `homology_at` builds and from one cycle outside the boundaries, read by
-row reduction (the report's own reading before the trace formula).  The
+row reduction (the report's own reading before the trace formula), and
+the report's reading before it read the fixed points in place: each local
+complex built and checked by `brauer_complex`, its differentials reduced
+and the trace formula read off its own generator actions.  The
+faithful decomposition's powers of character values by one multiplication
+at a time are here too.  The
 syzygy layer's loops from before `subquotient` and `orbit_map` are here
 too: one solve per generator for a subquotient's action, one column per
 element and generator image for a map out of a free module, and one rank
@@ -40,7 +45,18 @@ from permchain.modules import (
     twist,
 )
 from permchain.syzygies import hom_space_basis
-from permchain.complexes import BoundedComplex, brauer_complex, homology, homology_dims
+from permchain.complexes import (
+    BoundedComplex,
+    XiEntry,
+    XiInvariant,
+    brauer_complex,
+    homology,
+    homology_dims,
+    reduce_differentials,
+)
+from permchain.groups import mobius_columns, quotient
+from permchain.invariants import _preimage_subgroup
+from permchain.modules import local_quotient, monomial_trace
 from permchain.linalg import image_basis, quotient_space
 
 from module_reference import elem_mats, norm_matrix, scale
@@ -512,6 +528,28 @@ def one_cycle_reading(C: BoundedComplex):
     return violations, entries
 
 
+def brauer_complex_reading(C: BoundedComplex):
+    """(violations, {class_id: (h, character values)}) off the local
+    complexes that `brauer_complex` builds, each a checked `BoundedComplex`
+    over N_G(P)/P: dims from a fresh `reduce_differentials` of it, and the
+    character by the trace formula on its own generators' twists."""
+    violations, entries = {}, {}
+    for P in C.group.lattice().p_class_reps(C.field.p):
+        X = brauer_complex(C, P)
+        degs = tuple(reduce_differentials(X)[1].items())
+        if len(degs) != 1 or degs[0][1] != 1:
+            violations[P.class_id] = degs
+            continue
+        h = degs[0][0]
+        signs = [-1 if (i + h) % 2 else 1 for i in X.degrees()]
+        values = [
+            monomial_trace(X.field, [(s, M.perms[k], M.twists[k]) for s, M in zip(signs, X.mods)])
+            for k in range(len(X.group.generators))
+        ]
+        entries[P.class_id] = (h, values)
+    return violations, entries
+
+
 def homology_lefschetz(C: BoundedComplex) -> list:
     """Per generator g, sum_i (-1)^i tr(g | H_i(C)) in the field, from the
     matrices of the homology modules `homology` builds."""
@@ -648,3 +686,38 @@ def random_complex(rng, G: FiniteGroup, fld: FqField, max_len=4, max_dim=6):
         prev = total
         diffs[i] = total
     return BoundedComplex(G, fld, 0, mods, diffs)
+
+
+# -- the faithful decomposition by repeated multiplication -----------------------
+
+
+def faithful_project_by_loop(x: XiInvariant) -> list:
+    """`invariants.faithful_project` with each character value raised to
+    the power mu by |mu| multiplications (by its inverse when mu < 0)."""
+    G, f = x.group, x.field
+    lat = G.lattice()
+    poset = lat.normal_p_subgroups(f.p)
+    cols = mobius_columns(poset)
+    out = []
+    for s, S in enumerate(poset):
+        quot_S = quotient(G, S)
+        weights = [(Q, col[s]) for Q, col in zip(poset, cols) if col.get(s)]
+        entries = {}
+        for Pbar in quot_S.group.lattice().p_class_reps(f.p):
+            P = _preimage_subgroup(quot_S, Pbar)
+            ctxbar = local_quotient(Pbar)
+            joins = [(lat.join(P, Q), mu) for Q, mu in weights]
+            values = []
+            for gbar in ctxbar.generator_lifts():
+                g = quot_S.lift(gbar)
+                acc = 1
+                for PQ, mu in joins:
+                    code = x.value_at(PQ, g)[1]
+                    step = code if mu >= 0 else int(f.inv[code])
+                    for _ in range(abs(mu)):
+                        acc = int(f.mul[acc, step])
+                values.append(acc)
+            h = sum(mu * x.entries[PQ.class_id].h for PQ, mu in joins)
+            entries[Pbar.class_id] = XiEntry(Pbar, h, Character(ctxbar.group, f, values), ctxbar)
+        out.append((S, XiInvariant(quot_S.group, f, entries)))
+    return out

@@ -16,8 +16,13 @@ values are checked against the homology modules and against the earlier
 reading off one cycle outside the boundaries (`helpers.one_cycle_character`),
 and the formula itself against the traces on homology, on every local
 complex of the catalog and of tensor products, homology in several degrees
-included.  The report is checked to reduce each local differential once, to
-be made once and to be kept on its frozen complex.  The paper's identities
+included.  The report reads C(P) off the P-fixed points without building
+it: its violations, h-marks and characters are checked against the local
+complexes `brauer_complex` builds and checks (`helpers.brauer_complex_reading`),
+on the catalog, tensor products, cones, twists and random permutation
+complexes; it is checked to build no module, map or complex, to read the
+points of each class once, to reduce each nonempty local differential once,
+to be made once and to be kept on its frozen complex.  The paper's identities
 for tensor products, duals, shifts and twists are checked over the whole
 catalog and over tensor products of its entries.
 """
@@ -25,6 +30,8 @@ catalog and over tensor products of its entries.
 import dataclasses
 import json
 import warnings
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -56,20 +63,26 @@ from permchain.constructions import (
     build_entries,
     catalog_names,
     gamma_dihedral,
+    gamma_semidihedral,
 )
 from permchain.errors import PermchainError
 from permchain.ffield import GF
 from permchain.groups import catalog, group_from_spec
 from permchain.modules import (
+    KgModule,
+    ModuleMap,
     all_characters,
     brauer_points,
     direct_sum,
+    fixed_basis_points,
     perm_module,
     trivial_module,
     twist,
 )
 
 from helpers import (
+    random_complex,
+    brauer_complex_reading,
     homology_lefschetz,
     homology_module_reading,
     one_cycle_reading,
@@ -266,7 +279,7 @@ def test_rank_dims_off_endotrivial():
         assert_rank_dims(C)
 
 
-# -- one Brauer construction per p-subgroup class -------------------------------
+# -- one reading of the points per p-subgroup class -----------------------------
 
 
 @pytest.fixture
@@ -283,30 +296,53 @@ def brauer_builds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def point_readings(monkeypatch):
+    """Records the subgroup of every reading of P-fixed points the report
+    makes (`fixed_basis_points`, one per term and class)."""
+    read = []
+    original = complexes.fixed_basis_points
+
+    def counting(M, P):
+        read.append(P.elems)
+        return original(M, P)
+
+    monkeypatch.setattr(complexes, "fixed_basis_points", counting)
+    return read
+
+
+def _readings_per_class(C) -> list:
+    """Each p-subgroup class once per term of C, sorted as the fixtures are."""
+    return sorted(_class_reps(C) * len(C.mods))
+
+
 def copy_complex(C: BoundedComplex) -> BoundedComplex:
     """The same modules and differentials in a new complex, with no report."""
     return BoundedComplex(C.group, C.field, C.lo, C.mods, C.diffs)
 
 
-def test_verify_builds_each_class_once(brauer_builds):
-    """A fresh complex is examined once per class; its report is kept, so a
-    second verify builds nothing."""
+def test_verify_builds_each_class_once(point_readings, brauer_builds):
+    """A fresh complex is examined once per class, by one reading of the
+    points of each term; its report is kept, so a second verify reads
+    nothing.  No local complex is built."""
     for e in build_entries("gamma-D8") + build_entries("abelian-V4"):
         fresh = dataclasses.replace(e, complex=copy_complex(e.complex))
-        for want in (_class_reps(e.complex), []):
-            brauer_builds.clear()
+        for want in (_readings_per_class(e.complex), []):
+            point_readings.clear()
             rep, inv = fresh.verify()
             assert rep["endotrivial"] and inv is not None
-            assert sorted(brauer_builds) == want
+            assert sorted(point_readings) == want
+    assert brauer_builds == []
 
 
-def test_check_builds_each_class_once(tmp_path, capsys, brauer_builds):
+def test_check_builds_each_class_once(tmp_path, capsys, point_readings, brauer_builds):
     path = tmp_path / "gd8.json"
     assert main(["catalog", "build", "gamma-D8", "--out", str(path)]) == 0
-    brauer_builds.clear()
+    point_readings.clear()
     assert main(["check", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["endotrivial"] is True
-    assert sorted(brauer_builds) == _class_reps(build_entries("gamma-D8")[0].complex)
+    assert sorted(point_readings) == _readings_per_class(build_entries("gamma-D8")[0].complex)
+    assert brauer_builds == []
 
 
 def test_report_carries_xi_only_when_ok():
@@ -448,15 +484,23 @@ def chain_lefschetz(X: BoundedComplex) -> list:
     return out
 
 
+def line_character(C: BoundedComplex, h: int, P=None) -> list:
+    """The report's trace-formula reading at P (default 1), off the P-fixed
+    points of C's terms."""
+    P = P or C.group.lattice().trivial
+    return complexes._line_character(C, h, P, [fixed_basis_points(M, P) for M in C.mods])
+
+
 def assert_trace_formula(C: BoundedComplex) -> tuple:
-    """At every p-subgroup class, the twist sum the report reads (at h = 0,
-    the plain alternating sum) equals the alternating trace on the terms and
-    on the homology.  Returns whether some class had homology in several
-    degrees and whether some twist code was counted p or more times."""
+    """At every p-subgroup class, the twist sum the report reads off the
+    P-fixed points of C (at h = 0, the plain alternating sum) equals the
+    alternating trace on the terms and on the homology of C(P).  Returns
+    whether some class had homology in several degrees and whether some
+    twist code was counted p or more times."""
     several = reduced = False
     for P in C.group.lattice().p_class_reps(C.field.p):
         X = brauer_complex(C, P)
-        got = complexes._line_character(X, 0)
+        got = line_character(C, 0, P)
         assert got == chain_lefschetz(X) == homology_lefschetz(X)
         several |= len(homology_dims(X)) > 1
         reduced |= any(
@@ -511,22 +555,39 @@ def test_trace_formula_reduces_counts_mod_p():
     C = BoundedComplex(G, fld, 0, [M0, direct_sum([one] * 2)], {})
     assert signed_fixed_twists(C, 0) == {omega.values[0]: 2, 1: 1}
     assert homology_dims(C) == {0: 5, 1: 2}
-    assert complexes._line_character(C, 0)[0] == 1
+    assert line_character(C, 0)[0] == 1
     assert assert_trace_formula(C) == (True, True)
-    assert complexes._line_character(module_complex(M0), 0)[0] == 1
+    assert line_character(module_complex(M0), 0)[0] == 1
+
+
+def nonempty_local_differentials(C: BoundedComplex, P) -> int:
+    """The differentials of C(P) with a nonzero term on both sides."""
+    X = brauer_complex(C, P)
+    return sum(X.module_at(i).dim > 0 and X.module_at(i - 1).dim > 0 for i in X.diffs)
 
 
 @pytest.mark.parametrize("build", ["gD8", "gD8xgD8"])
 def test_report_reduces_each_local_differential_once(linalg_calls, build):
-    """The report's only row reductions are one per local differential:
-    the trace formula reads the characters with none."""
+    """The report's only row reductions are one per nonempty local
+    differential: the trace formula reads the characters with none."""
     g = build_entries("gamma-D8")[0].complex
     C = copy_complex(g if build == "gD8" else tensor_complex(g, g))
     reps = C.group.lattice().p_class_reps(C.field.p)
-    want = sum(len(brauer_complex(C, P).diffs) for P in reps)
+    want = sum(nonempty_local_differentials(C, P) for P in reps)
     before = linalg_calls["rref"]
     assert endotrivial_report(C).ok
     assert linalg_calls["rref"] - before == want
+
+
+def test_gamma_sd16_is_reduced_once(linalg_calls):
+    """`gamma_semidihedral` checks the homology of the cone it returns, and
+    the report reads those kept dims at P = 1: it reduces only the
+    nonempty local differentials at P > 1."""
+    G = gamma_semidihedral(4, GF(2))
+    want = sum(nonempty_local_differentials(G, P) for P in G.group.lattice().p_class_reps(2) if P.order > 1)
+    before = linalg_calls["rref"]
+    assert endotrivial_report(G).ok
+    assert linalg_calls["rref"] - before == want > 0
 
 
 def assert_one_solve(C: BoundedComplex):
@@ -581,3 +642,85 @@ def test_complex_cannot_be_rebound():
         C.mods[0] = C.mods[1]
     with pytest.raises(TypeError):
         C.diffs[C.lo + 1] = C.diffs[C.lo + 2]
+
+
+# -- the report's reading of the points against the local complexes --------------
+
+
+def assert_reading_matches_local_complexes(C: BoundedComplex):
+    """The report, read off the P-fixed points of C, gives the violations,
+    h-marks and characters that the local complexes `brauer_complex`
+    builds give; building them runs every local check (equivariance of
+    each local differential and d(P)^2 = 0) as an oracle."""
+    violations, entries = brauer_complex_reading(C)
+    rep = endotrivial_report(copy_complex(C))
+    assert rep.violations == violations
+    assert (rep.xi is not None) == rep.ok == (not violations)
+    if rep.ok:
+        assert {cid: (e.h, list(e.character.values)) for cid, e in rep.xi.entries.items()} == entries
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+def test_reading_matches_local_complexes_on_catalog(entry):
+    for C in variants(entry.complex):
+        assert_reading_matches_local_complexes(C)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(TENSOR_POOL))
+def test_reading_matches_local_complexes_on_tensor_products(pair):
+    a, b = pair
+    T = tensor_complex(a.complex, b.complex)
+    assert_reading_matches_local_complexes(T)
+    assert_reading_matches_local_complexes(zero_cone(T))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_reading_matches_local_complexes_on_cones_and_twists():
+    """The cases of `test_trace_formula_on_catalog_local_complexes`: cones
+    with local homology in two degrees, twists, and the permutation
+    complexes twisted by every character."""
+    for e in ENTRIES:
+        chars = [ch for ch in all_characters(e.group, e.field) if not ch.is_trivial()]
+        for C in [zero_cone(e.complex)] + [twist_complex(e.complex, ch) for ch in chars[:1]]:
+            assert_reading_matches_local_complexes(C)
+    for C in permutation_complexes():
+        for ch in all_characters(C.group, C.field):
+            assert_reading_matches_local_complexes(twist_complex(C, ch))
+
+
+_RANDOM_GROUPS = [
+    ("C2", 2), ("C4", 2), ("V4", 2), ("D8", 2), ("C6", 2), ("C3", 3), ("C6", 3), ("(0 1 2);(0 1)", 3),
+]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_RANDOM_GROUPS), st.integers(0, 2**32 - 1))
+def test_reading_matches_local_complexes_on_random_permutation_complexes(spec, seed):
+    name, p = spec
+    C = random_complex(np.random.default_rng(seed), group_from_spec(name), GF(p))
+    assert_reading_matches_local_complexes(C)
+    assert_reading_matches_local_complexes(shift(C, 1))
+
+
+@pytest.mark.parametrize("build", ["gD8", "gD8xgD8", "trunc-C9"])
+def test_report_builds_no_module_map_or_complex(monkeypatch, build):
+    """The report reads C(P) off the points: it constructs no `KgModule`,
+    no `ModuleMap` and no `BoundedComplex`, at P > 1 nor at P = 1."""
+    g = build_entries("gamma-D8")[0].complex
+    C = {"gD8": g, "gD8xgD8": tensor_complex(g, g), "trunc-C9": build_entries("trunc-C9")[0].complex}[build]
+    C = copy_complex(C)
+    made = []
+    for cls, name in ((KgModule, "__init__"), (ModuleMap, "__post_init__"), (BoundedComplex, "__init__")):
+        original = getattr(cls, name)
+
+        def counting(self, *args, _original=original, **kwargs):
+            made.append(type(self).__name__)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+    assert endotrivial_report(C).ok
+    assert made == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from permchain import cli
 from permchain.burnside import idempotent
 from permchain.cli import main
 from permchain.constructions import build_entries, catalog_names
@@ -213,6 +214,39 @@ def test_catalog_build_then_check_every_name(name, tmp_path, capsys):
                 assert rep["xi"] == ver["xi"]
             if cmd == "check":
                 assert rep["endotrivial"] is True and rep["beta"] == ver["beta"]
+
+
+def test_one_parser_gives_the_bytes_of_fresh_parsers(monkeypatch, capsys):
+    """`main` builds its parser once per process.  Different subcommands one
+    after another on it print the bytes, messages and exit codes that a
+    fresh parser per call gives, usage errors (exit 2) included."""
+
+    def runs() -> list:
+        out = []
+        for argv in (
+            ["group-info", "D8", "--json"],
+            ["catalog", "verify", "trunc-C2"],
+            ["burnside", "V4", "--json"],
+            ["catalog", "list"],
+            ["frobenius", "a4-example", "-q", "8"],
+            ["nonsense"],
+            ["group-info"],
+            ["catalog", "verify", "trunc-C4", "--json"],
+        ):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = ("exit", e.code)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = runs()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = runs()
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, 0, 0, 0, 2, ("exit", 2), ("exit", 2), 0]
+    assert "invalid choice: 'nonsense'" in shared[5][2]
 
 
 def test_catalog_verify_requires_name(capsys):

@@ -10,6 +10,7 @@ from permchain.complexes import (
     shift,
     tensor_complex,
     trivial_complex,
+    twist_complex,
     xi,
 )
 from permchain.constructions import a4_frobenius_example, all_entries, build_entries
@@ -45,6 +46,7 @@ from permchain.modules import (
     trivial_character,
 )
 
+from helpers import faithful_project_by_loop
 from module_reference import dense_trace_beta
 
 F2 = GF(2)
@@ -412,3 +414,21 @@ def test_preimage_subgroup_matches_elementwise_preimage(spec):
             below = set(Xbar.elems)
             assert P.elems == tuple(x for x in range(G.order) if quot.project(x) in below)
             assert P.order == Xbar.order * N.order and P.contains(N)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("entry", all_entries(), ids=lambda e: e.name)
+def test_faithful_project_powers_match_the_loop(entry):
+    """Each value raised to the power mu in one step, the exponent reduced
+    mod q - 1, is the value raised by |mu| multiplications: on every
+    catalog entry and its twists by every character."""
+    C = entry.complex
+    for D in [C] + [twist_complex(C, ch) for ch in all_characters(C.group, C.field)]:
+        x = xi(D)
+        got, want = faithful_project(x), faithful_project_by_loop(x)
+        assert [S for S, _ in got] == [S for S, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a == b
+            assert [(e.h, e.character.values) for _, e in sorted(a.entries.items())] == [
+                (e.h, e.character.values) for _, e in sorted(b.entries.items())
+            ]
