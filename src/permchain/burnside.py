@@ -134,10 +134,9 @@ def inverse_marks(G: FiniteGroup, v) -> BurnsideElement:
     if len(v) != len(L.class_reps):
         raise PermchainError("mark vector has the wrong length")
     total = [Fraction(0)] * len(L.class_reps)
-    for H, val in zip(L.class_reps, v):
+    for e, val in zip(idempotents(G), v):
         if not val:
             continue
-        e = idempotent(G, H)
         for i, c in enumerate(e.coeffs):
             total[i] += Fraction(val) * c
     norm = tuple(int(c) if c.denominator == 1 else c for c in total)

@@ -7,9 +7,10 @@ nonsense is worse than a loud failure in exact arithmetic.
 Homology dimensions come from ranks: dim C_i - rank d_i - rank d_{i+1}.
 `reduce_differentials` reduces each differential once and keeps the
 reductions, so a caller reads ranks and kernels off the same `rref`; the
-dims are kept on the complex.  A homology module (`homology_at`) is the
-subquotient cycles/boundaries that `syzygies.subquotient` builds, with
-explicit witnesses, so group actions on homology are computed exactly.
+dims are kept on the complex.  `homology_at` reads the action on the
+subquotient cycles/boundaries from `syzygies.subquotient`, one matrix per
+generator with explicit witnesses, so group actions on homology are
+computed exactly.
 `endotrivial_report` is the one pass over the p-subgroup classes, made
 once per complex.  C(P) is k[X^P] with the submatrices d_i[X_{i-1}^P,
 X_i^P] as differentials (Broue), so the report reads the P-fixed points
@@ -278,24 +279,27 @@ def mapping_cone(f: ChainMap) -> BoundedComplex:
 class HomologyData:
     """H_i = ker d_i / im d_{i+1} with an explicit ambient witness basis."""
 
-    module: KgModule
+    action: list  # one matrix per generator on the homology basis
     witness: FqMatrix  # C_i-coordinates of homology basis representatives
     cycles: FqMatrix
     projection: FqMatrix  # cycle coordinates -> homology coordinates
 
     @property
     def dim(self) -> int:
-        return self.module.dim
+        return self.witness.cols
 
 
 def homology_at(C: BoundedComplex, i: int) -> HomologyData:
+    """H_i(C) off the differentials C holds: an absent d_i makes every
+    vector a cycle, and an absent d_{i+1} gives no boundaries."""
     Mi = C.module_at(i)
     if Mi.dim == 0:
         e = FqMatrix.zeros(C.field, 0, 0)
-        return HomologyData(zero_module(C.group, C.field), e, e, e)
-    Z = kernel_basis(C.diff_at(i).matrix)
-    sq = subquotient(Mi, Z, image_basis(C.diff_at(i + 1).matrix))
-    return HomologyData(sq.module, sq.witness, Z, sq.projection)
+        return HomologyData([e] * len(C.group.generators), e, e, e)
+    d, up = C.diffs.get(i), C.diffs.get(i + 1)
+    Z = FqMatrix.identity(C.field, Mi.dim) if d is None else kernel_basis(d.matrix)
+    sq = subquotient(Mi, Z, None if up is None else image_basis(up.matrix))
+    return HomologyData(sq.action, sq.witness, Z, sq.projection)
 
 
 def homology(C: BoundedComplex) -> Dict[int, HomologyData]:
@@ -344,13 +348,12 @@ class BrauerComplex:
     """Degreewise Brauer construction of a complex of monomial modules, over
     N_G(P)/P: the P-fixed basis points X_i^P of each term (`brauer_points`),
     with the local differentials the submatrices d_i[X_{i-1}^P, X_i^P].  At
-    P = 1 every point is fixed and N_G(P)/P is G, so C(1) is C itself.  A
-    complex with a dense term raises.  The report reads the same points and
-    submatrices without building C(P)."""
+    P = 1 every point is fixed and N_G(P)/P is G, so C(1) is C itself.  The
+    report reads the same points and submatrices without building C(P)."""
 
     def __init__(self, C: BoundedComplex, P: Subgroup):
         self.ctx = local_quotient(P)
-        if P.order == 1 and all(M.perms is not None for M in C.mods):  # a dense term raises below
+        if P.order == 1:
             self.complex = C
             return
         pts, mods = zip(*(brauer_points(C.module_at(i), P) for i in C.degrees()))
@@ -465,7 +468,7 @@ def endotrivial_report(C: BoundedComplex) -> EndotrivialReport:
 
     The local checks need no rerun: N_G(P) permutes X^P with d's twists,
     and a moved P-orbit O adds |O| equal terms to (d^2)(P), so that
-    (d^2)(P) = d(P)^2 = 0.  A dense term raises before any reduction."""
+    (d^2)(P) = d(P)^2 = 0."""
     if C._report is not None:
         return C._report
     character_warning(C.group, C.field)

@@ -8,7 +8,7 @@ note.  Entries are verified by recomputation, never trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -229,7 +229,7 @@ def gamma_semidihedral(n: int, fld: FqField) -> BoundedComplex:
     reds, hdD = reduce_differentials(D)
     if set(hdD) != {4}:
         raise ConstructionFailure(f"tensor-square stage has homology {hdD}")
-    d4 = D.diff_at(4).matrix
+    d4 = D.diffs[4].matrix
     K = kernel_from_rref(*reds[4])
     D4 = D.module_at(4)
     chosen, _ = free_generators(D4, K)
@@ -379,7 +379,9 @@ def a4_frobenius_example(fld: FqField = None):
 # -- registry --------------------------------------------------------------------
 
 
-def _builders():
+@cache
+def _registry() -> dict:
+    """Registered name -> builder, made once per process."""
     F2 = GF(2)
     F3 = GF(3)
     reg = {}
@@ -404,38 +406,24 @@ def _builders():
     return reg
 
 
-_REGISTRY = None
-
-
 def catalog_names() -> list:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _builders()
-    return sorted(_REGISTRY)
+    return sorted(_registry())
 
 
-@lru_cache(maxsize=None)
+@cache
 def build_entries(name: str) -> tuple:
     """Entries for a registered name; family members resolve by their own
     names too (e.g. 'abelian-V4-res0' inside the 'abelian-V4' family)."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _builders()
-    if name in _REGISTRY:
-        built = _REGISTRY[name]()
+    reg = _registry()
+    if name in reg:
+        built = reg[name]()
         if isinstance(built, CatalogEntry):
             return (built,)
         return tuple(built)
-    for reg in _REGISTRY:
-        if name.startswith(reg + "-"):
-            hits = [e for e in build_entries(reg) if e.name == name]
+    for base in reg:
+        if name.startswith(base + "-"):
+            hits = [e for e in build_entries(base) if e.name == name]
             if hits:
                 return tuple(hits)
     raise UnknownCatalogName(f"unknown catalog entry {name!r}")
 
-
-def all_entries() -> list:
-    out = []
-    for name in catalog_names():
-        out.extend(build_entries(name))
-    return out

@@ -251,18 +251,6 @@ def beta_direct(t: TrivialSourceElement) -> BetaTuple:
 # -- Frobenius stability -------------------------------------------------------
 
 
-def frobenius_twist_beta(b: BetaTuple) -> BetaTuple:
-    """Replace each local character by its composite with the inverse field
-    automorphism; signs are untouched."""
-    entries = {
-        cid: BetaEntry(
-            e.subgroup, e.epsilon, e.character.frobenius_inverse_twist(), e.ctx
-        )
-        for cid, e in b.entries.items()
-    }
-    return BetaTuple(b.group, b.field, entries)
-
-
 def is_frobenius_stable(b: BetaTuple) -> bool:
     """After normalizing away the character at the trivial subgroup, every
     local character must take values in the prime field."""

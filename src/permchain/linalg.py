@@ -178,19 +178,6 @@ def vstack(mats) -> FqMatrix:
     return FqMatrix(mats[0].field, np.vstack([m.a for m in mats]))
 
 
-def block_diag(field: FqField, mats) -> FqMatrix:
-    mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = np.zeros((rows, cols), dtype=np.int16)
-    r = c = 0
-    for m in mats:
-        out[r : r + m.rows, c : c + m.cols] = m.a
-        r += m.rows
-        c += m.cols
-    return FqMatrix(field, out)
-
-
 _FLOAT_EXACT = 2 ** 53
 
 

@@ -2,14 +2,13 @@
 
 The paper's modules are twisted permutation modules: on their basis X
 every generator g acts monomially, g.e_j = c_j e_{pi(j)}, by a permutation
-pi of X and one twist code c_j per point.  `KgModule` stores exactly that
-for them, and sums, twists, duals, tensors, restriction and inflation are
-index arithmetic and lookups in the field's multiplication table.  So are
-the commutation check of a `ModuleMap` (rows against columns, both moved
-and scaled) and the action on a block of vectors.  Subquotients
-(homology modules, Brauer quotients) are dense: one exact matrix per
-generator.  The dense matrices of a monomial module are built only when
-something asks for them.
+pi of X and one twist code c_j per point.  `KgModule` stores exactly that,
+and sums, twists, duals, tensors, restriction and inflation are index
+arithmetic and lookups in the field's multiplication table.  So are the
+commutation check of a `ModuleMap` (rows against columns, both moved and
+scaled) and the action on a block of vectors.  A subquotient (a homology
+module, a Brauer quotient) is read as its action: one exact matrix per
+generator.
 
 On a monomial basis X the Brauer construction at a p-subgroup P is k[X^P]:
 the points that P's permutations fix (`fixed_basis_points`), permuted by
@@ -18,7 +17,7 @@ N_G(P)/P (`point_action`, `brauer_points`).  That group is
 from G's tables and kept on G; at P = 1 it is G.
 `brauer_quotient`, M^P modulo relative traces by linear algebra, has no
 caller in the package; the tests build their reference construction on
-it.  Syzygies, free summands and Hom spaces are in `syzygies`.
+it.  Syzygies and free summands are in `syzygies`.
 
 Direct-sum decompositions into twisted transitive permutation summands are
 construction provenance: they are attached when a constructor knows them
@@ -37,16 +36,7 @@ import numpy as np
 from .errors import IncompatibleHandles, NotNested, PermchainError
 from .ffield import FqField, FqScalar
 from .groups import FiniteGroup, Quotient, Subgroup, is_p_power, quotient
-from .linalg import (
-    FqMatrix,
-    block_diag,
-    hstack,
-    image_basis,
-    kernel_basis,
-    quotient_space,
-    solve_matrix,
-    vstack,
-)
+from .linalg import FqMatrix, hstack, image_basis, kernel_basis, quotient_space, solve_matrix, vstack
 
 
 # -- degree one characters ------------------------------------------------
@@ -207,102 +197,58 @@ class Summand(NamedTuple):
 
 
 class KgModule:
-    """A kG-module on the basis e_0, ..., e_{dim-1}, in one of two forms.
-
-    Monomial: for each generator g a permutation `perms[g]` of the basis
-    indices and one twist code per index, `twists[g]`, with
-    g.e_j = twists[g][j] e_{perms[g][j]}.  Twisted permutation modules and
-    every operation on them (sums, twists, duals, tensors, restriction,
-    inflation, Brauer points) have this form, and a labeled module is always
-    monomial.  Dense: one matrix per generator, for modules that are only
-    subquotients (homology modules, Brauer quotients); they have no Brauer
-    points.
+    """A kG-module on the basis e_0, ..., e_{dim-1}: for each generator g a
+    permutation `perms[g]` of the basis indices and one twist code per
+    index, `twists[g]`, with g.e_j = twists[g][j] e_{perms[g][j]}.
+    Twisted permutation modules and every operation on them (sums, twists,
+    duals, tensors, restriction, inflation, Brauer points) have this form.
 
     With `check=True`, labels are rebuilt from the orbits of the
     permutations (`_orbit_summands`): each summand must be one orbit in
     increasing order, labeled by its first point's stabilizer and twisted
-    by its character's values.
-
-    `gen_mats` and `elem_mat` give the matrices of either form.  On a
-    monomial module they are built from the permutations only when asked
-    for; `act`, `act_right`, `apply` and `elem_monomial` never build them.
+    by its character's values.  `act`, `act_right`, `apply` and
+    `elem_monomial` move and scale rows and columns; no matrix of the
+    action is built.
     """
 
-    __slots__ = (
-        "group", "field", "dim", "labels", "perms", "twists",
-        "_gen_mats", "_mono_cache", "_elem_cache", "_fixed_cache",
-    )
+    __slots__ = ("group", "field", "dim", "labels", "perms", "twists", "_mono_cache", "_fixed_cache")
 
-    def __init__(
-        self, group, field, gen_mats=None, labels=None, check=True, perms=None, twists=None
-    ):
+    def __init__(self, group, field, perms, twists, labels=None, check=True):
         self.group = group
         self.field = field
         ngens = len(group.generators)
-        if perms is None:
-            if gen_mats is None:
-                raise PermchainError("a module needs generator matrices or permutations")
-            self._gen_mats = tuple(gen_mats)
-            if len(self._gen_mats) != ngens:
-                raise PermchainError("one matrix per group generator required")
-            dims = {m.rows for m in self._gen_mats} | {m.cols for m in self._gen_mats}
-            if len(dims) > 1:
-                raise PermchainError("generator matrices must be square of equal size")
-            self.dim = self._gen_mats[0].rows if self._gen_mats else 0
-            self.perms = self.twists = self._mono_cache = None
-            self._elem_cache = {group.identity: FqMatrix.identity(field, self.dim)}
-        else:
-            self.perms = tuple(np.asarray(x, dtype=np.intp) for x in perms)
-            self.twists = tuple(np.asarray(c, dtype=np.int16) for c in twists)
-            if len(self.perms) != ngens or len(self.twists) != ngens:
-                raise PermchainError("one permutation and twist list per group generator required")
-            self.dim = len(self.perms[0]) if self.perms else 0
-            shapes = {x.shape for x in self.perms} | {c.shape for c in self.twists}
-            if shapes - {(self.dim,)}:
-                raise PermchainError("generator permutations must be of equal length")
-            self._gen_mats = None
-            ident = (np.arange(self.dim), np.ones(self.dim, dtype=np.int16))
-            self._mono_cache = {group.identity: ident}
-            self._elem_cache = {}
+        self.perms = tuple(np.asarray(x, dtype=np.intp) for x in perms)
+        self.twists = tuple(np.asarray(c, dtype=np.int16) for c in twists)
+        if len(self.perms) != ngens or len(self.twists) != ngens:
+            raise PermchainError("one permutation and twist list per group generator required")
+        self.dim = len(self.perms[0]) if self.perms else 0
+        shapes = {x.shape for x in self.perms} | {c.shape for c in self.twists}
+        if shapes - {(self.dim,)}:
+            raise PermchainError("generator permutations must be of equal length")
+        self._mono_cache = {group.identity: (np.arange(self.dim), np.ones(self.dim, dtype=np.int16))}
         self.labels = tuple(labels) if labels is not None else None
         self._fixed_cache = {}
-        if self.labels is not None:
-            if self.perms is None:
-                raise PermchainError("summand labels need a monomial module")
-            total = sum(len(s.indices) for s in self.labels)
-            if total != self.dim:
-                raise PermchainError("summand labels do not cover the basis")
+        if self.labels is not None and sum(len(s.indices) for s in self.labels) != self.dim:
+            raise PermchainError("summand labels do not cover the basis")
         if check:
             self._verify_relations()
             if self.labels is not None:
                 self._verify_labels()
-
-    @property
-    def gen_mats(self) -> tuple:
-        if self._gen_mats is None:
-            self._gen_mats = tuple(
-                _monomial_matrix(self.field, x, c) for x, c in zip(self.perms, self.twists)
-            )
-        return self._gen_mats
 
     def _verify_relations(self):
         """Relation check: each generator permutes the basis with unit
         twists, and the BFS word assignment is consistent, i.e. gen * elem
         lands on the action already assigned to the product."""
         G = self.group
-        for x, c in zip(self.perms or (), self.twists or ()):
+        for x, c in zip(self.perms, self.twists):
             if self.dim and (x.min() < 0 or (np.bincount(x, minlength=self.dim) != 1).any()):
                 raise PermchainError("generator images are not a permutation of the basis")
             if ((c <= 0) | (c >= self.field.q)).any():
                 raise PermchainError("twists must be unit codes")
         for gi, g in enumerate(G.gen_indices):
             for x in range(G.order):
-                if self.perms is None:
-                    ok = (self.gen_mats[gi] @ self.elem_mat(x)) == self.elem_mat(G.mul(g, x))
-                else:
-                    have = _compose(self.field, self._gen_monomial(gi), self.elem_monomial(x))
-                    ok = all(map(np.array_equal, have, self.elem_monomial(G.mul(g, x))))
-                if not ok:
+                have = _compose(self.field, self._gen_monomial(gi), self.elem_monomial(x))
+                if not all(map(np.array_equal, have, self.elem_monomial(G.mul(g, x)))):
                     raise PermchainError("generator matrices violate the group relations")
 
     def _verify_labels(self):
@@ -339,29 +285,14 @@ class KgModule:
         """Row e: the permutation of the basis by group element e."""
         return np.array([self.elem_monomial(e)[0] for e in range(self.group.order)])
 
-    def elem_mat(self, i: int) -> FqMatrix:
-        m = self._elem_cache.get(i)
-        if m is None:
-            if self.perms is not None:
-                m = _monomial_matrix(self.field, *self.elem_monomial(i))
-            else:
-                k, rest = word_steps(self.group)[i]
-                m = self.gen_mats[k] @ self.elem_mat(rest)
-            self._elem_cache[i] = m
-        return m
-
     def act(self, gi: int, X: FqMatrix) -> FqMatrix:
         """Generator gi applied to the columns of X."""
-        if self.perms is None:
-            return self._gen_mats[gi] @ X
         return _move_rows(self.field, *self._gen_monomial(gi), X)
 
     def act_right(self, X: FqMatrix, gi: int) -> FqMatrix:
         """X times the matrix of generator gi: column j of the product is
         column perms[gi][j] of X scaled by twists[gi][j], a unit code; if
         the largest is 1, the columns are only moved."""
-        if self.perms is None:
-            return X @ self._gen_mats[gi]
         cols = X.a[:, self.perms[gi]]
         tw = self.twists[gi]
         if self.field.q > 2 and tw.max(initial=1) > 1:
@@ -370,21 +301,16 @@ class KgModule:
 
     def apply(self, i: int, X: FqMatrix) -> FqMatrix:
         """Group element i applied to the columns of X."""
-        if self.perms is None:
-            return self.elem_mat(i) @ X
         return _move_rows(self.field, *self.elem_monomial(i), X)
 
     def fixed_points(self, P: Subgroup) -> FqMatrix:
-        """Column basis of the P-fixed subspace."""
+        """Column basis of the P-fixed subspace: the kernel of g - 1 stacked
+        over the generators g of P."""
         key = P.elems
         got = self._fixed_cache.get(key)
         if got is None:
-            if not P.gens:
-                got = FqMatrix.identity(self.field, self.dim)
-            else:
-                eye = FqMatrix.identity(self.field, self.dim)
-                stacked = vstack([self.elem_mat(g) - eye for g in P.gens])
-                got = kernel_basis(stacked)
+            eye = FqMatrix.identity(self.field, self.dim)
+            got = kernel_basis(vstack([self.apply(g, eye) - eye for g in P.gens])) if P.gens else eye
             self._fixed_cache[key] = got
         return got
 
@@ -414,12 +340,6 @@ def _compose(f: FqField, outer, inner):
     A(B e_j) = c_B[j] c_A[pi_B(j)] e_{pi_A(pi_B(j))}."""
     (perm, tw), (iperm, itw) = outer, inner
     return perm[iperm], f.mul[itw, tw[iperm]]
-
-
-def _monomial_matrix(f: FqField, perm, tw) -> FqMatrix:
-    a = np.zeros((len(perm), len(perm)), dtype=np.int16)
-    a[perm, np.arange(len(perm))] = tw
-    return FqMatrix(f, a)
 
 
 def _move_rows(f: FqField, perm, tw, X: FqMatrix) -> FqMatrix:
@@ -452,11 +372,6 @@ def _orbit_summands(M: KgModule, parts) -> list:
             stab = [g for g, x in enumerate(images) if x == t0]
             out.append(Summand(char, lat.subgroup(stab), tuple(sorted(set(images)))))
     return out
-
-
-def _require_monomial(*mods):
-    if any(m.perms is None for m in mods):
-        raise PermchainError("operation defined on monomial (twisted permutation) modules only")
 
 
 @dataclass
@@ -578,9 +493,6 @@ def direct_sum(mods) -> KgModule:
         if m.group is not G or m.field != f:
             raise IncompatibleHandles("direct sum over mixed groups or fields")
     gens = range(len(G.generators))
-    if any(m.perms is None for m in mods):
-        mats = [block_diag(f, [m.gen_mats[gi] for m in mods]) for gi in gens]
-        return KgModule(G, f, mats, labels=None, check=False)
     offsets = list(accumulate([m.dim for m in mods[:-1]], initial=0))
     perms = [np.concatenate([m.perms[gi] + o for m, o in zip(mods, offsets)]) for gi in gens]
     twists = [np.concatenate([m.twists[gi] for m in mods]) for gi in gens]
@@ -607,7 +519,6 @@ def twist(M: KgModule, char: Character) -> KgModule:
     """M tensored with k_char: every twist of generator g times char(g)."""
     if char.group is not M.group or char.field != M.field:
         raise IncompatibleHandles("twisting character on a different group or field")
-    _require_monomial(M)
     twists = [M.field.mul[c, v] for c, v in zip(M.twists, char.values)]
     return _relabel(M, twists, lambda x: x * char)
 
@@ -615,7 +526,6 @@ def twist(M: KgModule, char: Character) -> KgModule:
 def dual(M: KgModule) -> KgModule:
     """The dual action on the dual basis: the inverse transpose of
     c_j e_{pi(j)} keeps pi and inverts every twist."""
-    _require_monomial(M)
     return _relabel(M, [M.field.inv[c] for c in M.twists], Character.inverse)
 
 
@@ -628,7 +538,6 @@ def tensor(M: KgModule, N: KgModule) -> KgModule:
     """
     if M.group is not N.group or M.field != N.field:
         raise IncompatibleHandles("tensor over mixed groups or fields")
-    _require_monomial(M, N)
     G, f, n = M.group, M.field, N.dim
     perms = [(a[:, None] * n + b[None, :]).ravel() for a, b in zip(M.perms, N.perms)]
     twists = [f.mul[a[:, None], b[None, :]].ravel() for a, b in zip(M.twists, N.twists)]
@@ -649,8 +558,6 @@ def _elements_acting(M: KgModule, H: FiniteGroup, elems) -> KgModule:
     Labels are pulled back along the same map: each summand's character
     takes the value of its elems[i] at generator i, and its points split
     into H's orbits (`_orbit_summands`)."""
-    if M.perms is None:
-        return KgModule(H, M.field, [M.elem_mat(x) for x in elems], check=False)
     mono = [M.elem_monomial(x) for x in elems]
     R = KgModule(H, M.field, perms=[x for x, _ in mono], twists=[c for _, c in mono], check=False)
     if M.labels is not None:
@@ -684,17 +591,6 @@ def inflate(M: KgModule, quot: Quotient) -> KgModule:
     if quot.over.order != quot.source.order:
         raise IncompatibleHandles("inflation along a quotient of a proper subgroup")
     return _elements_acting(M, quot.source, [quot.project(g) for g in quot.source.gen_indices])
-
-
-def frobenius_twist_module(M: KgModule) -> KgModule:
-    """Scalar restriction along Frobenius: twists mapped by F^{-1}.
-
-    Permutation modules come back identical; twisting characters are
-    composed with the inverse automorphism.
-    """
-    _require_monomial(M)
-    table = _inverse_frobenius(M.field)
-    return _relabel(M, [table[c] for c in M.twists], Character.frobenius_inverse_twist)
 
 
 # -- fixed points, traces, Brauer construction ------------------------------
@@ -736,12 +632,13 @@ def local_quotient(P: Subgroup) -> Quotient:
 class BrauerData:
     """A Brauer quotient M(P) with its coordinate bookkeeping.
 
+    action: one matrix per generator of N_G(P)/P on M(P) (q x q)
     fixed: basis of M^P in ambient coordinates (dim x f)
     proj: M^P-coordinates -> M(P)-coordinates (q x f)
     section: one-sided inverse of proj (f x q)
     """
 
-    module: KgModule
+    action: list
     ctx: Quotient  # N_G(P)/P
     fixed: FqMatrix
     proj: FqMatrix
@@ -749,14 +646,13 @@ class BrauerData:
 
 
 def brauer_quotient(M: KgModule, P: Subgroup) -> BrauerData:
-    """M^P modulo all relative traces from maximal subgroups of P, as a
-    module over N_G(P)/P.  Non-p-subgroups give the zero module."""
+    """M^P modulo all relative traces from maximal subgroups of P, with
+    the action of N_G(P)/P on it.  Non-p-subgroups give the zero space."""
     G, f = M.group, M.field
     ctx = local_quotient(P)
     if not is_p_power(P.order, f.p):
-        zero = zero_module(ctx.group, f)
-        e = FqMatrix.zeros(f, M.dim, 0)
-        return BrauerData(zero, ctx, e, FqMatrix.zeros(f, 0, 0), FqMatrix.zeros(f, 0, 0))
+        e = FqMatrix.zeros(f, 0, 0)
+        return BrauerData([e] * len(ctx.group.generators), ctx, FqMatrix.zeros(f, M.dim, 0), e, e)
     F = M.fixed_points(P)
     lat = G.lattice()
     traced = []
@@ -774,16 +670,14 @@ def brauer_quotient(M: KgModule, P: Subgroup) -> BrauerData:
         if coords is None:
             raise PermchainError("normalizer action does not preserve fixed points")
         mats.append(proj @ coords)
-    mod = KgModule(ctx.group, f, mats, labels=None, check=False)
-    return BrauerData(mod, ctx, F, proj, section)
+    return BrauerData(mats, ctx, F, proj, section)
 
 
 def fixed_basis_points(M: KgModule, P: Subgroup) -> np.ndarray:
-    """X^P in increasing order: the basis points of a monomial M that P
-    fixes; none at a non-p-subgroup.  A dense module raises."""
+    """X^P in increasing order: the basis points of M that P fixes; none
+    at a non-p-subgroup."""
     if P.parent is not M.group:
         raise IncompatibleHandles("Brauer points at a subgroup of another group")
-    _require_monomial(M)
     fixed = np.full(M.dim, is_p_power(P.order, M.field.p))
     for g in P.gens:
         fixed &= M.elem_monomial(g)[0] == np.arange(M.dim)
@@ -805,7 +699,7 @@ def brauer_points(M: KgModule, P: Subgroup):
     fixes, and each orbit it moves spans k[P/Q], whose fixed vectors are
     traces from Q < P.  N_G(P) permutes the points every generator of P
     fixes; returns them and k[X^P] as a monomial module over N_G(P)/P.
-    Non-p-subgroups give no points; a dense module raises.
+    Non-p-subgroups give no points.
     """
     pts = fixed_basis_points(M, P)
     ctx = local_quotient(P)

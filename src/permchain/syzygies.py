@@ -1,19 +1,19 @@
-"""Syzygies, free summands and Hom spaces of kG-modules.
+"""Syzygies and free summands of kG-modules.
 
 A syzygy is a column span V inside the permutation module M it lives in,
 and the construction layer never leaves those modules.  `orbit_map(M, W)`
 is the only way to build a map out of a free module kG^r, the one sending
 the i-th free generator to W[:, i]: the projective covers and the
-inclusions of free summands.  `subquotient(M, V, W)` builds the dense
-module span(V)/span(W), for homology modules and test oracles only.
+inclusions of free summands.  `subquotient(M, V, W)` gives the action
+on span(V)/span(W), one matrix per generator, for homology modules and
+test oracles only.
 
 Over a p-group the group algebra is local and self-injective, with the
 norm element spanning the socle of the regular module.  `omega(M, V)`
 covers span(V) and gives the kernel inside the free module,
 `free_generators(M, V)` finds free generators among the norm images of the
 columns of V (splitting them off is a test oracle), and `relative_syzygy`
-is the kernel of k[G/H] -> k inside k[G/H].  `hom_space_basis` solves the
-equivariance equations of Hom_kG(M, N).
+is the kernel of k[G/H] -> k inside k[G/H].
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IncompatibleHandles, NotSubmodule, PermchainError, PGroupOnly
+from .errors import NotSubmodule, PermchainError, PGroupOnly
 from .ffield import FqField
 from .groups import FiniteGroup, Subgroup, is_p_power
 from .linalg import (
@@ -34,7 +34,6 @@ from .linalg import (
     quotient_space,
     rref,
     solve_matrix,
-    vstack,
 )
 from .modules import KgModule, ModuleMap, free_module, perm_module
 
@@ -43,15 +42,16 @@ from .modules import KgModule, ModuleMap, free_module, perm_module
 
 
 class Subquotient(NamedTuple):
-    module: KgModule      # span(V)/span(W), dense
+    action: list          # one matrix per generator on span(V)/span(W)
     witness: FqMatrix     # M-coordinates of representatives of its basis
     projection: FqMatrix  # V-coordinates -> quotient coordinates
 
 
 def subquotient(M: KgModule, V: FqMatrix, W: FqMatrix = None) -> Subquotient:
-    """The dense module span(V)/span(W), for homology and test oracles, of
-    G-stable column spans W <= V of M, V independent; W empty or omitted
-    gives span(V), with the identity projection.  One solve gives the action."""
+    """The action on span(V)/span(W), for homology and test oracles, of
+    G-stable column spans W <= V of M, V independent, as one matrix per
+    generator; W empty or omitted gives span(V), with the identity
+    projection.  One solve gives the action."""
     G, f = M.group, M.field
     quotient = W is not None and W.cols > 0
     if quotient:
@@ -65,8 +65,7 @@ def subquotient(M: KgModule, V: FqMatrix, W: FqMatrix = None) -> Subquotient:
         raise NotSubmodule("the span is not a submodule")
     if quotient:
         coords = proj @ coords
-    mats = [FqMatrix(f, a) for a in np.hsplit(coords.a, len(gens))]
-    return Subquotient(KgModule(G, f, mats, labels=None, check=False), witness, proj)
+    return Subquotient([FqMatrix(f, a) for a in np.hsplit(coords.a, len(gens))], witness, proj)
 
 
 def orbit_map(M: KgModule, W: FqMatrix) -> FqMatrix:
@@ -135,27 +134,3 @@ def relative_syzygy(G: FiniteGroup, H: Subgroup, field: FqField) -> SyzygyData:
     M = perm_module(G, H, field)
     K = kernel_basis(FqMatrix(field, np.ones((1, M.dim), dtype=np.int16)))
     return SyzygyData(K, M)
-
-
-# -- hom spaces --------------------------------------------------------------
-
-
-def hom_space_basis(M: KgModule, N: KgModule) -> list:
-    """Basis of Hom_kG(M, N) as matrices, via the equivariance equations."""
-    if M.group is not N.group or M.field != N.field:
-        raise IncompatibleHandles("hom space over mixed groups or fields")
-    f = M.field
-    if M.dim == 0 or N.dim == 0:
-        return []
-    eyeM = FqMatrix.identity(f, M.dim)
-    eyeN = FqMatrix.identity(f, N.dim)
-    blocks = []
-    for gi in range(len(M.gen_mats)):
-        lhs = N.gen_mats[gi].kron(eyeM)
-        rhs = eyeN.kron(M.gen_mats[gi].T)
-        blocks.append(lhs - rhs)
-    K = kernel_basis(vstack(blocks))
-    out = []
-    for j in range(K.cols):
-        out.append(FqMatrix(f, K.a[:, j].reshape(N.dim, M.dim).copy()))
-    return out

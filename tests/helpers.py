@@ -19,7 +19,12 @@ at a time are here too.  The
 syzygy layer's loops from before `subquotient` and `orbit_map` are here
 too: one solve per generator for a subquotient's action, one column per
 element and generator image for a map out of a free module, and one rank
-per column for the free generators.
+per column for the free generators.  Three helpers only the tests use
+are here as well: Hom spaces by one dense Kronecker solve on the
+generator matrices (`hom_space_basis`, which the random maps and
+differentials sample), every catalog entry in registry order
+(`all_entries`) and the Frobenius twist of a beta tuple
+(`frobenius_twist_beta`).
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from permchain.modules import (
     perm_module,
     twist,
 )
-from permchain.syzygies import hom_space_basis
 from permchain.complexes import (
     BoundedComplex,
     XiEntry,
@@ -54,12 +58,14 @@ from permchain.complexes import (
     homology_dims,
     reduce_differentials,
 )
+from permchain.constructions import build_entries, catalog_names
+from permchain.errors import IncompatibleHandles
 from permchain.groups import mobius_columns, quotient
-from permchain.invariants import _preimage_subgroup
+from permchain.invariants import BetaEntry, BetaTuple, _preimage_subgroup
 from permchain.modules import local_quotient, monomial_trace
 from permchain.linalg import image_basis, quotient_space
 
-from module_reference import elem_mats, norm_matrix, scale
+from module_reference import elem_mats, gen_mats, norm_matrix, scale
 
 
 # -- independent group-theory oracles ----------------------------------------
@@ -461,9 +467,9 @@ def _splitting_exists(fmap: ModuleMap) -> bool:
     eyen = FqMatrix.identity(fld, n)
     rows = []
     rhs = []
-    for gi in range(len(M.gen_mats)):
+    for a, b in zip(gen_mats(M), gen_mats(N)):
         # s A^N_g - A^M_g s = 0, vectorized row-major
-        rows.append(eyem.kron(N.gen_mats[gi].T) - M.gen_mats[gi].kron(eyen))
+        rows.append(eyem.kron(b.T) - a.kron(eyen))
         rhs.append(FqMatrix.zeros(fld, m * n, 1))
     rows.append(f.kron(f.T))
     rhs.append(FqMatrix(fld, f.a.reshape(-1, 1).copy()))
@@ -493,7 +499,7 @@ def homology_module_reading(C: BoundedComplex, local_complex=brauer_complex):
             violations[P.class_id] = degs
             continue
         (h, H), = local.items()
-        entries[P.class_id] = (h, [int(m.a[0, 0]) for m in H.module.gen_mats])
+        entries[P.class_id] = (h, [int(m.a[0, 0]) for m in H.action])
     return violations, entries
 
 
@@ -552,14 +558,14 @@ def brauer_complex_reading(C: BoundedComplex):
 
 def homology_lefschetz(C: BoundedComplex) -> list:
     """Per generator g, sum_i (-1)^i tr(g | H_i(C)) in the field, from the
-    matrices of the homology modules `homology` builds."""
+    actions `homology` reads."""
     f = C.field
     hom = homology(C)
     out = []
     for gi in range(len(C.group.generators)):
         total = 0
         for i, H in hom.items():
-            for v in np.diagonal(H.module.gen_mats[gi].a).tolist():
+            for v in np.diagonal(H.action[gi].a).tolist():
                 total = int(f.sub[total, v] if i % 2 else f.add[total, v])
         out.append(total)
     return out
@@ -609,6 +615,40 @@ def greedy_free_generators(M: KgModule):
             images = image_basis(trial)
             chosen.append(j)
     return chosen, images
+
+
+# -- Hom spaces, the catalog, Frobenius twists --------------------------------------
+
+
+def hom_space_basis(M, N) -> list:
+    """Basis of Hom_kG(M, N) as matrices, via the equivariance equations
+    on the generator matrices, stacked and solved as one dense Kronecker
+    system."""
+    if M.group is not N.group or M.field != N.field:
+        raise IncompatibleHandles("hom space over mixed groups or fields")
+    f = M.field
+    if M.dim == 0 or N.dim == 0:
+        return []
+    eyeM = FqMatrix.identity(f, M.dim)
+    eyeN = FqMatrix.identity(f, N.dim)
+    blocks = [b.kron(eyeM) - eyeN.kron(a.T) for a, b in zip(gen_mats(M), gen_mats(N))]
+    K = kernel_basis(vstack(blocks))
+    return [FqMatrix(f, K.a[:, j].reshape(N.dim, M.dim).copy()) for j in range(K.cols)]
+
+
+def all_entries() -> list:
+    """Every catalog entry, the registry's names in order."""
+    return [e for name in catalog_names() for e in build_entries(name)]
+
+
+def frobenius_twist_beta(b: BetaTuple) -> BetaTuple:
+    """Replace each local character by its composite with the inverse field
+    automorphism; signs are untouched."""
+    entries = {
+        cid: BetaEntry(e.subgroup, e.epsilon, e.character.frobenius_inverse_twist(), e.ctx)
+        for cid, e in b.entries.items()
+    }
+    return BetaTuple(b.group, b.field, entries)
 
 
 # -- random generators ------------------------------------------------------------

@@ -6,7 +6,8 @@ matrix: each pivot of `rref` does two table lookups over every entry,
 (non-BLAS) matmul, and `kron` scales one block at a time.  The functions
 built on top (`kernel_basis` and the rest) are the per-entry loops they
 replaced.  Slow, but simple enough to read off as correct; property tests
-compare the library's field kernels with it.
+compare the library's field kernels with it.  `block_diag`, the matrices
+of a dense direct sum, is here for the dense module oracles.
 """
 
 from __future__ import annotations
@@ -139,3 +140,15 @@ def complete_to_basis(B: FqMatrix, V: FqMatrix = None) -> list:
     aug = FqMatrix(B.field, np.hstack([B.a, extra]))
     _, _, pivots = rref(aug)
     return [pc - B.cols for pc in pivots if pc >= B.cols]
+
+
+def block_diag(field, mats) -> FqMatrix:
+    """The block diagonal matrix of `mats`, in order: the dense direct sum."""
+    mats = list(mats)
+    out = np.zeros((sum(m.rows for m in mats), sum(m.cols for m in mats)), dtype=np.int16)
+    r = c = 0
+    for m in mats:
+        out[r : r + m.rows, c : c + m.cols] = m.a
+        r += m.rows
+        c += m.cols
+    return FqMatrix(field, out)

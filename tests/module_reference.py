@@ -1,5 +1,16 @@
 """Dense reference constructions for kG-modules.
 
+`DenseModule` is the dense module form, one matrix per generator, that
+`permchain.modules.KgModule` no longer has: every module the package builds
+is monomial.  It has the interface the package's readers use (`dim`,
+`act`, `act_right`, `apply`, `fixed_points`, no labels), so the oracles
+below run dense modules through the package's `ModuleMap`,
+`BoundedComplex`, `brauer_quotient` and `homology_at`.  Those readers, and
+`trace_map` and `solve_matrix` under them, stay in the package although no
+package path calls them, because the benchmark's tracer (`TARGETS` in
+`perfbench/tracing.py`) names them; they can move here once ROADMAP item
+6 retires the tracer.  `gen_mats` and `elem_mat` give the matrices of either form.
+
 These build every module operation from dense generator matrices, the way
 `permchain.modules` did before modules carried their monomial action: the
 Kronecker product for tensors, scaling for twists, the inverse transpose
@@ -42,7 +53,6 @@ from permchain.groups import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup, is_p_powe
 from permchain.invariants import BetaEntry, BetaTuple
 from permchain.linalg import (
     FqMatrix,
-    block_diag,
     complete_to_basis,
     hstack,
     image_basis,
@@ -51,18 +61,91 @@ from permchain.linalg import (
     rank,
     rref,
     solve_matrix,
+    vstack,
 )
 from permchain.modules import (
     BrauerData,
     Character,
     KgModule,
     ModuleMap,
+    Summand,
     brauer_points,
     brauer_quotient,
     free_module,
     local_quotient,
+    word_steps,
 )
 from permchain.syzygies import free_generators, orbit_map, subquotient
+
+from linalg_reference import block_diag
+
+
+class DenseModule:
+    """A kG-module on the basis e_0, ..., e_{dim-1} given by one matrix per
+    generator, element matrices composed along the group's words.  With
+    `check=True` the matrices must be square of one size and satisfy the
+    group's relations."""
+
+    labels = None
+
+    def __init__(self, group, field, mats, check=False):
+        self.group, self.field = group, field
+        self.gen_mats = tuple(mats)
+        if len(self.gen_mats) != len(group.generators):
+            raise PermchainError("one matrix per group generator required")
+        self.dim = self.gen_mats[0].rows
+        self._elem = {group.identity: FqMatrix.identity(field, self.dim)}
+        if check:
+            if {m.shape for m in self.gen_mats} != {(self.dim, self.dim)}:
+                raise PermchainError("generator matrices must be square of equal size")
+            for gi, g in enumerate(group.gen_indices):
+                for x in range(group.order):
+                    if self.gen_mats[gi] @ self.elem_mat(x) != self.elem_mat(group.mul(g, x)):
+                        raise PermchainError("generator matrices violate the group relations")
+
+    def elem_mat(self, i: int) -> FqMatrix:
+        m = self._elem.get(i)
+        if m is None:
+            k, rest = word_steps(self.group)[i]
+            m = self._elem[i] = self.gen_mats[k] @ self.elem_mat(rest)
+        return m
+
+    def act(self, gi: int, X: FqMatrix) -> FqMatrix:
+        return self.gen_mats[gi] @ X
+
+    def act_right(self, X: FqMatrix, gi: int) -> FqMatrix:
+        return X @ self.gen_mats[gi]
+
+    def apply(self, i: int, X: FqMatrix) -> FqMatrix:
+        return self.elem_mat(i) @ X
+
+    def fixed_points(self, P) -> FqMatrix:
+        """The kernel of g - 1 stacked over the generators g of P."""
+        eye = FqMatrix.identity(self.field, self.dim)
+        return kernel_basis(vstack([self.elem_mat(g) - eye for g in P.gens])) if P.gens else eye
+
+
+def monomial_matrix(f, perm, tw) -> FqMatrix:
+    """The matrix of g.e_j = tw[j] e_{perm[j]}: tw[j] at (perm[j], j)."""
+    a = np.zeros((len(perm), len(perm)), dtype=np.int16)
+    a[perm, np.arange(len(perm))] = tw
+    return FqMatrix(f, a)
+
+
+def gen_mats(M) -> list:
+    """The generator matrices of M: a `DenseModule`'s own, a `KgModule`'s
+    from its permutations and twists."""
+    if isinstance(M, DenseModule):
+        return list(M.gen_mats)
+    return [monomial_matrix(M.field, x, c) for x, c in zip(M.perms, M.twists)]
+
+
+def elem_mat(M, i: int) -> FqMatrix:
+    """The matrix of group element i on M, a `KgModule`'s from the
+    permutation and twists of i (`elem_monomial`)."""
+    if isinstance(M, DenseModule):
+        return M.elem_mat(i)
+    return monomial_matrix(M.field, *M.elem_monomial(i))
 
 
 def scale(A: FqMatrix, code: int) -> FqMatrix:
@@ -70,32 +153,38 @@ def scale(A: FqMatrix, code: int) -> FqMatrix:
     return FqMatrix(A.field, A.field.mul[A.a, int(code)])
 
 
-def dense_copy(M: KgModule) -> KgModule:
+def dense_copy(M) -> DenseModule:
     """M as a dense module: its generator matrices, no labels."""
-    return KgModule(M.group, M.field, M.gen_mats, labels=None, check=False)
+    return DenseModule(M.group, M.field, gen_mats(M))
 
 
-def elem_mats(M: KgModule) -> list:
+def brauer_module(bd: BrauerData) -> DenseModule:
+    """The Brauer quotient M(P) as a dense module over N_G(P)/P."""
+    return DenseModule(bd.ctx.group, bd.fixed.field, bd.action)
+
+
+def elem_mats(M) -> list:
     """Every element's matrix, by products of generator matrices along the
     group's BFS words."""
-    G = M.group
+    G, mats = M.group, gen_mats(M)
     out = [None] * G.order
     out[G.identity] = FqMatrix.identity(M.field, M.dim)
     for i in sorted(range(G.order), key=lambda j: len(G.words[j])):
         w = G.words[i]
         if w:
             rest = G.mul(G.inv(G.gen_indices[w[0]]), i)
-            out[i] = M.gen_mats[w[0]] @ out[rest]
+            out[i] = mats[w[0]] @ out[rest]
     return out
 
 
 def direct_sum_mats(mods) -> list:
     G, f = mods[0].group, mods[0].field
-    return [block_diag(f, [m.gen_mats[gi] for m in mods]) for gi in range(len(G.generators))]
+    mats = [gen_mats(m) for m in mods]
+    return [block_diag(f, [m[gi] for m in mats]) for gi in range(len(G.generators))]
 
 
-def twist_mats(M: KgModule, char) -> list:
-    return [scale(m, v) for m, v in zip(M.gen_mats, char.values)]
+def twist_mats(M, char) -> list:
+    return [scale(m, v) for m, v in zip(gen_mats(M), char.values)]
 
 
 def dual_mats(M: KgModule) -> list:
@@ -104,8 +193,8 @@ def dual_mats(M: KgModule) -> list:
     return [mats[G.inv(g)].T for g in G.gen_indices]
 
 
-def tensor_mats(M: KgModule, N: KgModule) -> list:
-    return [a.kron(b) for a, b in zip(M.gen_mats, N.gen_mats)]
+def tensor_mats(M, N) -> list:
+    return [a.kron(b) for a, b in zip(gen_mats(M), gen_mats(N))]
 
 
 def restrict_mats(M: KgModule, Hgrp) -> list:
@@ -118,12 +207,30 @@ def inflate_mats(M: KgModule, quot) -> list:
     return [mats[quot.project(g)] for g in quot.source.gen_indices]
 
 
-def frobenius_mats(M: KgModule) -> list:
-    f = M.field
+def _inverse_frobenius_table(f) -> np.ndarray:
+    """The inverse Frobenius automorphism of F_q, x -> x^p n - 1 times, by code."""
     table = np.arange(f.q, dtype=np.int16)
     for _ in range(f.n - 1):
         table = f.frob[table]
-    return [FqMatrix(f, table[m.a]) for m in M.gen_mats]
+    return table
+
+
+def frobenius_mats(M) -> list:
+    table = _inverse_frobenius_table(M.field)
+    return [FqMatrix(M.field, table[m.a]) for m in gen_mats(M)]
+
+
+def frobenius_twist_module(M: KgModule) -> KgModule:
+    """Scalar restriction along Frobenius: twists mapped by F^{-1}.
+    Permutation modules come back identical; twisting characters are
+    composed with the inverse automorphism."""
+    table = _inverse_frobenius_table(M.field)
+    labels = None
+    if M.labels is not None:
+        labels = tuple(
+            Summand(s.character.frobenius_inverse_twist(), s.subgroup, s.indices) for s in M.labels
+        )
+    return KgModule(M.group, M.field, M.perms, [table[c] for c in M.twists], labels=labels, check=False)
 
 
 class CosetQuotient(NamedTuple):
@@ -200,11 +307,10 @@ def brauer_points_dense(M: KgModule, P, lifts, pgens, p_power: bool):
     return pts, local
 
 
-def commutes_dense(source: KgModule, target: KgModule, matrix: FqMatrix) -> bool:
+def commutes_dense(source, target, matrix: FqMatrix) -> bool:
     """The dense commutation check: A^T_g F == F A^S_g for every generator."""
     return all(
-        (target.gen_mats[gi] @ matrix) == (matrix @ source.gen_mats[gi])
-        for gi in range(len(source.group.generators))
+        (t @ matrix) == (matrix @ s) for s, t in zip(gen_mats(source), gen_mats(target))
     )
 
 
@@ -214,8 +320,8 @@ def summand_perm_action(M: KgModule, s):
     entry equal to the summand's character value inside the summand."""
     pos = {t: k for k, t in enumerate(s.indices)}
     perms = []
-    for gi in range(len(M.group.generators)):
-        a = M.gen_mats[gi].a
+    for gi, m in enumerate(gen_mats(M)):
+        a = m.a
         want = s.character.values[gi]
         img = []
         for t in s.indices:
@@ -287,14 +393,11 @@ def brauer_quotient_map(fmap: ModuleMap, P, src: BrauerData = None, dst: BrauerD
         src = brauer_quotient(fmap.source, P)
     if dst is None:
         dst = brauer_quotient(fmap.target, P)
-    if src.module.dim == 0 or dst.module.dim == 0:
-        return ModuleMap(
-            src.module,
-            dst.module,
-            FqMatrix.zeros(fmap.source.field, dst.module.dim, src.module.dim),
-        )
-    carried = fmap.matrix @ lift(src, FqMatrix.identity(fmap.source.field, src.module.dim))
-    return ModuleMap(src.module, dst.module, push(dst, carried))
+    M, N = brauer_module(src), brauer_module(dst)
+    if M.dim == 0 or N.dim == 0:
+        return ModuleMap(M, N, FqMatrix.zeros(fmap.source.field, N.dim, M.dim))
+    carried = fmap.matrix @ lift(src, FqMatrix.identity(fmap.source.field, M.dim))
+    return ModuleMap(M, N, push(dst, carried))
 
 
 def is_split_injective(fmap: ModuleMap) -> bool:
@@ -319,7 +422,7 @@ def is_split_surjective(fmap: ModuleMap) -> bool:
 def vertex_classes(M: KgModule) -> list:
     """Class representatives P with M(P) nonzero."""
     lat = M.group.lattice()
-    return [P for P in lat.p_class_reps(M.field.p) if brauer_quotient(M, P).module.dim != 0]
+    return [P for P in lat.p_class_reps(M.field.p) if brauer_module(brauer_quotient(M, P)).dim != 0]
 
 
 def trace_quotient_complex(C: BoundedComplex, P) -> BoundedComplex:
@@ -331,7 +434,7 @@ def trace_quotient_complex(C: BoundedComplex, P) -> BoundedComplex:
         for i in range(C.lo + 1, C.hi + 1)
     }
     group = local_quotient(P).group
-    return BoundedComplex(group, C.field, C.lo, [d.module for d in datas], diffs)
+    return BoundedComplex(group, C.field, C.lo, [brauer_module(d) for d in datas], diffs)
 
 
 def dense_trace_beta(t) -> BetaTuple:
@@ -350,7 +453,7 @@ def dense_trace_beta(t) -> BetaTuple:
             vdim += coeff * local.dim
             cmod = coeff % f.p
             for e in range(Q.order):
-                tr = local.elem_mat(e).trace().code if local.dim else 0
+                tr = elem_mat(local, e).trace().code if local.dim else 0
                 tracesum[e] = int(f.add[tracesum[e], f.mul[tr, cmod]])
         if vdim not in (1, -1):
             raise NotUnitDimension(f"virtual dimension {vdim} at a class of order {P.order}")
@@ -378,7 +481,7 @@ def _require_p_group(M: KgModule):
 def norm_matrix(M: KgModule) -> FqMatrix:
     total = None
     for g in range(M.group.order):
-        m = M.elem_mat(g)
+        m = elem_mat(M, g)
         total = m if total is None else total + m
     return total
 
@@ -394,12 +497,12 @@ def free_rank(M: KgModule) -> int:
 def radical_basis(M: KgModule) -> FqMatrix:
     """Basis of rad M = span{(g-1)m} over the generators."""
     eye = FqMatrix.identity(M.field, M.dim)
-    cols = hstack([m - eye for m in M.gen_mats])
+    cols = hstack([m - eye for m in gen_mats(M)])
     return image_basis(cols)
 
 
 class DenseOmega(NamedTuple):
-    module: KgModule     # the kernel of the cover
+    module: DenseModule  # the kernel of the cover
     cover: ModuleMap     # free module -> M, a projective cover
     inclusion: FqMatrix  # kernel basis inside the free module
 
@@ -419,7 +522,7 @@ def dense_omega(M: KgModule) -> DenseOmega:
     if rk != M.dim:
         raise PermchainError("cover is not surjective")
     K = kernel_from_rref(R, rk, pivots)
-    return DenseOmega(subquotient(free, K).module, cover, K)
+    return DenseOmega(DenseModule(G, f, subquotient(free, K).action), cover, K)
 
 
 class SplitFree(NamedTuple):
@@ -459,7 +562,7 @@ def split_free_summand(M: KgModule) -> SplitFree:
         raise PermchainError("failed to dualize the norm images")
     lamT = lam.T  # r x dim with lamT @ U = I_r
     # row i*|G| + g of rho is row i of lamT g^{-1}
-    blocks = [(lamT @ M.elem_mat(G.inv(g))).a for g in range(G.order)]
+    blocks = [(lamT @ elem_mat(M, G.inv(g))).a for g in range(G.order)]
     rho = FqMatrix(f, np.stack(blocks, axis=1).reshape(r * G.order, M.dim))
     S = rho @ incl
     Sinv = solve_matrix(S, FqMatrix.identity(f, r * G.order))
@@ -467,4 +570,4 @@ def split_free_summand(M: KgModule) -> SplitFree:
         raise PermchainError("free summand retraction is singular")
     retraction = Sinv @ rho
     C = kernel_basis(retraction)
-    return SplitFree(r, free, incl, subquotient(M, C).module, C, retraction)
+    return SplitFree(r, free, incl, DenseModule(G, f, subquotient(M, C).action), C, retraction)

@@ -8,7 +8,8 @@ complex itself.  The oracle is the trace-quotient construction of
 induced map, with the local homology read from homology modules.  Both must
 give the same violations and the same invariant xi, on the catalog, on
 restrictions and local complexes of it (which carry no labels), and on
-tensor products; a dense complex has no Brauer points and raises.
+tensor products.  The package builds no dense module, and the trace
+readers give the same homology actions on a complex and on its dense copy.
 
 The report reads each local character by the Hopf trace formula: the
 alternating sum of the twists at the points each generator fixes.  Its
@@ -59,20 +60,18 @@ from permchain.complexes import (
 )
 from permchain.constructions import (
     abelian_generators,
-    all_entries,
     build_entries,
     catalog_names,
     gamma_dihedral,
     gamma_semidihedral,
 )
-from permchain.errors import PermchainError
 from permchain.ffield import GF
 from permchain.groups import catalog, group_from_spec
+from permchain.linalg import FqMatrix
 from permchain.modules import (
     KgModule,
     ModuleMap,
     all_characters,
-    brauer_points,
     direct_sum,
     fixed_basis_points,
     perm_module,
@@ -81,6 +80,7 @@ from permchain.modules import (
 )
 
 from helpers import (
+    all_entries,
     random_complex,
     brauer_complex_reading,
     homology_lefschetz,
@@ -88,7 +88,7 @@ from helpers import (
     one_cycle_reading,
     per_generator_homology_action,
 )
-from module_reference import dense_copy, trace_quotient_complex
+from module_reference import gen_mats, trace_quotient_complex
 
 ENTRIES = all_entries()
 ENTRY_IDS = [e.name for e in ENTRIES]
@@ -221,21 +221,14 @@ def test_points_match_trace_quotients_on_restrictions_and_local_complexes():
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_dense_complex_over_p_prime_group_raises():
     """C3 over F2 has no p-subgroup but 1, where the local complex is the
-    complex itself; a dense term still raises there."""
+    complex itself.  A term given by generator matrices is refused where
+    it would be made: `KgModule` takes permutations and twists only."""
     G = group_from_spec("(0 1 2)")
-    with pytest.raises(PermchainError, match="monomial"):
-        endotrivial_report(module_complex(dense_copy(trivial_module(G, GF(2)))))
-
-
-def test_dense_complex_has_no_brauer_points():
-    C = build_entries("trunc-C2")[0].complex
-    diffs = {i: d.matrix for i, d in C.diffs.items()}
-    C = BoundedComplex(C.group, C.field, C.lo, [dense_copy(M) for M in C.mods], diffs)
-    M = C.module_at(1)
-    with pytest.raises(PermchainError, match="monomial"):
-        brauer_points(M, M.group.lattice().trivial)
-    with pytest.raises(PermchainError, match="monomial"):
-        endotrivial_report(C)
+    with pytest.raises(TypeError):
+        KgModule(G, GF(2), [FqMatrix.identity(GF(2), 1)])
+    C = module_complex(trivial_module(G, GF(2)))
+    assert brauer_complex(C, G.lattice().trivial) is C
+    assert endotrivial_report(C).ok
 
 
 def _tensor_pool(max_dim=400):
@@ -478,7 +471,7 @@ def chain_lefschetz(X: BoundedComplex) -> list:
     for gi in range(len(X.group.generators)):
         total = 0
         for i, M in zip(X.degrees(), X.mods):
-            for v in M.gen_mats[gi].a.diagonal().tolist():
+            for v in gen_mats(M)[gi].a.diagonal().tolist():
                 total = int(f.sub[total, v] if i % 2 else f.add[total, v])
         out.append(total)
     return out
@@ -597,7 +590,7 @@ def assert_one_solve(C: BoundedComplex):
     locals_ = [brauer_complex(C, P) for P in C.group.lattice().p_class_reps(C.field.p)]
     for X in [C] + locals_:
         for i in X.degrees():
-            assert list(homology_at(X, i).module.gen_mats) == per_generator_homology_action(X, i)
+            assert homology_at(X, i).action == per_generator_homology_action(X, i)
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)

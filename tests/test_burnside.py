@@ -102,6 +102,22 @@ def test_product_via_marks_is_integral():
         )
 
 
+def test_products_read_the_idempotents_kept_on_the_group(monkeypatch):
+    """`inverse_marks` takes e_H from `idempotents(G)`: two products on a
+    fresh D8 make one `idempotent` per class in all, and give the marks."""
+    from permchain import burnside
+
+    calls = []
+    real = burnside.idempotent
+    monkeypatch.setattr(burnside, "idempotent", lambda G, H: calls.append(H.class_id) or real(G, H))
+    G = group_from_spec("(0 1 2 3);(0 2)")
+    reps = G.lattice().class_reps
+    a, b, c = (basis_element(G, H) for H in reps[1:4])
+    for x, y in ((a, b), (b, c)):
+        assert marks(x * y) == tuple(u * v for u, v in zip(marks(x), marks(y)))
+    assert sorted(calls) == list(range(len(reps)))
+
+
 def test_units_c2():
     C2 = catalog("C2")
     units = burnside_units(C2)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from permchain import complexes
 from permchain.complexes import (
     BoundedComplex,
     ChainMap,
@@ -11,6 +12,7 @@ from permchain.complexes import (
     dual_complex,
     endotrivial_report,
     homology,
+    homology_at,
     homology_dims,
     homotopy_equivalent_endotrivial,
     is_endotrivial,
@@ -42,6 +44,7 @@ from permchain.modules import (
     regular_module,
     trivial_module,
 )
+from permchain.syzygies import Subquotient
 
 from helpers import random_complex, random_hom
 
@@ -120,7 +123,8 @@ def test_homology_cyclic_truncation():
     C = _cyclic_truncation("C9", GF(3))
     assert homology_dims(C) == {2: 1}
     hd = homology(C)
-    assert hd[2].module.dim == 1 and hd[0].dim == 0 and hd[1].dim == 0
+    assert hd[2].dim == 1 and hd[0].dim == 0 and hd[1].dim == 0
+    assert [m.shape for m in hd[2].action] == [(1, 1)]
 
 
 def test_homology_contractible():
@@ -479,6 +483,35 @@ def test_chain_map_into_complex_without_differentials_is_fast():
     norm = ModuleMap(k, D.module_at(0), FqMatrix(F2, np.ones((D.module_at(0).dim, 1), dtype=np.int16)))
     ChainMap(module_complex(k), D, {0: norm})
     assert time.perf_counter() - t < 0.2
+
+
+def test_homology_reads_absent_differentials_as_they_are(monkeypatch):
+    """[G/1]^512 over D8 in degrees 0 and 1, no differential: H_0 takes
+    every vector as a cycle and no boundaries, and makes no zero map (the
+    checked 4096-square zero maps took 0.6 s each).  The subquotient solve
+    is recorded, not run."""
+    obj = {
+        "group": "D8",
+        "field": {"p": 2, "n": 1},
+        "lo": 0,
+        "modules": {str(i): "[G/1]^512" for i in range(2)},
+        "differentials": {},
+    }
+    C = complex_from_obj(obj)
+    maps, spans = [], []
+    init = ModuleMap.__post_init__
+
+    def recorded(M, V, W=None):
+        spans.append((M, V, W))
+        return Subquotient(None, None, None)
+
+    monkeypatch.setattr(ModuleMap, "__post_init__", lambda self: maps.append(self) or init(self))
+    monkeypatch.setattr(complexes, "subquotient", recorded)
+    eye = FqMatrix.identity(F2, 4096)
+    for i in (0, 1):
+        assert homology_at(C, i).cycles is spans[-1][1]
+        assert spans[-1] == (C.module_at(i), eye, None)
+    assert maps == []
 
 
 # -- compatibilities ------------------------------------------------------------------------

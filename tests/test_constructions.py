@@ -10,7 +10,6 @@ from permchain.complexes import (
 from permchain.constructions import (
     a4_frobenius_example,
     abelian_generators,
-    all_entries,
     build_entries,
     catalog_names,
     entry_gamma_semidihedral,

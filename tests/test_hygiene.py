@@ -3,8 +3,12 @@ that module, and no module imports another's private (underscore) name.
 Names a package re-exports through its `__all__` count as used.  Every
 name a function stores it also reads, unless the name starts with `_`.
 The names the benchmark's tracer hooks into exist, and only `modules`
-names the trace-quotient Brauer construction among them.  Importing the
-package sets BLAS to one thread unless the environment chose a number."""
+names the trace-quotient Brauer construction among them.  Modules have
+one form: no module names the dense form's members or asks whether a
+module's `perms` is None.  Every top-level function and class is reached
+from outside its own definition, or is on a list of API names with a
+reason.  Importing the package sets BLAS to one thread unless the
+environment chose a number."""
 
 import ast
 import importlib.util
@@ -157,6 +161,131 @@ def names_in(path: Path) -> set:
 )
 def test_one_brauer_construction(path):
     assert sorted(names_in(path) & BRAUER_BY_TRACES) == []
+
+
+# The dense module form, one matrix per generator, that `KgModule` no longer
+# has; `tests/module_reference.py` keeps it as `DenseModule`.
+DENSE_FORM = {"gen_mats", "elem_mat", "_monomial_matrix", "_require_monomial"}
+
+
+def _name_of(node):
+    """The name a node binds or reads: a variable, an attribute, an
+    imported name, a definition, a parameter or a keyword argument."""
+    for field in ("id", "attr", "name", "arg"):
+        value = getattr(node, field, None)
+        if isinstance(value, str):
+            return value.split(".")[-1]
+    return None
+
+
+def dense_form_uses(source: str) -> list:
+    """Each name of `DENSE_FORM` and each comparison of a `perms` with
+    None in the source, by line."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if _name_of(node) in DENSE_FORM:
+            out.append(f"{_name_of(node)} (line {node.lineno})")
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(_name_of(x) == "perms" for x in sides) and any(
+                isinstance(x, ast.Constant) and x.value is None for x in sides
+            ):
+                out.append(f"perms against None (line {node.lineno})")
+    return sorted(out)
+
+
+def test_dense_form_uses_are_found():
+    src = (
+        "from .modules import _monomial_matrix\n"
+        "def f(M, gen_mats=None, perms=()):\n"
+        "    if M.perms is None or None != perms:\n"
+        "        return M.elem_mat(0)\n"
+        "    return M.perms, perms[0] is None, _require_monomial\n"
+    )
+    assert dense_form_uses(src) == [
+        "_monomial_matrix (line 1)",
+        "_require_monomial (line 5)",
+        "elem_mat (line 4)",
+        "gen_mats (line 2)",
+        "perms against None (line 3)",
+        "perms against None (line 3)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_module_form(path):
+    assert dense_form_uses(path.read_text()) == []
+
+
+def _uses(tree) -> set:
+    """Every name read, attribute and imported name in an AST."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+            out.add(_name_of(node))
+    return out
+
+
+def unreached_definitions(sources: dict, exported: set, outside: set) -> list:
+    """`module.name` for each top-level function and class of the modules in
+    `sources` (module name -> source) whose name no other module uses, its
+    own module uses only inside its own definition, and neither `exported`
+    nor `outside` holds."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    out = []
+    for name, tree in trees.items():
+        others = set().union(*(_uses(t) for m, t in trees.items() if m != name))
+        for d in tree.body:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                own = set().union(*(_uses(x) for x in tree.body if x is not d))
+                if d.name not in others | own | exported | outside:
+                    out.append(f"{name}.{d.name}")
+    return sorted(out)
+
+
+def test_unreached_definitions_are_found():
+    sources = {
+        "a": (
+            "def used(): pass\ndef alone():\n    return alone()\n"
+            "class Exported: pass\ndef _benched(): pass\n"
+        ),
+        "b": "from .a import used\ndef f():\n    return used() + g()\ndef g(): pass\n",
+    }
+    assert unreached_definitions(sources, {"Exported"}, {"_benched"}) == ["a.alone", "b.f"]
+
+
+# Top-level names that nothing in the package, `permchain.__all__` or the
+# benchmark reaches, kept as API: name -> reason.
+API_ONLY = {
+    "basis_element": "the transitive basis element [G/H] of B(G)",
+    "homology": "every homology_at of a complex, by degree",
+    "brauer_complex": "the one constructor of C(P) as a complex",
+    "is_endotrivial": "the verdict of endotrivial_report",
+    "homotopy_equivalent_endotrivial": "the paper's criterion: equal xi",
+    "restrict_complex": "restriction of a complex, as inflate_complex inflates",
+    "faithful_project": "the faithful decomposition of xi (ROADMAP item 9)",
+    "faithful_assemble": "the faithful decomposition of xi (ROADMAP item 9)",
+    "is_faithful_invariant": "the faithful decomposition of xi (ROADMAP item 9)",
+    "parse_module_literal": "reads one module literal, as format_module writes one",
+    "coset_list": "the cosets of G/H that k[G/H] has as its basis",
+}
+
+
+def constants_and_uses(path: Path) -> set:
+    """The names a file uses and the strings it holds, as a tracer names
+    the attributes it wraps."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return _uses(tree) | strings
+
+
+def test_every_definition_is_reached():
+    import permchain
+
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    outside = set().union(*(constants_and_uses(p) for p in sorted(PERFBENCH.glob("*.py"))))
+    got = unreached_definitions(sources, set(permchain.__all__), outside)
+    assert sorted(n.split(".")[1] for n in got) == sorted(API_ONLY)
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

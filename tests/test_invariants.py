@@ -13,7 +13,7 @@ from permchain.complexes import (
     twist_complex,
     xi,
 )
-from permchain.constructions import a4_frobenius_example, all_entries, build_entries
+from permchain.constructions import a4_frobenius_example, build_entries
 from permchain.errors import (
     IncompatibleHandles,
     NonCharacterTrace,
@@ -30,7 +30,6 @@ from permchain.invariants import (
     beta_from_xi,
     faithful_assemble,
     faithful_project,
-    frobenius_twist_beta,
     is_faithful_invariant,
     is_frobenius_stable,
     is_orthogonal_unit_pgroup,
@@ -46,8 +45,8 @@ from permchain.modules import (
     trivial_character,
 )
 
-from helpers import faithful_project_by_loop
-from module_reference import dense_trace_beta
+from helpers import all_entries, faithful_project_by_loop, frobenius_twist_beta
+from module_reference import DenseModule, dense_trace_beta
 
 F2 = GF(2)
 F3 = GF(3)
@@ -95,7 +94,7 @@ def test_lefschetz_cyclic_truncation_cancels():
 def test_lefschetz_unlabeled_rejected():
     from permchain.complexes import homology_at
     e = build_entries("trunc-C4")[0]
-    H = homology_at(e.complex, 2).module  # carries no labels
+    H = DenseModule(e.group, e.field, homology_at(e.complex, 2).action)  # carries no labels
     with pytest.raises(UnlabeledComponent):
         lefschetz(module_complex(H, 0))
 

@@ -17,7 +17,6 @@ from permchain.modules import (
     direct_sum,
     dual,
     free_module,
-    frobenius_twist_module,
     inflate,
     one_dim_module,
     perm_module,
@@ -29,9 +28,10 @@ from permchain.modules import (
     trivial_module,
     twist,
 )
-from permchain.syzygies import hom_space_basis, omega, relative_syzygy, subquotient
+from permchain.syzygies import omega, relative_syzygy, subquotient
 
 from helpers import (
+    hom_space_basis,
     oracle_orbit_count,
     oracle_split_injective,
     oracle_split_surjective,
@@ -39,9 +39,13 @@ from helpers import (
     random_labeled_module,
 )
 from module_reference import (
+    DenseModule,
+    brauer_module,
     brauer_quotient_map,
     fixed_points,
     free_rank,
+    frobenius_twist_module,
+    gen_mats,
     is_split_injective,
     is_split_surjective,
     module_check_labels,
@@ -93,7 +97,7 @@ def test_perm_module_basics():
     M = perm_module(G, Hb, F2)
     assert M.dim == 4
     # a acts as a 4-cycle on the cosets
-    a_mat = M.gen_mats[0].a
+    a_mat = gen_mats(M)[0].a
     perm = [int(np.nonzero(a_mat[:, j])[0][0]) for j in range(4)]
     seen, j, steps = {0}, perm[0], 1
     while j != 0:
@@ -105,12 +109,15 @@ def test_perm_module_basics():
 
 
 def test_module_relation_validation():
+    """The relations of C4 on a module and on the dense oracle: w has
+    order 3, so a^4 = 1 fails; an action of order 2 factors through C2."""
     G = catalog("C4")
-    bad = [FqMatrix(F4, [[2]])]  # w has order 3; a^4 = 1 fails
-    with pytest.raises(PermchainError):
-        KgModule(G, F4, bad)
-    # an order-2 matrix is fine for C4: the action factors through C2
-    ok = KgModule(G, F2, [FqMatrix.from_int_rows(F2, [[1, 1], [0, 1]])])
+    with pytest.raises(PermchainError, match="relations"):
+        KgModule(G, F4, [[0]], [[2]])
+    assert KgModule(G, F2, [[1, 0]], [[1, 1]]).dim == 2
+    with pytest.raises(PermchainError, match="relations"):
+        DenseModule(G, F4, [FqMatrix(F4, [[2]])], check=True)
+    ok = DenseModule(G, F2, [FqMatrix.from_int_rows(F2, [[1, 1], [0, 1]])], check=True)
     assert ok.dim == 2
 
 
@@ -119,9 +126,9 @@ def test_twist_and_one_dim():
     w = [c for c in all_characters(C3, F4) if not c.is_trivial()][0]
     kw = one_dim_module(w)
     assert kw.dim == 1
-    assert kw.gen_mats[0].a[0, 0] == w.values[0]
+    assert gen_mats(kw)[0].a[0, 0] == w.values[0]
     tw = twist(trivial_module(C3, F4), w)
-    assert tw.gen_mats[0] == kw.gen_mats[0]
+    assert gen_mats(tw) == gen_mats(kw)
 
 
 def test_dual_of_perm_is_perm():
@@ -130,7 +137,7 @@ def test_dual_of_perm_is_perm():
     M = perm_module(G, L.generated_by([G.element_by_word("b")]), F2)
     D = dual(M)
     # inverse-transpose of a permutation matrix is the matrix itself
-    assert all(D.gen_mats[i] == M.gen_mats[i] for i in range(2))
+    assert gen_mats(D) == gen_mats(M)
 
 
 def test_tensor_free_rank():
@@ -226,20 +233,24 @@ def test_trace_transitivity():
 # -- Brauer construction -----------------------------------------------------------
 
 
+def brauer_dim(M, P) -> int:
+    """dim M(P), read off the action `brauer_quotient` gives."""
+    return brauer_module(brauer_quotient(M, P)).dim
+
+
 def test_brauer_perm_dims():
     for name in ("D8", "Q8"):
         G = catalog(name)
         L = G.lattice()
         for P in L.p_class_reps(2):
             M = perm_module(G, P, F2)
-            bd = brauer_quotient(M, P)
-            assert bd.module.dim == L.normalizer(P).order // P.order
+            assert brauer_dim(M, P) == L.normalizer(P).order // P.order
 
 
 def test_brauer_regular_at_c2_vanishes():
     C2 = catalog("C2")
     R = regular_module(C2, F2)
-    assert brauer_quotient(R, C2.lattice().full).module.dim == 0
+    assert brauer_dim(R, C2.lattice().full) == 0
 
 
 def test_brauer_at_trivial_is_identity():
@@ -247,9 +258,8 @@ def test_brauer_at_trivial_is_identity():
     L = G.lattice()
     M = perm_module(G, L.generated_by([G.element_by_word("b")]), F2)
     bd = brauer_quotient(M, L.trivial)
-    assert bd.module.dim == M.dim
-    assert bd.module.group is G
-    assert all(bd.module.gen_mats[i] == M.gen_mats[i] for i in range(2))
+    assert bd.ctx.group is G
+    assert bd.action == gen_mats(M)
 
 
 def test_brauer_non_p_subgroup_vanishes():
@@ -257,7 +267,7 @@ def test_brauer_non_p_subgroup_vanishes():
     L = G.lattice()
     C3 = [H for H in L.class_reps if H.order == 3][0]
     M = perm_module(G, L.trivial, F2)
-    assert brauer_quotient(M, C3).module.dim == 0
+    assert brauer_dim(M, C3) == 0
 
 
 def test_brauer_maximal_subgroups_suffice():
@@ -405,7 +415,8 @@ def test_omega_q8_dims():
         om = omega(M, V)
         K = om.inclusion
         dims.append(K.cols)
-        assert free_rank(subquotient(om.cover.source, K).module) == 0  # minimality of the cover
+        Q8K = DenseModule(Q8, F2, subquotient(om.cover.source, K).action)
+        assert free_rank(Q8K) == 0  # minimality of the cover
         assert rank(om.cover.matrix) == (M.dim if V is None else V.cols)
         M, V = om.cover.source, K
     assert dims == [7, 9, 7, 1]
@@ -448,10 +459,10 @@ def test_split_free_summand():
     L = G.lattice()
     for P in L.p_class_reps(2):
         got = (
-            brauer_quotient(sf2.free, P).module.dim
-            + brauer_quotient(sf2.complement, P).module.dim
+            brauer_dim(sf2.free, P)
+            + brauer_dim(sf2.complement, P)
         )
-        assert got == brauer_quotient(M2, P).module.dim
+        assert got == brauer_dim(M2, P)
 
 
 def test_relative_syzygy():
@@ -460,7 +471,7 @@ def test_relative_syzygy():
     assert relative_syzygy(G, L.full, F2).inclusion.cols == 0
     d = relative_syzygy(G, L.trivial, F2)
     assert d.inclusion.cols == 1
-    assert subquotient(d.ambient, d.inclusion).module.gen_mats[0] == FqMatrix.identity(F2, 1)  # trivial action
+    assert subquotient(d.ambient, d.inclusion).action == [FqMatrix.identity(F2, 1)]  # trivial action
     SD = catalog("SD16")
     LS = SD.lattice()
     H = [P for P in LS.p_class_reps(2) if P.order == 2 and not P.is_normal][0]
@@ -517,16 +528,12 @@ def test_frobenius_twist_module():
     G = catalog("A4")
     L = G.lattice()
     M = perm_module(G, L.class_reps[1], F4)
-    assert all(
-        frobenius_twist_module(M).gen_mats[i] == M.gen_mats[i] for i in range(2)
-    )
+    assert gen_mats(frobenius_twist_module(M)) == gen_mats(M)
     w = [c for c in all_characters(G, F4) if not c.is_trivial()][0]
     kw = one_dim_module(w)
     tw = frobenius_twist_module(kw)
-    assert tw.gen_mats[0].a[0, 0] == (w * w).values[0]  # w -> w^2 over F4
-    assert all(
-        frobenius_twist_module(tw).gen_mats[i] == kw.gen_mats[i] for i in range(2)
-    )
+    assert gen_mats(tw)[0].a[0, 0] == (w * w).values[0]  # w -> w^2 over F4
+    assert gen_mats(frobenius_twist_module(tw)) == gen_mats(kw)
 
 
 # -- local dimension identities ------------------------------------------------------
@@ -541,9 +548,9 @@ def test_brauer_tensor_multiplicative():
         N = random_labeled_module(rng, G, F2, max_summands=2)
         T = tensor(M, N)
         for P in L.p_class_reps(2):
-            dm = brauer_quotient(M, P).module.dim
-            dn = brauer_quotient(N, P).module.dim
-            assert brauer_quotient(T, P).module.dim == dm * dn
+            dm = brauer_dim(M, P)
+            dn = brauer_dim(N, P)
+            assert brauer_dim(T, P) == dm * dn
 
 
 def test_brauer_dual_dimension():
@@ -555,7 +562,7 @@ def test_brauer_dual_dimension():
         D = dual(M)
         for P in L.p_class_reps(2):
             assert (
-                brauer_quotient(M, P).module.dim == brauer_quotient(D, P).module.dim
+                brauer_dim(M, P) == brauer_dim(D, P)
             )
 
 
@@ -566,14 +573,14 @@ def test_brauer_iterated():
     Z = L.generated_by([G.element_by_word("a^2")])
     M = perm_module(G, L.generated_by([G.element_by_word("b")]), F2)
     bd = brauer_quotient(M, Z)
-    inner = bd.module  # over N(Z)/Z = G/Z
+    inner = brauer_module(bd)  # over N(Z)/Z = G/Z
     Li = inner.group.lattice()
     for P in L.p_class_reps(2):
         if not P.contains(Z):
             continue
         img = Li.subgroup({bd.ctx.project(x) for x in P.elems})
-        lhs = brauer_quotient(M, P).module.dim
-        rhs = brauer_quotient(inner, img).module.dim
+        lhs = brauer_dim(M, P)
+        rhs = brauer_dim(inner, img)
         assert lhs == rhs
 
 
@@ -585,7 +592,7 @@ def test_brauer_conjugation_invariant():
     assert Hb.class_id == Hab2.class_id and Hb.elems != Hab2.elems
     M = perm_module(G, L.generated_by([G.element_by_word("a*b")]), F2)
     assert (
-        brauer_quotient(M, Hb).module.dim == brauer_quotient(M, Hab2).module.dim
+        brauer_dim(M, Hb) == brauer_dim(M, Hab2)
     )
 
 

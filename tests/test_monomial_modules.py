@@ -2,13 +2,15 @@
 
 Every constructor of twisted permutation modules keeps a permutation and
 twist codes per generator.  On drawn catalog groups and fields F2, F3, F4,
-F8 and F9, the dense matrices built from them (`gen_mats`, `elem_mat`), the
-Brauer points and the labels must equal what the dense constructions of
-`module_reference` give, and the monomial commutation check of `ModuleMap`
-must accept and reject exactly the matrices the dense check does, also on
-modules whose twists are all 1, where rows and columns are only moved.  The
-label check of `KgModule` must accept exactly the labels the dense label
-oracle accepts, on constructor labels with one summand changed.
+F8 and F9, the matrices of their generators and elements (`gen_mats`,
+`elem_mat`), the Brauer points and the labels must equal what the dense
+constructions of `module_reference` give, and the monomial commutation
+check of `ModuleMap` must accept and reject exactly the matrices the dense
+check does, also on modules whose twists are all 1, where rows and columns
+are only moved.  The label check of `KgModule` must accept exactly the
+labels the dense label oracle accepts, on constructor labels with one
+summand changed.  A module and its `DenseModule` copy act alike, and the
+package's trace readers give the same actions on both.
 """
 
 import numpy as np
@@ -19,8 +21,8 @@ from hypothesis import strategies as st
 from permchain.errors import IncompatibleHandles, PermchainError
 from permchain.ffield import GF
 from permchain.groups import catalog, is_p_power, minimal_generators, quotient
-from permchain.linalg import FqMatrix
-from permchain.complexes import module_complex
+from permchain.linalg import FqMatrix, image_basis
+from permchain.complexes import BoundedComplex, homology_at, module_complex
 from permchain.invariants import lefschetz
 from permchain.modules import (
     KgModule,
@@ -28,10 +30,10 @@ from permchain.modules import (
     Summand,
     all_characters,
     brauer_points,
+    brauer_quotient,
     coset_list,
     direct_sum,
     dual,
-    frobenius_twist_module,
     inflate,
     local_quotient,
     perm_module,
@@ -40,17 +42,20 @@ from permchain.modules import (
     trivial_character,
     twist,
 )
-from permchain.syzygies import hom_space_basis
-
+from permchain.syzygies import orbit_map, subquotient
 import linalg_reference as ref
+from helpers import all_entries, hom_space_basis
 from module_reference import (
     brauer_points_dense,
     commutes_dense,
     dense_copy,
     direct_sum_mats,
     dual_mats,
+    elem_mat,
     elem_mats,
     frobenius_mats,
+    frobenius_twist_module,
+    gen_mats,
     inflate_mats,
     module_check_labels,
     normalizer_group_quotient,
@@ -87,19 +92,19 @@ def labeled_module(draw, G, fld, max_dim=MAX_DIM):
         if not char.is_trivial():
             mats = twist_mats(m, char)
             m = twist(m, char)
-            assert list(m.gen_mats) == mats
+            assert gen_mats(m) == mats
         parts.append(m)
         dim += m.dim
     return parts
 
 
 def assert_matches(M: KgModule, mats):
-    """M's lazy dense matrices are the reference generator matrices, every
-    element matrix is their product along its word, and M carries valid
-    labels if it carries any."""
-    assert list(M.gen_mats) == list(mats)
+    """M's generator matrices are the reference ones, every element matrix
+    is their product along its word, and M carries valid labels if it
+    carries any."""
+    assert gen_mats(M) == list(mats)
     ref = elem_mats(dense_copy(M))
-    assert all(M.elem_mat(i) == ref[i] for i in range(M.group.order))
+    assert all(elem_mat(M, i) == ref[i] for i in range(M.group.order))
     assert all(
         M.apply(i, FqMatrix.identity(M.field, M.dim)) == ref[i] for i in range(M.group.order)
     )
@@ -116,7 +121,7 @@ def assert_brauer_points(M: KgModule):
             M, P, ref.generator_lifts, minimal_generators(P), is_p_power(P.order, p)
         )
         assert pts.tolist() == ref_pts.tolist()
-        assert list(local.gen_mats) == ref_mats
+        assert gen_mats(local) == ref_mats
         assert local.group is local_quotient(P).group
 
 
@@ -291,7 +296,7 @@ def test_induced_modules(data):
     H = data.draw(st.sampled_from([K for K in lat.class_reps if G.order // K.order <= 12]))
     chi = data.draw(st.sampled_from(all_characters(lat.as_group(H), fld)))
     M = induced_module(G, H, chi)
-    assert_matches(M, M.gen_mats)
+    assert_matches(M, gen_mats(M))
     assert_matches(dual(M), dual_mats(M))
     N = direct_sum([M, perm_module(G, lat.full, fld)])
     assert_matches(tensor(M, N), tensor_mats(M, N))
@@ -305,7 +310,7 @@ def test_induced_module_twists_vary():
     M = induced_module(C4, H, sign)
     assert M.twists[0].tolist() == [1, 2]  # a.e0 = e1, a.e1 = a^2 e0 = -e0
     a2 = C4.element_by_word("a^2")
-    assert M.elem_mat(a2) == FqMatrix(F3, [[2, 0], [0, 2]])
+    assert elem_mat(M, a2) == FqMatrix(F3, [[2, 0], [0, 2]])
 
 
 def outcome(source, target, matrix):
@@ -376,9 +381,9 @@ def test_monomial_input_is_checked():
     with pytest.raises(PermchainError, match="relations"):
         KgModule(G, F4, perms=[[0]], twists=[[2]])  # w has order 3, not dividing 4
     ok = KgModule(G, F4, perms=[[1, 0]], twists=[[1, 1]])
-    assert ok.dim == 2 and ok.gen_mats[0] == FqMatrix(F4, [[0, 1], [1, 0]])
-    with pytest.raises(PermchainError, match="monomial"):
-        dual(KgModule(G, F4, [FqMatrix(F4, [[1, 1], [0, 1]])]))
+    assert ok.dim == 2 and gen_mats(ok) == [FqMatrix(F4, [[0, 1], [1, 0]])]
+    with pytest.raises(TypeError):  # generator matrices are no module form
+        KgModule(G, F4, [FqMatrix(F4, [[1, 1], [0, 1]])])
 
 
 SHORTCUT_CASES = [("C6", (2, 2)), ("A4", (2, 2)), ("D8", (2, 2))]
@@ -402,11 +407,11 @@ def test_actions_match_reference_products(name, pn):
     for M in [plain, *twisted]:
         X = FqMatrix(fld, rng.integers(0, fld.q, (M.dim, 5)))
         Y = FqMatrix(fld, rng.integers(0, fld.q, (5, M.dim)))
-        for gi, A in enumerate(M.gen_mats):
+        for gi, A in enumerate(gen_mats(M)):
             assert M.act(gi, X) == ref.matmul(A, X)
             assert M.act_right(Y, gi) == ref.matmul(Y, A)
         for i in range(G.order):
-            assert M.apply(i, X) == ref.matmul(M.elem_mat(i), X)
+            assert M.apply(i, X) == ref.matmul(elem_mat(M, i), X)
 
 
 def test_untwisted_map_check_rejects_over_f4():
@@ -424,3 +429,63 @@ def test_untwisted_map_check_rejects_over_f4():
         assert not assert_same_verdict(M, M, bad)
         with pytest.raises(PermchainError, match="does not commute"):
             ModuleMap(M, M, bad)
+
+
+# -- the dense oracle against the monomial module ---------------------------------
+
+
+def assert_dense_copy_agrees(M: KgModule, rng):
+    """M and its `dense_copy`, the `DenseModule` on `gen_mats(M)`, act alike
+    on random blocks and have the same fixed points at every subgroup
+    class, and the trace readers give the same Brauer quotients and
+    subquotients on both: what the duck-typed oracles rely on."""
+    G, fld = M.group, M.field
+    D = dense_copy(M)
+    X = FqMatrix(fld, rng.integers(0, fld.q, (M.dim, 3)))
+    Y = FqMatrix(fld, rng.integers(0, fld.q, (3, M.dim)))
+    for gi in range(len(G.generators)):
+        assert M.act(gi, X) == D.act(gi, X)
+        assert M.act_right(Y, gi) == D.act_right(Y, gi)
+    assert all(M.apply(i, X) == D.apply(i, X) for i in range(G.order))
+    for P in G.lattice().class_reps:
+        assert M.fixed_points(P) == D.fixed_points(P)
+        assert brauer_quotient(M, P).action == brauer_quotient(D, P).action
+    eye = FqMatrix.identity(fld, M.dim)
+    for W in (None, image_basis(orbit_map(M, X.take_cols([0])))):
+        assert subquotient(M, eye, W) == subquotient(D, eye, W)
+
+
+@EXAMPLES
+@given(st.data())
+def test_dense_copy_agrees_on_drawn_modules(data):
+    """On sums of twisted permutation modules and on induced modules,
+    whose twists vary along an orbit."""
+    G, fld = data.draw(group_field())
+    if data.draw(st.booleans()):
+        M = direct_sum(data.draw(labeled_module(G, fld, max_dim=12)))
+    else:
+        lat = G.lattice()
+        H = data.draw(st.sampled_from([K for K in lat.class_reps if G.order // K.order <= 12]))
+        M = induced_module(G, H, data.draw(st.sampled_from(all_characters(lat.as_group(H), fld))))
+    assert_dense_copy_agrees(M, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+
+
+ENTRIES = all_entries()
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e.name for e in ENTRIES])
+def test_dense_copy_agrees_on_catalog_terms(entry):
+    rng = np.random.default_rng(len(entry.name))
+    for M in entry.complex.mods:
+        assert_dense_copy_agrees(M, rng)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e.name for e in ENTRIES])
+def test_homology_action_on_a_dense_copy(entry):
+    """`homology_at` reads the same action off a catalog complex and off
+    its term-by-term dense copy."""
+    C = entry.complex
+    diffs = {i: d.matrix for i, d in C.diffs.items()}
+    D = BoundedComplex(C.group, C.field, C.lo, [dense_copy(M) for M in C.mods], diffs)
+    for i in C.degrees():
+        assert homology_at(C, i).action == homology_at(D, i).action

@@ -36,7 +36,7 @@ from helpers import (
     per_generator_subquotient,
     random_matrix,
 )
-from module_reference import dense_copy, dense_omega, free_rank, split_free_summand
+from module_reference import DenseModule, dense_copy, dense_omega, free_rank, split_free_summand
 
 GROUPS = ["C4", "V4", "D8", "Q8"]
 FIELDS = [(2, 1), (3, 1), (2, 2)]
@@ -68,6 +68,11 @@ def modules(draw, p_groups=False):
         if M.dim * N.dim <= MAX_DIM:
             M = tensor(M, N)
     return dense_copy(M) if draw(st.booleans()) else M
+
+
+def span_module(M, V: FqMatrix, W: FqMatrix = None) -> DenseModule:
+    """span(V)/span(W) as a dense module, on the action `subquotient` gives."""
+    return DenseModule(M.group, M.field, subquotient(M, V, W).action)
 
 
 def generator_images(draw, M: KgModule, least=0) -> FqMatrix:
@@ -117,7 +122,7 @@ def test_omega_on_a_span_matches_the_dense_syzygy(pair):
     kernel basis; V the identity is V omitted."""
     M, V = pair
     om = omega(M, V)
-    ref = dense_omega(subquotient(M, V).module)
+    ref = dense_omega(span_module(M, V))
     assert om.cover.source.dim == ref.cover.source.dim
     assert om.cover.matrix == V @ ref.cover.matrix
     assert om.inclusion == ref.inclusion
@@ -131,7 +136,7 @@ def test_omega_on_a_span_matches_the_dense_syzygy(pair):
 def test_free_generators_on_a_span_match_the_greedy_search(pair):
     M, V = pair
     chosen, images = free_generators(M, V)
-    ref_chosen, ref_images = greedy_free_generators(subquotient(M, V).module)
+    ref_chosen, ref_images = greedy_free_generators(span_module(M, V))
     assert chosen == ref_chosen
     assert images == V @ ref_images
 
@@ -160,10 +165,9 @@ def test_subquotient_matches_per_generator_loop(pair):
     M, V, W = pair
     sq = subquotient(M, V, W)
     mats, witness, proj = per_generator_subquotient(M, V, W)
-    assert list(sq.module.gen_mats) == mats
+    assert sq.action == mats
     assert sq.witness == witness and sq.projection == proj
-    assert sq.module.dim == V.cols - W.cols
-    KgModule(M.group, M.field, mats, labels=None, check=True)  # the relations hold
+    assert DenseModule(M.group, M.field, mats, check=True).dim == V.cols - W.cols  # the relations hold
 
 
 @settings(max_examples=100, deadline=None)
@@ -172,7 +176,7 @@ def test_free_generators_match_greedy_search(data):
     """On permutation modules and on the dense subquotients of covers."""
     M, V, W = data.draw(stable_pairs())
     if data.draw(st.booleans()):
-        M = subquotient(M, V, W).module
+        M = span_module(M, V, W)
     chosen, images = free_generators(M)
     assert (chosen, images) == greedy_free_generators(M)
 
@@ -195,7 +199,7 @@ def test_omitted_and_empty_w_give_the_submodule():
     M = regular_module(catalog("D8"), GF(2))
     V = image_basis(orbit_map(M, FqMatrix.identity(M.field, M.dim).take_cols([0])))
     a, b = subquotient(M, V), subquotient(M, V, V.take_cols([]))
-    assert a.module.gen_mats == b.module.gen_mats
+    assert a.action == b.action
     assert a.witness == b.witness == V
     assert a.projection == FqMatrix.identity(M.field, V.cols)
 
