@@ -34,9 +34,6 @@ class BurnsideElement:
         if len(self.coeffs) != len(self.group.lattice().class_reps):
             raise PermchainError("one coefficient per subgroup class required")
 
-    def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.coeffs)
-
     def __add__(self, other):
         self._chk(other)
         return BurnsideElement(

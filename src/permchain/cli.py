@@ -238,8 +238,16 @@ def _per_complex(report_of):
     return cmd
 
 
+def _violations_json(G, violations) -> dict:
+    """By class name, the degrees and dims of each nonzero local homology."""
+    lat = G.lattice()
+    return {
+        class_name(lat, lat.class_reps[cid]): [{"degree": d, "dim": dim} for d, dim in degs]
+        for cid, degs in sorted(violations.items())
+    }
+
+
 def _check_report(C) -> dict:
-    lat = C.group.lattice()
     rep = endotrivial_report(C)
     out = {
         "group": C.group.describe(),
@@ -248,12 +256,7 @@ def _check_report(C) -> dict:
         "endotrivial": rep.ok,
     }
     if not rep.ok:
-        out["violations"] = {
-            class_name(lat, lat.class_reps[cid]): [
-                {"degree": d, "dim": dim} for d, dim in degs
-            ]
-            for cid, degs in sorted(rep.violations.items())
-        }
+        out["violations"] = _violations_json(C.group, rep.violations)
         return out
     out["xi"] = _xi_json(rep.xi)
     out["beta"] = _beta_json(beta_from_xi(rep.xi))
@@ -330,7 +333,9 @@ def cmd_catalog(args) -> dict:
     reports = []
     for e in entries:
         rep, inv = e.verify()
-        if inv is not None:
+        if inv is None:
+            rep["violations"] = _violations_json(e.group, rep["violations"])
+        else:
             rep["xi"] = _xi_json(inv)
             b = beta_from_xi(inv)
             rep["beta"] = _beta_json(b)

@@ -62,7 +62,7 @@ class BoundedComplex:
     """Degree-indexed modules with differentials d_i: C_i -> C_{i-1}.
 
     `diffs` holds the differentials given, and d o d = 0 is checked between
-    given neighbours; `diff_at` makes the zero map of an absent one.
+    given neighbours; an absent one is zero.
     Immutable after construction, down to the differentials' arrays.  The
     nonzero homology dims and the endotriviality report are computed on
     first use and kept on the complex."""
@@ -95,25 +95,11 @@ class BoundedComplex:
             return self.mods[i - self.lo]
         return zero_module(self.group, self.field)
 
-    def diff_at(self, i: int) -> ModuleMap:
-        d = self.diffs.get(i)
-        if d is not None:
-            return d
-        src, dst = self.module_at(i), self.module_at(i - 1)
-        return ModuleMap(src, dst, FqMatrix.zeros(self.field, dst.dim, src.dim))
-
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
     def dims(self) -> dict:
         return {i: self.module_at(i).dim for i in self.degrees()}
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * self.module_at(i).dim for i in self.degrees())
-
-    def length(self) -> int:
-        degs = [i for i in self.degrees() if self.module_at(i).dim > 0]
-        return (max(degs) - min(degs) + 1) if degs else 0
 
     def __repr__(self):
         dims = " ".join(f"{i}:{self.module_at(i).dim}" for i in self.degrees())
@@ -387,7 +373,6 @@ class XiInvariant:
     def __init__(self, group: FiniteGroup, field: FqField, entries):
         self.group = group
         self.field = field
-        self.lattice = group.lattice()
         self.entries = MappingProxyType(dict(entries))  # class_id -> XiEntry, read-only
 
     def class_reps(self):

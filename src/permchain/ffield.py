@@ -140,9 +140,6 @@ class FqField:
             raise PermchainError(f"scalar code {code} out of range for F_{self.q}")
         return FqScalar(self, code)
 
-    def zero(self) -> "FqScalar":
-        return self.scalar(0)
-
     def one(self) -> "FqScalar":
         return self.scalar(1)
 

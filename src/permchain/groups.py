@@ -40,6 +40,7 @@ from .errors import (
 from .ffield import is_prime
 
 DEFAULT_MAX_ORDER = 500
+MAX_LATTICE_SUBGROUPS = 4096  # C2^6 has 2,825 subgroups, C2^7 has 29,212
 
 
 # -- permutation helpers -----------------------------------------------
@@ -434,8 +435,13 @@ class SubgroupLattice:
         found = {}  # mask -> the generators it was found by
         conjugates = {}  # mask -> its conjugates by the `conj` generators
 
-        def add_class(kmask, gens):
+        def keep(kmask, gens):
+            if len(found) == MAX_LATTICE_SUBGROUPS:
+                raise GroupTooLarge(f"subgroup lattice exceeds the bound of {MAX_LATTICE_SUBGROUPS} subgroups")
             found[kmask] = gens
+
+        def add_class(kmask, gens):
+            keep(kmask, gens)
             orbit = [kmask]
             for cur in orbit:  # grows while walked: breadth first
                 cur_elems = elems(cur) if conj else ()
@@ -444,7 +450,7 @@ class SubgroupLattice:
                     c = sum(bit[ct[x]] for x in cur_elems)
                     out.append(c)
                     if c not in found:
-                        found[c] = tuple(ct[h] for h in found[cur])
+                        keep(c, tuple(ct[h] for h in found[cur]))
                         orbit.append(c)
 
         add_class(bit[e], ())
@@ -506,7 +512,6 @@ class SubgroupLattice:
         self.class_reps = [self.subgroups[c[0]] for c in classes]
         self.trivial = self.subgroups[0]
         self.full = self.subgroups[-1]
-        self._as_group_cache = {}
         self._mobius = None  # mobius_columns(self.subgroups), on first use
         self._center = None
         self._class_names = {}  # class id -> class_name
@@ -563,18 +568,6 @@ class SubgroupLattice:
             self._center = self.subgroup(np.flatnonzero(np.all(t == t.T, axis=1)).tolist())
         return self._center
 
-    def centralizer(self, H: Subgroup) -> Subgroup:
-        """The g with g h = h g for each kept generator h of H."""
-        t = self.group.mul_table
-        keep = np.ones(self.group.order, dtype=bool)
-        for h in H.gens:
-            keep &= t[:, h] == t[h]  # row g: g h against h g
-        return self.subgroup(np.flatnonzero(keep).tolist())
-
-    def conjugate(self, H: Subgroup, g: int) -> Subgroup:
-        G = self.group
-        return self.subgroup(frozenset(G.conj(g, x) for x in H.elems))
-
     # -- p-subgroup views ------------------------------------------------
 
     def p_class_reps(self, p: int) -> list:
@@ -585,12 +578,6 @@ class SubgroupLattice:
     def normal_p_subgroups(self, p: int) -> list:
         return [H for H in self.subgroups if H.is_normal and is_p_power(H.order, p)]
 
-    def sylow_p(self, p: int) -> Subgroup:
-        pk = 1
-        while self.group.order % (pk * p) == 0:
-            pk *= p
-        return next(H for H in self.subgroups if H.order == pk)
-
     # -- Mobius function -------------------------------------------------
 
     def mobius_column(self, B: Subgroup) -> dict:
@@ -598,32 +585,6 @@ class SubgroupLattice:
         if self._mobius is None:
             self._mobius = mobius_columns(self.subgroups)
         return self._mobius[B.index]
-
-    def mobius(self, A: Subgroup, B: Subgroup) -> int:
-        """mu(A, B) on the whole lattice, read off B's column."""
-        if not B.contains(A):
-            raise NotComparable("A is not contained in B")
-        return self.mobius_column(B)[A.index]
-
-    # -- subgroup as standalone group -------------------------------------
-
-    def as_group(self, H: Subgroup) -> FiniteGroup:
-        """The subgroup as a FiniteGroup on the same permutation domain."""
-        if H.mask == self.full.mask:
-            return self.group
-        cached = self._as_group_cache.get(H.elems)
-        if cached is None:
-            G = self.group
-            gens = minimal_generators(H) or [G.identity]  # H = 1: one generator
-            names = [f"h{i}" for i in range(len(gens))]
-            cached = FiniteGroup(
-                [G.elements[g] for g in gens],
-                gen_names=names,
-                name=None,
-                max_order=max(DEFAULT_MAX_ORDER, H.order),
-            )
-            self._as_group_cache[H.elems] = cached
-        return cached
 
 
 def mobius_columns(poset) -> list:
@@ -842,7 +803,7 @@ def catalog(name: str) -> FiniteGroup:
     raise UnknownCatalogName(f"unknown catalog group {name!r}")
 
 
-def group_from_spec(spec: str, max_order=DEFAULT_MAX_ORDER) -> FiniteGroup:
+def group_from_spec(spec: str) -> FiniteGroup:
     """Catalog name, or ';'-separated cycle-notation generators."""
     if spec.startswith("("):
         parts = [s for s in spec.split(";") if s.strip()]
@@ -851,7 +812,7 @@ def group_from_spec(spec: str, max_order=DEFAULT_MAX_ORDER) -> FiniteGroup:
             for tok in re.findall(r"\d+", s):
                 degree = max(degree, int(tok) + 1)
         gens = [perm_from_cycles(s, degree) for s in parts]
-        return FiniteGroup(gens, name=None, max_order=max_order)
+        return FiniteGroup(gens)
     return catalog(spec)
 
 

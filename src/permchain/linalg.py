@@ -56,12 +56,6 @@ class FqMatrix:
     def identity(field: FqField, n: int) -> "FqMatrix":
         return FqMatrix(field, np.eye(n, dtype=np.int16))
 
-    @staticmethod
-    def from_int_rows(field: FqField, rows) -> "FqMatrix":
-        """Build from integer entries, reduced modulo p (prime subfield)."""
-        a = np.asarray(rows, dtype=np.int64) % field.p
-        return FqMatrix(field, a.astype(np.int16))
-
     # -- basics -------------------------------------------------------
 
     @property
@@ -148,14 +142,8 @@ class FqMatrix:
     def T(self) -> "FqMatrix":
         return FqMatrix(self.field, self.a.T.copy())
 
-    def col(self, j: int) -> "FqMatrix":
-        return FqMatrix(self.field, self.a[:, j : j + 1].copy())
-
     def take_cols(self, idx) -> "FqMatrix":
         return FqMatrix(self.field, self.a[:, list(idx)].copy())
-
-    def entry(self, i: int, j: int) -> FqScalar:
-        return FqScalar(self.field, int(self.a[i, j]))
 
     def trace(self) -> FqScalar:
         f = self.field

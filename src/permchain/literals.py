@@ -58,10 +58,6 @@ MAX_MODULE_DIM = 4096
 # -- term level ---------------------------------------------------------------
 
 
-def format_subgroup(H: Subgroup) -> str:
-    return subgroup_literal(H)
-
-
 def parse_subgroup(G: FiniteGroup, text: str, where: str = "") -> Subgroup:
     lat = G.lattice()
     s = text.strip()
@@ -197,7 +193,7 @@ def format_module(M: KgModule) -> str:
 
 def _term_body(char: Character, sub: Subgroup) -> str:
     twisted = "" if char.is_trivial() else format_character(char) + "*"
-    return f"{twisted}[G/{format_subgroup(sub)}]"
+    return f"{twisted}[G/{subgroup_literal(sub)}]"
 
 
 def parse_element_literal(

@@ -14,7 +14,8 @@ On a monomial basis X the Brauer construction at a p-subgroup P is k[X^P]:
 the points that P's permutations fix (`fixed_basis_points`), permuted by
 N_G(P)/P (`point_action`, `brauer_points`).  That group is
 `local_quotient(P)`, the quotient of the section N_G(P) of G by P, built
-from G's tables and kept on G; at P = 1 it is G.
+from G's tables and kept on G; at P = 1 it is G.  Restriction to H lands
+over the section H/1, from the same constructor.
 `brauer_quotient`, M^P modulo relative traces by linear algebra, has no
 caller in the package; the tests build their reference construction on
 it.  Syzygies and free summands are in `syzygies`.
@@ -60,8 +61,8 @@ class Character:
     """A degree one representation G -> F_q^x, stored by generator values and
     by element values.  Given generator values, it walks the element values
     along the group's words (`word_steps`); derived characters (products,
-    inverses, powers, Frobenius twists, the trivial character) take them
-    pointwise from their factors, as (chi psi)(g) = chi(g) psi(g)."""
+    inverses, powers, the trivial character) take them pointwise from their
+    factors, as (chi psi)(g) = chi(g) psi(g)."""
 
     __slots__ = ("group", "field", "values", "_elem_values")
 
@@ -115,10 +116,6 @@ class Character:
             out = out * base
         return out
 
-    def frobenius_inverse_twist(self) -> "Character":
-        """Composition with the inverse Frobenius automorphism of F_q."""
-        return self._composed(_inverse_frobenius(self.field))
-
     def __eq__(self, other):
         return (
             isinstance(other, Character)
@@ -145,14 +142,6 @@ def _character(G: FiniteGroup, field: FqField, values, elem_values) -> Character
 
 def trivial_character(G: FiniteGroup, field: FqField) -> Character:
     return _character(G, field, (1,) * len(G.generators), (1,) * G.order)
-
-
-def _inverse_frobenius(f: FqField) -> np.ndarray:
-    """The inverse Frobenius automorphism of F_q, x -> x^p n - 1 times, by code."""
-    table = np.arange(f.q, dtype=np.int16)
-    for _ in range(f.n - 1):
-        table = f.frob[table]
-    return table
 
 
 def character_warning(G: FiniteGroup, field: FqField):
@@ -397,9 +386,6 @@ class ModuleMap:
             if self.target.act(gi, self.matrix) != self.source.act_right(self.matrix, gi):
                 raise PermchainError("matrix does not commute with the group action")
 
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(other.source, self.target, self.matrix @ other.matrix)
-
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
@@ -570,16 +556,17 @@ def _elements_acting(M: KgModule, H: FiniteGroup, elems) -> KgModule:
 
 
 def restrict(M: KgModule, H: Subgroup) -> KgModule:
-    """Restriction along H <= G; the result lives over H as its own group.
+    """Restriction along H <= G; the result lives over the section H/1 of G
+    (`quotient`), which is G itself when H is.
 
     Labels follow Mackey: a summand w (x) k[G/K] splits into the H-orbits of
     its points, each labeled by Res_H w and its stabilizer H n gKg^{-1}."""
     if H.parent is not M.group:
         raise IncompatibleHandles("restriction to a subgroup of another group")
-    Hgrp = M.group.lattice().as_group(H)
-    if Hgrp is M.group:
+    Q = quotient(M.group, M.group.lattice().trivial, H)
+    if Q.group is M.group:
         return M
-    return _elements_acting(M, Hgrp, [M.group.index[perm] for perm in Hgrp.generators])
+    return _elements_acting(M, Q.group, Q.generator_lifts())
 
 
 def inflate(M: KgModule, quot: Quotient) -> KgModule:

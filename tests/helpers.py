@@ -65,7 +65,8 @@ from permchain.invariants import BetaEntry, BetaTuple, _preimage_subgroup
 from permchain.modules import local_quotient, monomial_trace
 from permchain.linalg import image_basis, quotient_space
 
-from module_reference import elem_mats, gen_mats, norm_matrix, scale
+from linalg_reference import col
+from module_reference import diff_at, elem_mats, frobenius_inverse_twist, gen_mats, norm_matrix, scale
 
 
 # -- independent group-theory oracles ----------------------------------------
@@ -352,6 +353,11 @@ def elementwise_normalizer(L, H: Subgroup) -> frozenset:
     )
 
 
+def conjugate(L, H: Subgroup, g: int) -> Subgroup:
+    """g H g^{-1}, looked up in the lattice L."""
+    return L.subgroup(frozenset(L.group.conj(g, x) for x in H.elems))
+
+
 def elementwise_centralizer(L, H: Subgroup) -> frozenset:
     """C_G(H) by comparing g x with x g for every g in G and x in H."""
     t = L.group.mul_table.tolist()
@@ -423,7 +429,7 @@ def oracle_matmul(A: FqMatrix, B: FqMatrix) -> FqMatrix:
         for j in range(B.cols):
             acc = FqScalar(f, 0)
             for k in range(A.cols):
-                acc = acc + A.entry(i, k) * B.entry(k, j)
+                acc = acc + FqScalar(f, int(A.a[i, k])) * FqScalar(f, int(B.a[k, j]))
             out.a[i, j] = acc.code
     return out
 
@@ -482,8 +488,8 @@ def _splitting_exists(fmap: ModuleMap) -> bool:
 def per_generator_homology_action(C: BoundedComplex, i: int) -> list:
     """The matrices of the generators on H_i(C), one solve per generator, on
     the homology basis `homology_at` picks."""
-    Z = kernel_basis(C.diff_at(i).matrix)
-    return per_generator_subquotient(C.module_at(i), Z, image_basis(C.diff_at(i + 1).matrix))[0]
+    Z = kernel_basis(diff_at(C, i).matrix)
+    return per_generator_subquotient(C.module_at(i), Z, image_basis(diff_at(C, i + 1).matrix))[0]
 
 
 def homology_module_reading(C: BoundedComplex, local_complex=brauer_complex):
@@ -508,10 +514,10 @@ def one_cycle_character(C: BoundedComplex, h: int) -> list:
     by row reduction: for z the first cycle outside im d_{h+1},
     g.z = chi(g) z modulo boundaries, so the row of z's pivot in the rref of
     [d_{h+1} | z | g_1 z ...] holds chi."""
-    M, B = C.module_at(h), C.diff_at(h + 1).matrix
-    Z = kernel_basis(C.diff_at(h).matrix)
+    M, B = C.module_at(h), diff_at(C, h + 1).matrix
+    Z = kernel_basis(diff_at(C, h).matrix)
     _, _, pivots = rref(hstack([B, Z]))
-    z = Z.col(next(c for c in pivots if c >= B.cols) - B.cols)
+    z = col(Z, next(c for c in pivots if c >= B.cols) - B.cols)
     R, rk, pivots = rref(hstack([B, z] + [M.act(gi, z) for gi in range(len(C.group.generators))]))
     if pivots[-1] != B.cols:
         raise ValueError(f"the action does not preserve the homology line in degree {h}")
@@ -599,7 +605,7 @@ def per_element_orbit_map(M: KgModule, W: FqMatrix) -> FqMatrix:
     out = FqMatrix.zeros(M.field, M.dim, W.cols * G.order)
     for i in range(W.cols):
         for g in range(G.order):
-            out.a[:, i * G.order + g] = (mats[g] @ W.col(i)).a[:, 0]
+            out.a[:, i * G.order + g] = (mats[g] @ col(W, i)).a[:, 0]
     return out
 
 
@@ -610,7 +616,7 @@ def greedy_free_generators(M: KgModule):
     chosen = []
     images = FqMatrix.zeros(M.field, M.dim, 0)
     for j in range(M.dim):
-        trial = hstack([images, nm.col(j)])
+        trial = hstack([images, col(nm, j)])
         if rank(trial) > images.cols:
             images = image_basis(trial)
             chosen.append(j)
@@ -645,7 +651,7 @@ def frobenius_twist_beta(b: BetaTuple) -> BetaTuple:
     """Replace each local character by its composite with the inverse field
     automorphism; signs are untouched."""
     entries = {
-        cid: BetaEntry(e.subgroup, e.epsilon, e.character.frobenius_inverse_twist(), e.ctx)
+        cid: BetaEntry(e.subgroup, e.epsilon, frobenius_inverse_twist(e.character), e.ctx)
         for cid, e in b.entries.items()
     }
     return BetaTuple(b.group, b.field, entries)

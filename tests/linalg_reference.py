@@ -7,7 +7,9 @@ matrix: each pivot of `rref` does two table lookups over every entry,
 built on top (`kernel_basis` and the rest) are the per-entry loops they
 replaced.  Slow, but simple enough to read off as correct; property tests
 compare the library's field kernels with it.  `block_diag`, the matrices
-of a dense direct sum, is here for the dense module oracles.
+of a dense direct sum, is here for the dense module oracles, and so are
+two conveniences only the tests need: a matrix from integer rows
+(`from_int_rows`) and one column of a matrix (`col`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,17 @@ import numpy as np
 
 from permchain.errors import NotSubspace
 from permchain.linalg import FqMatrix
+
+
+def from_int_rows(field, rows) -> FqMatrix:
+    """Build from integer entries, reduced modulo p (prime subfield)."""
+    a = np.asarray(rows, dtype=np.int64) % field.p
+    return FqMatrix(field, a.astype(np.int16))
+
+
+def col(M: FqMatrix, j: int) -> FqMatrix:
+    """Column j of M as a one-column matrix."""
+    return FqMatrix(M.field, M.a[:, j : j + 1].copy())
 
 
 def rref(M: FqMatrix):

@@ -26,12 +26,20 @@ The property tests compare the monomial code against all of these.
 
 N_G(P)/P is built here the way the package built it before it took the
 quotient of the section N_G(P) of G straight from G's tables: the
-normalizer as a standalone group, P found in that group's own lattice,
-the quotient of that group by cosets, and indices translated back to G.
+normalizer as a standalone group on G's own points (`subgroup_group`), P
+found in that group's own lattice, the quotient of that group by cosets,
+and indices translated back to G.  Restriction to H is built here over
+`subgroup_group(H)` too, with its Mackey labels walked orbit by orbit; the
+package restricts over the section H/1, which acts on |H| points.
 
 Local characters of a virtual element are read here from the dense
 matrix of every element on every local term (`dense_trace_beta`); the
 package reads each trace off the twists at the fixed points.
+
+Three conveniences only the tests call are here as well: a character
+composed with the inverse Frobenius automorphism (`frobenius_inverse_twist`),
+a complex's d_i with an absent one made the zero map (`diff_at`), and the
+composite of two module maps (`compose`).
 
 The free rank and the splitting kG^r (+) complement of a module over a
 p-group are here as oracles for the syzygy layer, which finds free
@@ -49,7 +57,7 @@ import numpy as np
 
 from permchain.complexes import BoundedComplex
 from permchain.errors import NonCharacterTrace, NotUnitDimension, PermchainError, PGroupOnly
-from permchain.groups import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup, is_p_power
+from permchain.groups import DEFAULT_MAX_ORDER, FiniteGroup, Subgroup, is_p_power, minimal_generators
 from permchain.invariants import BetaEntry, BetaTuple
 from permchain.linalg import (
     FqMatrix,
@@ -197,6 +205,56 @@ def tensor_mats(M, N) -> list:
     return [a.kron(b) for a, b in zip(gen_mats(M), gen_mats(N))]
 
 
+def subgroup_group(H: Subgroup) -> FiniteGroup:
+    """H as a group on G's own points, generated by `minimal_generators(H)`
+    (the identity for H = 1) named h0, h1, ...; G itself when H is G."""
+    G = H.parent
+    if H.order == G.order:
+        return G
+    gens = minimal_generators(H) or [G.identity]
+    return FiniteGroup(
+        [G.elements[g] for g in gens],
+        gen_names=[f"h{i}" for i in range(len(gens))],
+        max_order=max(DEFAULT_MAX_ORDER, H.order),
+    )
+
+
+class Restriction(NamedTuple):
+    """Res_H M over `subgroup_group(H)`: per generator the permutation and
+    the twists, and per summand its character's generator values, its
+    indices and its stabilizer in G's element indices."""
+
+    group: FiniteGroup
+    perms: list
+    twists: list
+    labels: list  # (character values, indices, stabilizer as a set of G indices)
+
+
+def restriction_over_points(M: KgModule, H: Subgroup) -> Restriction:
+    """Each generator of `subgroup_group(H)` acts as M's element with its
+    permutation; each summand of M splits into the orbits of its points,
+    walked breadth first from each point not yet seen, by increasing point."""
+    G, Hgrp = M.group, subgroup_group(H)
+    elems = [G.index[perm] for perm in Hgrp.generators]
+    mono = [M.elem_monomial(x) for x in elems]
+    perms = [np.asarray(x).tolist() for x, _ in mono]
+    labels, seen = [], set()
+    for s in M.labels or ():
+        values = tuple(s.character.value_code(x) for x in elems)
+        for t0 in s.indices:
+            if t0 in seen:
+                continue
+            orbit = [t0]
+            for t in orbit:  # grows while walked
+                for u in (perm[t] for perm in perms):
+                    if u not in orbit:
+                        orbit.append(u)
+            seen.update(orbit)
+            stab = {h for h in H.elems if M.elem_monomial(h)[0][t0] == t0}
+            labels.append((values, tuple(sorted(orbit)), stab))
+    return Restriction(Hgrp, perms, [np.asarray(c).tolist() for _, c in mono], labels)
+
+
 def restrict_mats(M: KgModule, Hgrp) -> list:
     mats = elem_mats(M)
     return [mats[M.group.index[perm]] for perm in Hgrp.generators]
@@ -215,6 +273,13 @@ def _inverse_frobenius_table(f) -> np.ndarray:
     return table
 
 
+def frobenius_inverse_twist(c: Character) -> Character:
+    """c composed with the inverse Frobenius automorphism of F_q, its
+    element values walked from its generator values."""
+    table = _inverse_frobenius_table(c.field)
+    return Character(c.group, c.field, table[list(c.values)], check=False)
+
+
 def frobenius_mats(M) -> list:
     table = _inverse_frobenius_table(M.field)
     return [FqMatrix(M.field, table[m.a]) for m in gen_mats(M)]
@@ -228,7 +293,7 @@ def frobenius_twist_module(M: KgModule) -> KgModule:
     labels = None
     if M.labels is not None:
         labels = tuple(
-            Summand(s.character.frobenius_inverse_twist(), s.subgroup, s.indices) for s in M.labels
+            Summand(frobenius_inverse_twist(s.character), s.subgroup, s.indices) for s in M.labels
         )
     return KgModule(M.group, M.field, M.perms, [table[c] for c in M.twists], labels=labels, check=False)
 
@@ -277,12 +342,12 @@ class NormalizerQuotient(NamedTuple):
 
 
 def normalizer_group_quotient(P: Subgroup) -> NormalizerQuotient:
-    """N_G(P)/P through the normalizer as its own group (`as_group`), P in
-    that group's lattice, and `coset_quotient` of that group; at P = 1 the
-    normalizer group itself, which is G."""
+    """N_G(P)/P through the normalizer as its own group (`subgroup_group`),
+    P in that group's lattice, and `coset_quotient` of that group; at P = 1
+    the normalizer group itself, which is G."""
     G = P.parent
     lat = G.lattice()
-    NG = lat.as_group(lat.normalizer(P))
+    NG = subgroup_group(lat.normalizer(P))
     to_g = [G.index[e] for e in NG.elements]
     if P.order == 1:
         return NormalizerQuotient(NG, dict(zip(to_g, range(NG.order))), [to_g[i] for i in NG.gen_indices])
@@ -387,6 +452,20 @@ def lift(bd: BrauerData, quotient_cols: FqMatrix) -> FqMatrix:
     return bd.fixed @ (bd.section @ quotient_cols)
 
 
+def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
+    """g o f."""
+    return ModuleMap(f.source, g.target, g.matrix @ f.matrix)
+
+
+def diff_at(C: BoundedComplex, i: int) -> ModuleMap:
+    """d_i of C as a module map, the zero map where C holds none."""
+    d = C.diffs.get(i)
+    if d is not None:
+        return d
+    src, dst = C.module_at(i), C.module_at(i - 1)
+    return ModuleMap(src, dst, FqMatrix.zeros(C.field, dst.dim, src.dim))
+
+
 def brauer_quotient_map(fmap: ModuleMap, P, src: BrauerData = None, dst: BrauerData = None) -> ModuleMap:
     """The induced map M(P) -> N(P); functorial in the map."""
     if src is None:
@@ -430,7 +509,7 @@ def trace_quotient_complex(C: BoundedComplex, P) -> BoundedComplex:
     quotient and every differential's induced map, for dense terms too."""
     datas = [brauer_quotient(C.module_at(i), P) for i in C.degrees()]
     diffs = {
-        i: brauer_quotient_map(C.diff_at(i), P, datas[i - C.lo], datas[i - 1 - C.lo])
+        i: brauer_quotient_map(diff_at(C, i), P, datas[i - C.lo], datas[i - 1 - C.lo])
         for i in range(C.lo + 1, C.hi + 1)
     }
     group = local_quotient(P).group

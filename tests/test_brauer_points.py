@@ -623,7 +623,7 @@ def test_differentials_are_read_only():
     C = build_entries("gamma-D8")[0].complex
     for i in range(C.lo + 1, C.hi + 1):
         with pytest.raises(ValueError):
-            C.diff_at(i).matrix.a[0, 0] = 1
+            C.diffs[i].matrix.a[0, 0] = 1
 
 
 def test_complex_cannot_be_rebound():

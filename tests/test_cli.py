@@ -8,10 +8,12 @@ import pytest
 from permchain import cli
 from permchain.burnside import idempotent
 from permchain.cli import main
-from permchain.constructions import build_entries, catalog_names
-from permchain.groups import class_name, group_from_spec
+from permchain.complexes import module_complex
+from permchain.constructions import CatalogEntry, build_entries, catalog_names
+from permchain.ffield import GF
+from permchain.groups import catalog, class_name, group_from_spec
 from permchain.literals import complex_to_obj
-from permchain.modules import KgModule
+from permchain.modules import regular_module
 
 
 def run_cli(args, capsys):
@@ -71,6 +73,29 @@ def test_check_not_endotrivial(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["endotrivial"] is False
     assert "G" in rep["violations"]
+
+
+def test_catalog_verify_names_violations_as_check_does(monkeypatch, tmp_path, capsys):
+    """On a complex that is not endotrivial (kD8 in degree 0), `catalog
+    verify` and `check` write the same violations: by subgroup class name,
+    each nonzero local homology as its degree and dim, in JSON and text."""
+    G, F2 = catalog("D8"), GF(2)
+    C = module_complex(regular_module(G, F2))
+    monkeypatch.setattr(cli, "build_entries", lambda name: [CatalogEntry("kD8", G, F2, C)])
+    path = tmp_path / "kd8.json"
+    path.write_text(json.dumps(complex_to_obj(C)))
+    code, out, err = run_cli(["catalog", "verify", "kD8", "--json"], capsys)
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["endotrivial"] is False
+    assert rep["violations"]["1"] == [{"degree": 0, "dim": 8}]
+    assert sorted(rep["violations"]) == sorted(class_name(G.lattice(), P) for P in G.lattice().p_class_reps(2))
+    assert all(v == [] for k, v in rep["violations"].items() if k != "1")
+    assert rep["violations"] == json.loads(run_cli(["check", str(path), "--json"], capsys)[1])["violations"]
+    verify_text = run_cli(["catalog", "verify", "kD8"], capsys)[1]
+    check_text = run_cli(["check", str(path)], capsys)[1]
+    assert "violations:\n  1:\n    -\n      degree: 0\n      dim: 8\n" in verify_text
+    assert verify_text[verify_text.index("violations:"):] == check_text[check_text.index("violations:"):]
 
 
 def test_check_rejects_non_complex(tmp_path, capsys):
@@ -278,31 +303,6 @@ def test_frobenius_a4_example_needs_cube_roots_of_unity(q, capsys):
     code, out, err = run_cli(["frobenius", "a4-example", "-q", q], capsys)
     assert code == 2 and out == ""
     assert err == "error: the example needs a field with cube roots of unity\n"
-
-
-def test_catalog_and_example_build_no_dense_module(monkeypatch, capsys):
-    """Syzygies stay spans inside their permutation modules: `catalog
-    verify` and `catalog build` of every registry name and the A4 example
-    construct no dense KgModule (27 did when each syzygy was one)."""
-    dense = []
-    init = KgModule.__init__
-
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        if self.perms is None:
-            dense.append(self)
-
-    monkeypatch.setattr(KgModule, "__init__", counting_init)
-    build_entries.cache_clear()
-    try:
-        for name in catalog_names():
-            for action in ("verify", "build"):
-                assert main(["catalog", action, name, "--json"]) == 0
-        assert main(["frobenius", "a4-example", "--json"]) == 0
-    finally:
-        build_entries.cache_clear()
-    capsys.readouterr()
-    assert dense == []
 
 
 def test_frobenius_element_file(tmp_path, capsys):

@@ -4,10 +4,11 @@ Multiplication tables are read off the images of a base; subgroups are
 bitmasks, found by extending one subgroup per conjugacy class once per
 right coset; the subgroup some elements generate is the first one, by
 order, whose mask holds theirs; mu comes from one pass over the comparable
-pairs of a poset, column by column; normalizers and centralizers come from
-the kept generators, marks from counting conjugates inside each subgroup,
-the inverse mark table from the idempotents, units by meeting in the
-middle over the sign vectors, class names from a memo on the lattice.
+pairs of a poset, column by column; normalizers come from the kept
+generators and the centre from the symmetric rows of the table, marks
+from counting conjugates inside each subgroup, the inverse mark table from
+the idempotents, units by meeting in the middle over the sign vectors,
+class names from a memo on the lattice.
 Each is compared here with the direct computation in `helpers`: a dict
 lookup of every product's image tuple, pairwise closure and every
 subgroup extended by every cyclic subgroup, the defining recursion of mu
@@ -236,7 +237,7 @@ def test_mobius_matrix_matches_recursion(name):
     for A in L.subgroups[:3]:
         for B in L.subgroups:
             if B.contains(A):
-                assert L.mobius(A, B) == whole[B.index][A.index]
+                assert L.mobius_column(B)[A.index] == whole[B.index][A.index]
     for p in _primes(G.order):
         poset = L.normal_p_subgroups(p)
         cols = mobius_columns(poset)
@@ -260,7 +261,7 @@ def test_mobius_on_elementary_abelian_is_halls(r):
                 col[A.index] = (-1) ** k * 2 ** (k * (k - 1) // 2)
         hall.append(col)
     assert _same_columns(mobius_columns(L.subgroups), hall)
-    assert L.mobius(L.trivial, L.full) == hall[-1][0]
+    assert L.mobius_column(L.full)[L.trivial.index] == hall[-1][0]
 
 
 def _inverse_from_idempotents(G):
@@ -307,10 +308,13 @@ def test_normalizers_match_elementwise_conjugation(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_centralizers_match_elementwise_commutation(name):
-    """Commuting with H's kept generators decides membership in C_G(H)."""
+    """C_G(H), by comparing g x with x g elementwise, is a subgroup the
+    lattice holds, inside N_G(H); C_G(G) is the centre."""
     L = _group(name).lattice()
     for H in L.subgroups:
-        assert L.centralizer(H).elemset == elementwise_centralizer(L, H)
+        C = L.subgroup(elementwise_centralizer(L, H))
+        assert L.normalizer(H).contains(C)
+    assert L.subgroup(elementwise_centralizer(L, L.full)) == L.center()
 
 
 @pytest.mark.parametrize("name", ["D64", "C2^4"])

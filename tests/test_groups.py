@@ -1,9 +1,11 @@
+import json
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
+from permchain import groups
 from permchain.errors import (
     GroupTooLarge,
     NotComparable,
@@ -12,6 +14,7 @@ from permchain.errors import (
     UnknownCatalogName,
 )
 from permchain.groups import (
+    MAX_LATTICE_SUBGROUPS,
     FiniteGroup,
     catalog,
     class_name,
@@ -192,12 +195,6 @@ def test_normalizer_against_bruteforce():
     assert N.order == 4
 
 
-def test_centralizer_trivial_subgroup():
-    G = catalog("A4")
-    L = G.lattice()
-    assert L.centralizer(L.trivial).order == G.order
-
-
 def test_generated_by_refuses_an_index_outside_the_group():
     L = catalog("D8").lattice()
     for bad in ([8], [0, 8], [-1]):
@@ -247,15 +244,15 @@ def test_quotient_not_normal():
 def test_mobius_two_element_chain():
     for name in ("C2", "C3", "C5"):
         L = enumerate_subgroups(catalog(name))
-        assert L.mobius(L.trivial, L.full) == -1
-        assert L.mobius(L.full, L.full) == 1
+        assert L.mobius_column(L.full)[L.trivial.index] == -1
+        assert L.mobius_column(L.full)[L.full.index] == 1
 
 
 def test_mobius_v4():
     G = catalog("V4")
     L = enumerate_subgroups(G)
     assert len(L.subgroups) == 5
-    assert L.mobius(L.trivial, L.full) == 2
+    assert L.mobius_column(L.full)[L.trivial.index] == 2
     # independent recursion on raw element sets
     sets = [frozenset(H.elems) for H in L.subgroups]
     assert oracle_mobius(sets, frozenset(L.trivial.elems), frozenset(L.full.elems)) == 2
@@ -267,7 +264,7 @@ def test_mobius_sum_rule():
         for B in L.subgroups:
             if B.contains(A) and A.order < B.order:
                 total = sum(
-                    L.mobius(A, C)
+                    L.mobius_column(C)[A.index]
                     for C in L.subgroups
                     if C.contains(A) and B.contains(C)
                 )
@@ -280,7 +277,7 @@ def test_mobius_not_comparable():
     H1 = L.generated_by([G.element_by_word("a")])
     H2 = L.generated_by([G.element_by_word("b")])
     with pytest.raises(NotComparable):
-        L.mobius(H1, H2)
+        mobius_of_poset(L.subgroups, H1, H2)
 
 
 def test_mobius_on_c2_6_allocates_nothing_quadratic():
@@ -366,6 +363,45 @@ def test_commutators_and_abelianization():
 def test_is_p_power(n, p, want):
     """Only 1 is a power of a p below 2; p = 0 must not divide by zero."""
     assert is_p_power(n, p) is want
+
+
+# The lattice of C2^7 (29,212 subgroups) once took 68.9 s and 708 MB, and
+# group-info wrote 269 MB of JSON.  The child runs under a 2 GiB address
+# space limit, so that a regression fails here instead of filling memory.
+_CAPPED_LATTICE = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from permchain.cli import main
+start = time.perf_counter()
+code = main(["group-info", sys.argv[1]])
+print(json.dumps({"code": code, "s": time.perf_counter() - start}))
+"""
+
+
+@pytest.mark.parametrize("r", [7, 8])
+def test_lattice_is_capped(r):
+    """In a fresh interpreter with a time limit: group-info on C2^r stops
+    early with the cap in its message."""
+    spec = ";".join(f"({2 * i} {2 * i + 1})" for i in range(r))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_LATTICE, spec], capture_output=True, text=True, timeout=60
+    )
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["code"] == 2
+    assert proc.stderr == f"error: subgroup lattice exceeds the bound of {MAX_LATTICE_SUBGROUPS} subgroups\n"
+    assert got["s"] < 5.0
+
+
+def test_lattice_cap_counts_every_subgroup(monkeypatch):
+    """A cap of n admits a lattice of n subgroups and refuses one more,
+    whether the extra one is a new class (C4: 1 < C2 < C4) or a conjugate
+    found in a class walk (the third subgroup of order 2 in S3)."""
+    monkeypatch.setattr(groups, "MAX_LATTICE_SUBGROUPS", 3)
+    assert len(group_from_spec("(0 1 2 3)").lattice().subgroups) == 3
+    with pytest.raises(GroupTooLarge, match="bound of 3 subgroups"):
+        group_from_spec("(0 1 2 3 4)(5 6)").lattice()
+    with pytest.raises(GroupTooLarge, match="bound of 3 subgroups"):
+        group_from_spec("(0 1 2);(0 1)").lattice()
 
 
 def test_is_p_power_ends_at_p_one():

@@ -7,7 +7,8 @@ names the trace-quotient Brauer construction among them.  Modules have
 one form: no module names the dense form's members or asks whether a
 module's `perms` is None.  Every top-level function and class is reached
 from outside its own definition, or is on a list of API names with a
-reason.  Importing the package sets BLAS to one thread unless the
+reason; so is every method and property of a top-level class, by the
+attribute name code reads.  Importing the package sets BLAS to one thread unless the
 environment chose a number."""
 
 import ast
@@ -15,6 +16,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -286,6 +288,73 @@ def test_every_definition_is_reached():
     outside = set().union(*(constants_and_uses(p) for p in sorted(PERFBENCH.glob("*.py"))))
     got = unreached_definitions(sources, set(permchain.__all__), outside)
     assert sorted(n.split(".")[1] for n in got) == sorted(API_ONLY)
+
+
+def _attribute_reads(tree) -> Counter:
+    return Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def unreached_members(sources: dict, outside: set) -> list:
+    """`module.Class.member` for each method and property, dunders aside,
+    of each top-level class of the modules in `sources` (module name ->
+    source) whose name no code there reads as an attribute outside the
+    member's own definition, and `outside` does not hold.  The check goes
+    by name: a member that shares its name with an attribute read anywhere
+    counts as reached (`FqMatrix.trace`, say, while `perfbench/run.py`
+    reads `args.trace`)."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = sum((_attribute_reads(t) for t in trees.values()), Counter())
+    out = []
+    for name, tree in trees.items():
+        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
+            for d in cls.body:
+                if not isinstance(d, ast.FunctionDef) or d.name.startswith("__") and d.name.endswith("__"):
+                    continue
+                if reads[d.name] == _attribute_reads(d)[d.name] and d.name not in outside:
+                    out.append(f"{name}.{cls.name}.{d.name}")
+    return sorted(out)
+
+
+def test_unreached_members_are_found():
+    sources = {
+        "a": (
+            "class A:\n"
+            "    def used(self): pass\n"
+            "    def alone(self):\n        return self.alone()\n"
+            "    @property\n    def prop(self): pass\n"
+            "    def stored(self): pass\n"
+            "    def shared(self): pass\n"
+            "    def benched(self): pass\n"
+            "    def __repr__(self): return 'A'\n"
+            "def f(x):\n    return x.used(), x.prop\n"
+        ),
+        "b": "def g(y):\n    y.stored = 1\n    return y.other.shared\n",
+    }
+    assert unreached_members(sources, {"benched"}) == ["a.A.alone", "a.A.stored"]
+
+
+# Methods and properties that nothing in the package or the benchmark reads,
+# kept as API: Class.member -> reason.
+API_MEMBERS = {
+    "TrivialSourceElement.dual": "Lambda(C*) = Lambda(C)*, which the canonical T(kG) of ROADMAP item 1 needs",
+    "XiInvariant.h_mark": "h_C(P) at any p-subgroup P, not only at a class representative",
+    "FiniteGroup.conj": "group arithmetic, g x g^-1, that the test oracles use",
+}
+
+
+def attributes_and_strings(path: Path) -> set:
+    """The attributes a file reads and the strings it holds, as a tracer
+    names the attributes it wraps."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return set(_attribute_reads(tree)) | strings
+
+
+def test_every_member_is_reached():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    outside = set().union(*(attributes_and_strings(p) for p in sorted(PERFBENCH.glob("*.py"))))
+    got = unreached_members(sources, outside)
+    assert sorted(n.split(".", 1)[1] for n in got) == sorted(API_MEMBERS)
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

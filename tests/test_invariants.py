@@ -123,10 +123,10 @@ def test_restriction_keeps_lefschetz_marks(entry):
     G, lat = C.group, C.group.lattice()
     big = marks(lefschetz(C).to_burnside())
     for K in lat.subgroups:
-        R = restrict_complex(C, K)
+        R, section = restrict_complex(C, K), quotient(G, lat.trivial, K)
         small = marks(lefschetz(R).to_burnside())
         for L in R.group.lattice().class_reps:
-            image = lat.subgroup(G.index[R.group.elements[x]] for x in L.elems)
+            image = lat.subgroup(section.lift(x) for x in L.elems)
             assert small[L.class_id] == big[image.class_id] == fixed_point_marks(R, L)
 
 

@@ -19,6 +19,7 @@ from permchain.linalg import (
 )
 
 from helpers import oracle_kernel_count, oracle_matmul, random_matrix
+from linalg_reference import from_int_rows
 
 F2 = GF(2)
 F3 = GF(3)
@@ -83,7 +84,7 @@ def test_kernel_identity_empty():
 
 
 def test_f2_rank_one_kernel():
-    M = FqMatrix.from_int_rows(F2, [[1, 1], [1, 1]])
+    M = from_int_rows(F2, [[1, 1], [1, 1]])
     assert rank(M) == 1
     K = kernel_basis(M)
     assert K.cols == 1
@@ -99,11 +100,11 @@ def test_random_f4_kernel_against_enumeration():
 
 
 def test_solve():
-    M = FqMatrix.from_int_rows(F3, [[1, 2], [0, 1], [1, 0]])
-    b = M @ FqMatrix.from_int_rows(F3, [[2], [1]])
+    M = from_int_rows(F3, [[1, 2], [0, 1], [1, 0]])
+    b = M @ from_int_rows(F3, [[2], [1]])
     x = solve_matrix(M, b)
     assert x is not None and (M @ x) == b
-    bad = FqMatrix.from_int_rows(F3, [[1], [0], [0]])
+    bad = from_int_rows(F3, [[1], [0], [0]])
     assert solve_matrix(M, bad) is None
 
 
@@ -136,7 +137,7 @@ def test_quotient_space_full_and_zero():
 
 def test_quotient_space_f2_example():
     V = FqMatrix.identity(F2, 3)
-    W = FqMatrix.from_int_rows(F2, [[1], [1], [0]])
+    W = from_int_rows(F2, [[1], [1], [0]])
     sec, proj = quotient_space(V, W)
     assert proj.rows == 2
     assert (proj @ W).is_zero()
@@ -144,21 +145,21 @@ def test_quotient_space_f2_example():
     # exhaustive: kernel of the projection is exactly span(W)
     hits = 0
     for code in range(8):
-        v = FqMatrix.from_int_rows(F2, [[(code >> i) & 1] for i in range(3)])
+        v = from_int_rows(F2, [[(code >> i) & 1] for i in range(3)])
         if (proj @ v).is_zero():
             hits += 1
     assert hits == 2  # 0 and (1,1,0)
 
 
 def test_quotient_space_not_subspace():
-    V = FqMatrix.from_int_rows(F2, [[1], [0], [0]])
-    W = FqMatrix.from_int_rows(F2, [[0], [1], [0]])
+    V = from_int_rows(F2, [[1], [0], [0]])
+    W = from_int_rows(F2, [[0], [1], [0]])
     with pytest.raises(NotSubspace):
         quotient_space(V, W)
 
 
 def test_complete_to_basis():
-    B = FqMatrix.from_int_rows(F3, [[1, 0], [1, 1], [0, 2]])
+    B = from_int_rows(F3, [[1, 0], [1, 1], [0, 2]])
     extra = complete_to_basis(B)
     assert len(extra) == 1
     full = hstack([B, FqMatrix.identity(F3, 3).take_cols(extra)])

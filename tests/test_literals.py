@@ -12,7 +12,7 @@ from permchain.constructions import gamma_dihedral
 from permchain.cli import main
 from permchain.errors import ParseError, PermchainError
 from permchain.ffield import GF
-from permchain.groups import catalog
+from permchain.groups import catalog, subgroup_literal
 from permchain.invariants import lefschetz
 from permchain.literals import (
     MAX_MODULE_DIM,
@@ -21,7 +21,6 @@ from permchain.literals import (
     format_character,
     format_element,
     format_module,
-    format_subgroup,
     load_complexes,
     parse_character,
     parse_element_literal,
@@ -40,7 +39,7 @@ def test_subgroup_roundtrip():
     G = catalog("D8")
     L = G.lattice()
     for H in L.subgroups:
-        assert parse_subgroup(G, format_subgroup(H)).elems == H.elems
+        assert parse_subgroup(G, subgroup_literal(H)).elems == H.elems
     with pytest.raises(ParseError):
         parse_subgroup(G, "<q>")
 

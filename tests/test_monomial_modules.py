@@ -44,7 +44,7 @@ from permchain.modules import (
 )
 from permchain.syzygies import orbit_map, subquotient
 import linalg_reference as ref
-from helpers import all_entries, hom_space_basis
+from helpers import all_entries, conjugate, hom_space_basis
 from module_reference import (
     brauer_points_dense,
     commutes_dense,
@@ -60,7 +60,9 @@ from module_reference import (
     module_check_labels,
     normalizer_group_quotient,
     restrict_mats,
+    restriction_over_points,
     scale,
+    subgroup_group,
     tensor_mats,
     twist_mats,
 )
@@ -157,12 +159,33 @@ def test_tensors(data):
 def test_restrictions(data):
     G, fld = data.draw(group_field())
     M = direct_sum(data.draw(labeled_module(G, fld)))
-    lat = G.lattice()
-    H = data.draw(st.sampled_from(lat.class_reps))
+    H = data.draw(st.sampled_from(G.lattice().subgroups))
     R = restrict(M, H)
-    assert_matches(R, restrict_mats(M, lat.as_group(H)))
+    assert_matches(R, restrict_mats(M, subgroup_group(H)))
     assert R.labels is not None  # Mackey: one summand per H-orbit, checked above
     assert_brauer_points(R)
+    assert_restriction_over_points(M, H)
+
+
+def assert_restriction_over_points(M: KgModule, H):
+    """restrict(M, H), over the section H/1 of G, against the restriction
+    over H on G's points: the same generator names, permutations and
+    twists, and per summand the same character values, indices and
+    stabilizer, lifted to G (so the same stabilizer order)."""
+    R, ref = restrict(M, H), restriction_over_points(M, H)
+    assert R.group.gen_names == ref.group.gen_names
+    assert [np.asarray(x).tolist() for x in R.perms] == ref.perms
+    assert [np.asarray(c).tolist() for c in R.twists] == ref.twists
+    Q = quotient(M.group, M.group.lattice().trivial, H)
+    got = [(s.character.values, s.indices, {Q.lift(x) for x in s.subgroup.elems}) for s in R.labels or ()]
+    assert got == ref.labels
+
+
+@pytest.mark.parametrize("entry", all_entries(), ids=lambda e: e.name)
+def test_restriction_matches_points_on_catalog_terms(entry):
+    for M in entry.complex.mods:
+        for H in entry.group.lattice().class_reps:
+            assert_restriction_over_points(M, H)
 
 
 @EXAMPLES
@@ -203,7 +226,7 @@ def relabeled(draw, M: KgModule, how: str) -> list:
     k = draw(st.integers(0, len(labels) - 1))
     s = labels[k]
     if how == "conjugate":
-        labels[k] = s._replace(subgroup=lat.conjugate(s.subgroup, draw(st.integers(0, M.group.order - 1))))
+        labels[k] = s._replace(subgroup=conjugate(lat, s.subgroup, draw(st.integers(0, M.group.order - 1))))
     elif how == "subgroup":
         labels[k] = s._replace(subgroup=draw(st.sampled_from(lat.subgroups)))
     elif how == "character":
@@ -272,9 +295,10 @@ def test_labels_are_checked():
 
 
 def induced_module(G, H, chi) -> KgModule:
-    """Ind_H^G chi on the cosets g_i H: g.e_i = chi(h) e_j when g g_i = g_j h.
-    Unlike a twisted permutation module, its twists vary along an orbit."""
-    Hgrp = G.lattice().as_group(H)
+    """Ind_H^G chi, for chi on `subgroup_group(H)`, on the cosets g_i H:
+    g.e_i = chi(h) e_j when g g_i = g_j h.  Unlike a twisted permutation
+    module, its twists vary along an orbit."""
+    Hgrp = chi.group
     reps = [c[0] for c in coset_list(G, H)]
     where = {G.mul(r, h): (j, h) for j, r in enumerate(reps) for h in H.elems}
     perms, twists = [], []
@@ -294,7 +318,7 @@ def test_induced_modules(data):
     G, fld = data.draw(group_field())
     lat = G.lattice()
     H = data.draw(st.sampled_from([K for K in lat.class_reps if G.order // K.order <= 12]))
-    chi = data.draw(st.sampled_from(all_characters(lat.as_group(H), fld)))
+    chi = data.draw(st.sampled_from(all_characters(subgroup_group(H), fld)))
     M = induced_module(G, H, chi)
     assert_matches(M, gen_mats(M))
     assert_matches(dual(M), dual_mats(M))
@@ -306,7 +330,7 @@ def test_induced_module_twists_vary():
     C4, F3 = catalog("C4"), GF(3)
     lat = C4.lattice()
     H = lat.generated_by([C4.element_by_word("a^2")])
-    sign = [c for c in all_characters(lat.as_group(H), F3) if not c.is_trivial()][0]
+    sign = [c for c in all_characters(subgroup_group(H), F3) if not c.is_trivial()][0]
     M = induced_module(C4, H, sign)
     assert M.twists[0].tolist() == [1, 2]  # a.e0 = e1, a.e1 = a^2 e0 = -e0
     a2 = C4.element_by_word("a^2")
@@ -466,7 +490,7 @@ def test_dense_copy_agrees_on_drawn_modules(data):
     else:
         lat = G.lattice()
         H = data.draw(st.sampled_from([K for K in lat.class_reps if G.order // K.order <= 12]))
-        M = induced_module(G, H, data.draw(st.sampled_from(all_characters(lat.as_group(H), fld))))
+        M = induced_module(G, H, data.draw(st.sampled_from(all_characters(subgroup_group(H), fld))))
     assert_dense_copy_agrees(M, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
 
 

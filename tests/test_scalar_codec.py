@@ -21,6 +21,8 @@ from permchain.linalg import FqMatrix
 from permchain.literals import complex_from_obj, complex_to_obj
 from permchain.modules import regular_module
 
+from module_reference import diff_at
+
 FIXED = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (509, 1), (2, 9)]  # F2 ... F512
 
 # every (p, n) with p^n <= 512: 97 primes and 20 proper prime powers
@@ -133,7 +135,7 @@ def test_noncanonical_spellings_read_as_parse_reads_them(data):
     obj["differentials"]["1"] = mixed
     reference = reference_codes(fld, mixed)
     assert (reference == codes).all()
-    got = complex_from_obj(json.loads(json.dumps(obj))).diff_at(1).matrix.a
+    got = diff_at(complex_from_obj(json.loads(json.dumps(obj))), 1).matrix.a
     assert (got.ravel() == reference).all()
     assert json.dumps(complex_to_obj(complex_from_obj(obj))) == json.dumps(
         complex_to_obj(C)
